@@ -133,11 +133,6 @@ def evaluate_rankings(rankings, true_labels, labels) -> EvalReport:
     )
 
 
-def evaluate(rank_fn, samples, true_labels, labels) -> EvalReport:
-    """Apply rank_fn (sample -> ranked labels) and score the results."""
-    return evaluate_rankings([rank_fn(s) for s in samples], true_labels, labels)
-
-
 @dataclass
 class CrossValReport:
     fold_reports: list

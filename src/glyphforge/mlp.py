@@ -78,16 +78,22 @@ def init_model(config: MlpConfig, labels=None, extractor_id: str = "") -> MlpMod
         w2=w2,
         b2=np.zeros(config.output_size),
         labels=list(labels),
+        extractor_id=extractor_id,
     )
 
 
 def scale_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Min-max scale one feature vector or a matrix of row vectors.
+
+    Features whose training span is 0 scale to 0.0.
+    """
     if model.feature_min is None:
         return np.asarray(x, dtype=np.float64)
     span = model.feature_max - model.feature_min
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (np.asarray(x, dtype=np.float64) - model.feature_min) / safe
-    return np.where(span > 0, scaled, 0.0)
+    scaled = np.subtract(x, model.feature_min, dtype=np.float64)
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[..., ~(span > 0)] = 0.0
+    return scaled
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -102,24 +108,38 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return sigmoid(model.w2 @ hidden + model.b2)
 
 
+def _backprop(w1, b1, w2, b2, x, target, gw1, gb1, gw2, gb2) -> float:
+    """One backprop pass on a scaled input; writes the gradients in place.
+
+    Returns loss = 0.5 * sum((target - output)^2).
+    """
+    hidden = sigmoid(w1 @ x + b1)
+    out = sigmoid(w2 @ hidden + b2)
+    err = out - target
+    np.multiply(err * out, 1.0 - out, out=gb2)
+    np.multiply(gb2[:, None], hidden, out=gw2)
+    np.multiply((w2.T @ gb2) * hidden, 1.0 - hidden, out=gb1)
+    np.multiply(gb1[:, None], x, out=gw1)
+    return 0.5 * float(np.dot(err, err))
+
+
+def _split(flat: np.ndarray, cfg: MlpConfig):
+    """Views (w1, b1, w2, b2) into one flat buffer laid out in that order."""
+    h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([h * n, h, o * h]))
+    return w1.reshape(h, n), b1, w2.reshape(o, h), b2
+
+
 def gradients(model: MlpModel, x: np.ndarray, target: np.ndarray):
     """Backprop gradients of loss = 0.5 * sum((target - output)^2).
 
     Returns (gw1, gb1, gw2, gb2, loss). Gradients are w.r.t. the raw
     weights; input scaling is applied exactly as in forward().
     """
-    x = scale_input(model, np.asarray(x, dtype=np.float64))
-    hidden = sigmoid(model.w1 @ x + model.b1)
-    out = sigmoid(model.w2 @ hidden + model.b2)
-    err = out - target
-    loss = 0.5 * float(np.dot(err, err))
-    delta_o = err * out * (1.0 - out)
-    gw2 = np.outer(delta_o, hidden)
-    gb2 = delta_o
-    delta_h = (model.w2.T @ delta_o) * hidden * (1.0 - hidden)
-    gw1 = np.outer(delta_h, x)
-    gb1 = delta_h
-    return gw1, gb1, gw2, gb2, loss
+    x = scale_input(model, x)
+    grads = [np.empty_like(m) for m in (model.w1, model.b1, model.w2, model.b2)]
+    loss = _backprop(model.w1, model.b1, model.w2, model.b2, x, target, *grads)
+    return (*grads, loss)
 
 
 def train(model: MlpModel, dataset) -> TrainingReport:
@@ -128,7 +148,8 @@ def train(model: MlpModel, dataset) -> TrainingReport:
     dataset: sequence of (feature_vector, class_index). Sets the model's
     min-max scaling statistics from the dataset before the first epoch.
     Stops at max_epochs or when the epoch MSE (mean squared output error
-    over all samples and output units) drops to target_mse.
+    over all samples and output units) drops to target_mse. Afterwards the
+    model's w1, b1, w2 and b2 are views into one flat weight buffer.
     """
     if len(dataset) == 0:
         raise TrainError("cannot train on an empty dataset")
@@ -142,26 +163,31 @@ def train(model: MlpModel, dataset) -> TrainingReport:
     if model.feature_min is None:
         model.feature_min = xs.min(axis=0)
         model.feature_max = xs.max(axis=0)
+    xs = scale_input(model, xs)
     targets = np.zeros((len(dataset), cfg.output_size))
     targets[np.arange(len(dataset)), idxs] = 1.0
 
+    weights = np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
+    params = _split(weights, cfg)
+    model.w1, model.b1, model.w2, model.b2 = params
+    grad = np.empty_like(weights)
+    grads = _split(grad, cfg)
+    vel = np.zeros_like(weights)
+    neg_lr, mom = -cfg.learning_rate, cfg.momentum
+
     rng = np.random.default_rng(cfg.seed + 1)
-    vel = [np.zeros_like(m) for m in (model.w1, model.b1, model.w2, model.b2)]
     trace = []
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(dataset))
         sq_err = 0.0
         for i in order:
-            gw1, gb1, gw2, gb2, loss = gradients(model, xs[i], targets[i])
-            sq_err += 2.0 * loss
-            for mat, grad, v in zip(
-                (model.w1, model.b1, model.w2, model.b2),
-                (gw1, gb1, gw2, gb2),
-                vel,
-            ):
-                delta = -cfg.learning_rate * grad + cfg.momentum * v
-                mat += delta
-                v[...] = delta
+            sq_err += 2.0 * _backprop(*params, xs[i], targets[i], *grads)
+            # per element the same float operations as -lr * grad + mom * vel,
+            # so the weights match the per-array update bit for bit
+            grad *= neg_lr
+            vel *= mom
+            vel += grad
+            weights += vel
         mse = sq_err / (len(dataset) * cfg.output_size)
         trace.append(mse)
         if mse <= cfg.target_mse:

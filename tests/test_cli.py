@@ -85,6 +85,24 @@ def test_train_hidden_override(feature_files, tmp_path):
     assert mlp.load_model(out).config.hidden_size == 30
 
 
+def test_train_single_then_predict_image(feature_files, corpus, tmp_path, capsys):
+    from glyphforge import mlp
+
+    chain, _ = feature_files
+    out = tmp_path / "chain.mlp"
+    assert cli.main([
+        "train", "--features", str(chain), "--out", str(out),
+        "--epochs", "20", "--seed", "1",
+    ]) == 0
+    model = mlp.load_model(out)
+    assert model.extractor_id == "chain200"
+    sample_id, _, vec = dio.load_features(chain).rows[0]
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(out), "--image", str(corpus / sample_id), "-k", "1"]) == 0
+    top = capsys.readouterr().out.split()[1].split(":")[0]
+    assert top == mlp.predict(model, vec)[0][0]
+
+
 def test_train_eval_predict_ensemble(feature_files, corpus, tmp_path, capsys):
     from glyphforge import ensemble
 

@@ -169,6 +169,77 @@ class TestTrain:
         assert report.epochs_run == len(report.mse_trace) <= 15
 
 
+def seed_train(model, dataset):
+    """Reference: the original per-sample, per-array online backprop loop.
+
+    Scales each sample on every step and takes np.outer gradients, then
+    updates each of w1, b1, w2, b2 by delta = -lr * g + momentum * v.
+    """
+    cfg = model.config
+    xs = np.array([x for x, _ in dataset], dtype=np.float64)
+    model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+    span = model.feature_max - model.feature_min
+    safe = np.where(span > 0, span, 1.0)
+    targets = np.zeros((len(dataset), cfg.output_size))
+    targets[np.arange(len(dataset)), [c for _, c in dataset]] = 1.0
+    params = [model.w1, model.b1, model.w2, model.b2]
+    vel = [np.zeros_like(m) for m in params]
+    rng = np.random.default_rng(cfg.seed + 1)
+    trace = []
+    for _ in range(cfg.max_epochs):
+        sq_err = 0.0
+        for i in rng.permutation(len(dataset)):
+            x = np.where(span > 0, (xs[i] - model.feature_min) / safe, 0.0)
+            hidden = mlp.sigmoid(model.w1 @ x + model.b1)
+            out = mlp.sigmoid(model.w2 @ hidden + model.b2)
+            err = out - targets[i]
+            sq_err += 2.0 * (0.5 * float(np.dot(err, err)))
+            delta_o = err * out * (1.0 - out)
+            delta_h = (model.w2.T @ delta_o) * hidden * (1.0 - hidden)
+            grads = (np.outer(delta_h, x), delta_h, np.outer(delta_o, hidden), delta_o)
+            for mat, g, v in zip(params, grads, vel):
+                delta = -cfg.learning_rate * g + cfg.momentum * v
+                mat += delta
+                v[...] = delta
+        mse = sq_err / (len(dataset) * cfg.output_size)
+        trace.append(mse)
+        if mse <= cfg.target_mse:
+            break
+    return trace
+
+
+def wide_range_dataset(n=30, seed=3):
+    """Features spanning ~1e-3..1e5 plus one constant (span 0) column."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(n, 6)) * np.array([1e-3, 1.0, 1e3, 1e5, 10.0, 0.0])
+    xs[:, 5] = 7.0
+    return [(x, i % 3) for i, x in enumerate(xs)]
+
+
+class TestTrainBitIdentity:
+    def test_train_matches_seed_loop(self):
+        data = wide_range_dataset()
+        kw = dict(inp=6, hid=5, out=3, seed=17, max_epochs=4, target_mse=1e-12)
+        ref, model = small_model(**kw), small_model(**kw)
+        assert model.config.momentum > 0
+        ref_trace = seed_train(ref, data)
+        report = mlp.train(model, data)
+        assert report.epochs_run == 4
+        assert report.mse_trace == ref_trace
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    def test_scale_matrix_equals_rows(self):
+        model = small_model(6, 3, 3)
+        xs = np.array([x for x, _ in wide_range_dataset()])
+        model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+        scaled = mlp.scale_input(model, xs)
+        rows = np.array([mlp.scale_input(model, x) for x in xs])
+        assert np.array_equal(scaled, rows)
+        assert not scaled[:, 5].any()
+        assert scaled[:, :5].min() == 0.0 and scaled[:, :5].max() == 1.0
+
+
 class TestPredict:
     def make(self, confs):
         model = small_model(3, 2, len(confs))
