@@ -8,8 +8,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import dataset_io, ensemble, evaluation, mlp, pipeline
 from .errors import (
     CorpusError,
@@ -107,24 +105,18 @@ def _load_any_model(path):
     return mlp.load_model(path)
 
 
-def _rank_image(model, image):
-    if isinstance(model, ensemble.EnsembleModel):
-        x1 = pipeline.extract_features(
-            image, "chain200",
-            normalize=model.model1.extractor_flags.get("normalize", False),
-        )
-        x2 = pipeline.extract_features(
-            image, "moment63",
-            log_moments=model.model2.extractor_flags.get("log_moments", False),
-        )
-        return model.predict(x1, x2)
-    x = pipeline.extract_features(
-        image,
-        model.extractor_id,
-        normalize=model.extractor_flags.get("normalize", False),
-        log_moments=model.extractor_flags.get("log_moments", False),
-    )
-    return mlp.predict(model, x)
+def _extractors(extractor_ids, args):
+    """(extractor_id, flags) pairs; an extractor's flag is on when the option of that name is."""
+    pairs = []
+    for extractor_id in extractor_ids:
+        flag = pipeline.EXTRACTOR_FLAG[extractor_id]
+        pairs.append((extractor_id, {flag: True} if getattr(args, flag) else {}))
+    return pairs
+
+
+def _rankings(model, tables, idxs):
+    """Ranked labels for rows idxs; tables follow model.extractors."""
+    return [[lab for lab, _ in model.rank([t.rows[i][2] for t in tables])] for i in idxs]
 
 
 def cmd_synth(args) -> int:
@@ -139,15 +131,13 @@ def cmd_extract(args) -> int:
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
         for s in samples:
-            stages = pipeline.preprocess_stages(s.image)
+            stages = pipeline.preprocess_stages(s.image, pipeline.EXTRACTOR_FLAG)
             stem = s.id.replace("/", "_").removesuffix(".pgm")
             for name, img in stages.items():
                 dataset_io.write_binary_pgm(
                     os.path.join(args.dump_stages, f"{stem}.{name}.pgm"), img
                 )
-    table = pipeline.extract_table(
-        samples, args.extractor, normalize=args.normalize, log_moments=args.log_moments
-    )
+    table = pipeline.extract_table(samples, *_extractors([args.extractor], args)[0])
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -188,29 +178,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_tables(model, table, table2):
-    if isinstance(model, ensemble.EnsembleModel):
-        if table2 is None:
-            raise CorpusError("ensemble evaluation needs --features2")
-        if [r[0] for r in table.rows] != [r[0] for r in table2.rows]:
-            raise FormatError("feature tables do not cover the same samples")
-        rankings = [
-            [lab for lab, _ in model.predict(v1, v2)]
-            for (_, _, v1), (_, _, v2) in zip(table.rows, table2.rows)
-        ]
-        labels = model.labels
-    else:
-        rankings = [[lab for lab, _ in mlp.predict(model, vec)] for _, _, vec in table.rows]
-        labels = model.labels
-    truth = [lab for _, lab, _ in table.rows]
-    return evaluation.evaluate_rankings(rankings, truth, labels)
+def _eval_tables(model, tables):
+    extractor_ids = [e for e, _ in model.extractors]
+    if len(tables) != len(extractor_ids):
+        raise CorpusError(f"model needs {len(extractor_ids)} feature tables (--features, --features2)")
+    for table, extractor_id in zip(tables, extractor_ids):
+        if table.extractor_id != extractor_id:
+            raise FormatError(f"model wants {extractor_id!r} features, table has {table.extractor_id!r}")
+    ids = [r[0] for r in tables[0].rows]
+    if any([r[0] for r in t.rows] != ids for t in tables[1:]):
+        raise FormatError("feature tables do not cover the same samples")
+    rankings = _rankings(model, tables, range(len(ids)))
+    truth = [lab for _, lab, _ in tables[0].rows]
+    return evaluation.evaluate_rankings(rankings, truth, model.labels)
 
 
 def cmd_eval(args) -> int:
     model = _load_any_model(args.model)
-    table = dataset_io.load_features(args.features)
-    table2 = dataset_io.load_features(args.features2) if args.features2 else None
-    report = _eval_tables(model, table, table2)
+    paths = [args.features] + ([args.features2] if args.features2 else [])
+    report = _eval_tables(model, [dataset_io.load_features(p) for p in paths])
     text = evaluation.format_report(report)
     print(text)
     if args.report:
@@ -226,8 +212,8 @@ def cmd_crossval(args) -> int:
     samples = dataset_io.load_corpus(args.corpus)
     labels = [s.label for s in samples]
     class_table = sorted(set(labels))
-    table1 = pipeline.extract_table(samples, "chain200", normalize=args.normalize)
-    table2 = pipeline.extract_table(samples, "moment63", log_moments=args.log_moments)
+    extractor_ids = ("chain200", "moment63") if args.extractor == "ensemble" else (args.extractor,)
+    tables = pipeline.extract_tables(samples, _extractors(extractor_ids, args))
     plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
     kwargs = dict(
         hidden_size=args.hidden,
@@ -237,28 +223,19 @@ def cmd_crossval(args) -> int:
         target_mse=args.target_mse,
     )
 
-    def subset(table, idxs):
-        return dataset_io.FeatureTable(table.extractor_id, table.dim, [table.rows[i] for i in idxs])
-
     def fold_fn(train_idx, test_idx):
+        train = [t.subset(train_idx) for t in tables]
         if args.extractor == "ensemble":
-            ens, _, _ = pipeline.train_ensemble_on_tables(
-                subset(table1, train_idx),
-                subset(table2, train_idx),
+            model, _, _ = pipeline.train_ensemble_on_tables(
+                *train,
                 class_table,
                 calibration_fraction=args.calibration_fraction,
                 seed=args.seed,
                 **kwargs,
             )
-            return [
-                [lab for lab, _ in ens.predict(table1.rows[i][2], table2.rows[i][2])]
-                for i in test_idx
-            ]
-        table = table1 if args.extractor == "chain200" else table2
-        model, _ = pipeline.train_mlp_on_table(
-            subset(table, train_idx), class_table, seed=args.seed, **kwargs
-        )
-        return [[lab for lab, _ in mlp.predict(model, table.rows[i][2])] for i in test_idx]
+        else:
+            model, _ = pipeline.train_mlp_on_table(*train, class_table, seed=args.seed, **kwargs)
+        return _rankings(model, tables, test_idx)
 
     report = evaluation.cross_validate(labels, plan, fold_fn)
     lines = [f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}"]
@@ -294,7 +271,7 @@ def cmd_predict(args) -> int:
     )
     for path in paths:
         image = dataset_io.read_pgm(path)
-        ranked = _rank_image(model, image)[: args.k]
+        ranked = model.rank(pipeline.extract_features(image, model.extractors))[: args.k]
         listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked)
         print(f"{path}  {listing}")
     return 0

@@ -7,7 +7,7 @@ maxval up to 255).
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,10 @@ def read_pgm(path) -> np.ndarray:
     magic = next_token()
     if magic not in (b"P2", b"P5"):
         raise IoError(f"{path}: unsupported PGM magic {magic!r}")
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
+    try:
+        width, height, maxval = (int(next_token()) for _ in range(3))
+    except ValueError as exc:
+        raise IoError(f"{path}: non-integer PGM width, height or maxval") from exc
     if width < 1 or height < 1 or not 0 < maxval <= 255:
         raise IoError(f"{path}: bad PGM dimensions or maxval")
     if magic == b"P5":
@@ -197,6 +198,7 @@ class FeatureTable:
     extractor_id: str
     dim: int
     rows: list  # (id, label, np.ndarray)
+    flags: dict = field(default_factory=dict)  # extractor options, e.g. {"log_moments": True}
 
     def __post_init__(self):
         expected = EXTRACTOR_DIMS.get(self.extractor_id)
@@ -208,10 +210,16 @@ class FeatureTable:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")
 
+    def subset(self, idxs) -> "FeatureTable":
+        """The rows at idxs, in that order, under the same header."""
+        return FeatureTable(self.extractor_id, self.dim, [self.rows[i] for i in idxs], self.flags)
+
 
 def save_features(table: FeatureTable, path) -> None:
+    """Write the CSV; the header names the extractor options that are on."""
+    flags = "".join(f" {k}=1" for k, v in sorted(table.flags.items()) if v)
     with open(path, "w") as fh:
-        fh.write(f"# extractor={table.extractor_id} dim={table.dim}\n")
+        fh.write(f"# extractor={table.extractor_id} dim={table.dim}{flags}\n")
         for sample_id, label, vec in table.rows:
             values = ",".join(repr(float(v)) for v in vec)
             fh.write(f"{sample_id},{label},{values}\n")
@@ -227,18 +235,21 @@ def load_features(path) -> FeatureTable:
         raise FormatError(f"{path}: missing feature header")
     try:
         head = dict(kv.split("=") for kv in lines[0][2:].split())
-        extractor_id = head["extractor"]
-        dim = int(head["dim"])
+        extractor_id = head.pop("extractor")
+        dim = int(head.pop("dim"))
+        flags = {k: bool(int(v)) for k, v in head.items()}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad feature header") from exc
     rows = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != dim + 2:
             raise FormatError(f"{path}: row has {len(parts) - 2} values, want {dim}")
-        rows.append(
-            (parts[0], parts[1], np.array([float(v) for v in parts[2:]]))
-        )
-    return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows)
+        try:
+            vec = np.array([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {n}: {exc}") from exc
+        rows.append((parts[0], parts[1], vec))
+    return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows, flags=flags)

@@ -74,6 +74,16 @@ class EnsembleModel:
     def labels(self):
         return self.model1.labels
 
+    @property
+    def extractors(self):
+        """The members' (extractor_id, flags) pairs, model1 first."""
+        return self.model1.extractors + self.model2.extractors
+
+    def rank(self, vectors):
+        """Ranked (label, fused score) for one vector per extractor."""
+        x1, x2 = vectors
+        return self.predict(x1, x2)
+
     def predict(self, x1: np.ndarray, x2: np.ndarray):
         """Ranked (label, fused score) for one sample's two feature vectors."""
         o1 = mlp.forward(self.model1, x1)

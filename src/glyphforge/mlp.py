@@ -49,6 +49,16 @@ class MlpModel:
     feature_max: np.ndarray = None
     extractor_flags: dict = field(default_factory=dict)
 
+    @property
+    def extractors(self):
+        """The (extractor_id, flags) pairs whose vectors rank() takes."""
+        return [(self.extractor_id, self.extractor_flags)]
+
+    def rank(self, vectors):
+        """Ranked (label, confidence) for one vector per extractor."""
+        (x,) = vectors
+        return predict(self, x)
+
 
 @dataclass
 class TrainingReport:
@@ -267,20 +277,23 @@ def load_model(path) -> MlpModel:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad header ({exc})") from exc
     labels = header.get("labels", "").split(",") if header.get("labels") else []
-    flags = {}
-    for item in header.get("flags", "").split(","):
-        if item:
-            k, _, v = item.partition("=")
-            flags[k] = bool(int(v))
-    mats = {}
-    while i < len(lines):
-        name, rows, cols = lines[i][1:].split()
-        rows, cols = int(rows), int(cols)
-        block = [
-            [float(tok) for tok in lines[i + 1 + r].split()] for r in range(rows)
-        ]
-        mats[name] = np.array(block, dtype=np.float64).reshape(rows, cols)
-        i += 1 + rows
+    try:
+        flags = {}
+        for item in header.get("flags", "").split(","):
+            if item:
+                k, _, v = item.partition("=")
+                flags[k] = bool(int(v))
+        mats = {}
+        while i < len(lines):
+            name, rows, cols = lines[i][1:].split()
+            rows, cols = int(rows), int(cols)
+            block = [
+                [float(tok) for tok in lines[i + 1 + r].split()] for r in range(rows)
+            ]
+            mats[name] = np.array(block, dtype=np.float64).reshape(rows, cols)
+            i += 1 + rows
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: bad flags or matrix block ({exc})") from exc
     for name, shape in (
         ("w1", (cfg.hidden_size, cfg.input_size)),
         ("b1", (1, cfg.hidden_size)),
@@ -291,10 +304,13 @@ def load_model(path) -> MlpModel:
             raise FormatError(f"{path}: matrix {name} missing or wrong shape")
     fmin = fmax = None
     if "feature_min" in header:
-        fmin = np.array([float(t) for t in header["feature_min"].split()])
-        fmax = np.array([float(t) for t in header["feature_max"].split()])
-        if fmin.shape != (cfg.input_size,):
-            raise FormatError(f"{path}: feature_min length != input_size")
+        try:
+            fmin = np.array([float(t) for t in header["feature_min"].split()])
+            fmax = np.array([float(t) for t in header["feature_max"].split()])
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"{path}: bad feature range ({exc})") from exc
+        if fmin.shape != (cfg.input_size,) or fmax.shape != fmin.shape:
+            raise FormatError(f"{path}: feature_min/feature_max length != input_size")
     model = MlpModel(
         config=cfg,
         w1=mats["w1"],

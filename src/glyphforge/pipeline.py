@@ -3,57 +3,63 @@
 import numpy as np
 
 from . import chain_features, dataset_io, ensemble, image_prep, mlp, moment_features
-from .errors import TrainError
+from .errors import FormatError, TrainError
 
 DEFAULT_HIDDEN = {"chain200": 50, "moment63": 45}
+# the one option each extractor takes; an extractor's flags dict holds it when on
+EXTRACTOR_FLAG = {"chain200": "normalize", "moment63": "log_moments"}
 
 
-def preprocess_stages(image: np.ndarray):
-    """All intermediate binary stages for one grayscale glyph image."""
+def preprocess_stages(image: np.ndarray, extractor_ids):
+    """The binary stages of one grayscale glyph that the extractors need.
+
+    Binarize and normalize always run; the contour only for chain200 and
+    the skeleton only for moment63.
+    """
     binary = image_prep.binarize(image)
     scaled = image_prep.normalize_size(binary)
-    return {
-        "binary": binary,
-        "scaled": scaled,
-        "contour": image_prep.find_contour(scaled),
-        "thinned": image_prep.thin(scaled),
-    }
+    stages = {"binary": binary, "scaled": scaled}
+    if "chain200" in extractor_ids:
+        stages["contour"] = image_prep.find_contour(scaled)
+    if "moment63" in extractor_ids:
+        stages["thinned"] = image_prep.thin(scaled)
+    return stages
 
 
-def extract_features(
-    image: np.ndarray,
-    extractor_id: str,
-    normalize: bool = False,
-    log_moments: bool = False,
-) -> np.ndarray:
-    """One glyph image to one feature vector (chain200 or moment63)."""
-    binary = image_prep.binarize(image)
-    scaled = image_prep.normalize_size(binary)
-    if extractor_id == "chain200":
-        contour = image_prep.find_contour(scaled)
-        return chain_features.extract_chain_features(contour, normalize=normalize)
-    if extractor_id == "moment63":
-        thinned = image_prep.thin(scaled)
-        return moment_features.moment_zone_features(thinned, log_scale=log_moments)
-    raise ValueError(f"unknown extractor {extractor_id!r}")
+def extract_features(image: np.ndarray, extractors):
+    """One feature vector per (extractor_id, flags) pair, from one preprocessing pass."""
+    for extractor_id, _ in extractors:
+        if extractor_id not in EXTRACTOR_FLAG:
+            raise FormatError(f"unknown extractor {extractor_id!r}")
+    stages = preprocess_stages(image, [e for e, _ in extractors])
+    vectors = []
+    for extractor_id, flags in extractors:
+        if extractor_id == "chain200":
+            vectors.append(chain_features.extract_chain_features(
+                stages["contour"], normalize=flags.get("normalize", False)))
+        else:
+            vectors.append(moment_features.moment_zone_features(
+                stages["thinned"], log_scale=flags.get("log_moments", False)))
+    return vectors
 
 
-def extract_table(
-    samples, extractor_id: str, normalize: bool = False, log_moments: bool = False
-) -> dataset_io.FeatureTable:
-    rows = [
-        (
-            s.id,
-            s.label,
-            extract_features(s.image, extractor_id, normalize, log_moments),
+def extract_tables(samples, extractors):
+    """One FeatureTable per (extractor_id, flags) pair, in one pass over the samples."""
+    rows = [[] for _ in extractors]
+    for s in samples:
+        for table_rows, vec in zip(rows, extract_features(s.image, extractors)):
+            table_rows.append((s.id, s.label, vec))
+    return [
+        dataset_io.FeatureTable(
+            extractor_id, dataset_io.EXTRACTOR_DIMS[extractor_id], table_rows, dict(flags)
         )
-        for s in samples
+        for (extractor_id, flags), table_rows in zip(extractors, rows)
     ]
-    return dataset_io.FeatureTable(
-        extractor_id=extractor_id,
-        dim=dataset_io.EXTRACTOR_DIMS[extractor_id],
-        rows=rows,
-    )
+
+
+def extract_table(samples, extractor_id: str, flags=None) -> dataset_io.FeatureTable:
+    (table,) = extract_tables(samples, [(extractor_id, flags or {})])
+    return table
 
 
 def train_mlp_on_table(
@@ -65,7 +71,6 @@ def train_mlp_on_table(
     max_epochs: int = 1000,
     target_mse: float = 1e-3,
     seed: int = 0,
-    extractor_flags: dict = None,
 ):
     """Train one MLP on a feature table; returns (model, report)."""
     if not table.rows:
@@ -83,8 +88,7 @@ def train_mlp_on_table(
         seed=seed,
     )
     model = mlp.init_model(config, labels, extractor_id=table.extractor_id)
-    if extractor_flags:
-        model.extractor_flags = dict(extractor_flags)
+    model.extractor_flags = dict(table.flags)
     dataset = [(vec, label_pos[lab]) for _, lab, vec in table.rows]
     report = mlp.train(model, dataset)
     return model, report
@@ -118,19 +122,11 @@ def train_ensemble_on_tables(
     fit_idx = [i for i in range(n) if i not in cal_idx]
     if not fit_idx:
         raise TrainError("calibration split leaves no training samples")
-
-    def subset(table, idxs):
-        return dataset_io.FeatureTable(
-            extractor_id=table.extractor_id,
-            dim=table.dim,
-            rows=[table.rows[i] for i in idxs],
-        )
-
     model1, report1 = train_mlp_on_table(
-        subset(table1, fit_idx), labels, seed=seed, **train_kwargs
+        table1.subset(fit_idx), labels, seed=seed, **train_kwargs
     )
     model2, report2 = train_mlp_on_table(
-        subset(table2, fit_idx), labels, seed=seed, **train_kwargs
+        table2.subset(fit_idx), labels, seed=seed, **train_kwargs
     )
     holdout = [
         (table1.rows[i][2], table2.rows[i][2], label_pos[table1.rows[i][1]])

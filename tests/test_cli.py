@@ -1,9 +1,10 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from glyphforge import cli, dataset_io as dio
+from glyphforge import cli, dataset_io as dio, image_prep, mlp
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,29 @@ def feature_files(corpus, tmp_path_factory):
     assert cli.main(["extract", "--corpus", str(corpus), "--extractor", "chain200", "--out", str(chain)]) == 0
     assert cli.main(["extract", "--corpus", str(corpus), "--extractor", "moment63", "--out", str(moment)]) == 0
     return chain, moment
+
+
+@pytest.fixture(scope="module")
+def ensemble_file(feature_files, tmp_path_factory):
+    chain, moment = feature_files
+    path = tmp_path_factory.mktemp("ens") / "ens.glyph"
+    assert cli.main([
+        "train", "--features", str(chain), "--features2", str(moment),
+        "--ensemble", "--out", str(path), "--epochs", "10", "--seed", "2",
+    ]) == 0
+    return path
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls to image_prep.binarize and image_prep.thin."""
+    counts = {"binarize": 0, "thin": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(image_prep, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(image_prep, name, counted)
+    return counts
 
 
 def test_synth_writes_corpus(corpus):
@@ -157,3 +181,71 @@ def test_seed_env_default(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", "x"])
     assert args.seed == 123
+
+
+@pytest.mark.parametrize("extractor, flag", [("moment63", "--log-moments"), ("chain200", "--normalize")])
+def test_extractor_flags_reach_predict(corpus, tmp_path, capsys, extractor, flag):
+    features = tmp_path / "f.csv"
+    model_path = tmp_path / "m.mlp"
+    assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, flag, "--out", str(features)]) == 0
+    assert cli.main(["train", "--features", str(features), "--out", str(model_path), "--epochs", "20", "--seed", "1"]) == 0
+    model = mlp.load_model(model_path)
+    assert model.extractor_flags == {flag[2:].replace("-", "_"): True}
+    sample_id, _, vec = dio.load_features(features).rows[0]
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model_path), "--image", str(corpus / sample_id), "-k", "1"]) == 0
+    label, score = capsys.readouterr().out.split()[1].split(":")
+    want_label, want_score = mlp.predict(model, vec)[0]
+    assert (label, score) == (want_label, f"{want_score:.4f}")
+
+
+@pytest.mark.parametrize("extractor", ["", "bogus"])
+def test_predict_unknown_extractor_exit_2(feature_files, corpus, tmp_path, capsys, extractor):
+    chain, _ = feature_files
+    path = tmp_path / "m.mlp"
+    assert cli.main(["train", "--features", str(chain), "--out", str(path), "--epochs", "5"]) == 0
+    path.write_text(path.read_text().replace("extractor chain200\n", f"extractor {extractor}\n"))
+    image = sorted((corpus / "c00").iterdir())[0]
+    assert cli.main(["predict", "--model", str(path), "--image", str(image)]) == 2
+    assert "unknown extractor" in capsys.readouterr().err
+
+
+def test_extract_non_integer_pgm_header(corpus, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    (root / "c00" / "bad.pgm").write_bytes(b"P5\nabc 64\n255\n")
+    out = tmp_path / "f.csv"
+    with pytest.warns(UserWarning, match="skipping malformed image"):
+        assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 0
+    assert len(dio.load_features(out).rows) == 24
+    assert cli.main([
+        "extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out), "--strict",
+    ]) == 2
+
+
+def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, tmp_path):
+    chain, _ = feature_files
+    bad_csv = tmp_path / "bad.csv"
+    lines = chain.read_text().splitlines()
+    bad_csv.write_text("\n".join([lines[0], lines[1].replace(",", ",x", 3)] + lines[2:]) + "\n")
+    member = ensemble_file.with_name("ens.chain.mlp")
+    bad_mlp = tmp_path / "bad.mlp"
+    bad_mlp.write_text("\n".join(member.read_text().splitlines()[:-1]) + "\n")
+    assert cli.main(["eval", "--model", str(member), "--features", str(bad_csv)]) == 2
+    assert cli.main(["eval", "--model", str(bad_mlp), "--features", str(chain)]) == 2
+
+
+def test_ensemble_predict_dir_binarizes_once_per_image(ensemble_file, corpus, calls, capsys):
+    images = corpus / "c01"
+    assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert calls["binarize"] == 8
+
+
+@pytest.mark.parametrize("extractor, binarize, thin", [("ensemble", 24, 24), ("chain200", 24, 0)])
+def test_crossval_preprocesses_once_per_image(corpus, calls, extractor, binarize, thin):
+    assert cli.main([
+        "crossval", "--corpus", str(corpus), "--extractor", extractor,
+        "--folds", "3", "--seed", "4", "--epochs", "5",
+    ]) == 0
+    assert calls == {"binarize": binarize, "thin": thin}

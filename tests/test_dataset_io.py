@@ -32,6 +32,13 @@ class TestPgm:
         with pytest.raises(IoError):
             dio.read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\nabc 64\n255\n", b"P5\n64 6x\n255\n", b"P2\n2 2\n2.5\n"])
+    def test_non_integer_header_field(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(IoError):
+            dio.read_pgm(path)
+
     def test_binary_dump_convention(self, tmp_path):
         binary = np.array([[True, False], [False, True]])
         path = tmp_path / "bin.pgm"
@@ -119,7 +126,7 @@ class TestSynthCorpus:
             dio.render_polyline(dio._class_template(c)) for c in range(20)
         ]
         vectors = [
-            tuple(pipeline.extract_features(t, "chain200")) for t in templates
+            tuple(pipeline.extract_features(t, [("chain200", {})])[0]) for t in templates
         ]
         assert len(set(vectors)) == 20
 
@@ -161,6 +168,35 @@ class TestFeatureTable:
         path.write_text(text)
         with pytest.raises(FormatError):
             dio.load_features(path)
+
+    def test_flags_in_header(self, tmp_path):
+        table = self.make_table()
+        path = tmp_path / "f.csv"
+        dio.save_features(table, path)
+        assert path.read_text().split("\n", 1)[0] == "# extractor=moment63 dim=63"
+        assert dio.load_features(path).flags == {}
+        table.flags = {"log_moments": True}
+        dio.save_features(table, path)
+        assert path.read_text().split("\n", 1)[0] == "# extractor=moment63 dim=63 log_moments=1"
+        assert dio.load_features(path).flags == {"log_moments": True}
+        assert table.subset([2, 0]).flags == {"log_moments": True}
+
+    @pytest.mark.parametrize("text", [
+        "# extractor=x dim=2\nid,lab,1.0,abc\n",
+        "# extractor=x dim=2\nid,lab,1.0,\n",
+        "# extractor=x dim=2 log_moments=yes\n",
+    ])
+    def test_non_numeric_value(self, tmp_path, text):
+        path = tmp_path / "n.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            dio.load_features(path)
+
+    def test_subset(self):
+        table = self.make_table()
+        sub = table.subset([3, 1])
+        assert (sub.extractor_id, sub.dim) == ("moment63", 63)
+        assert [r[0] for r in sub.rows] == ["c/s3.pgm", "c/s1.pgm"]
 
     def test_row_length_validated(self, tmp_path):
         path = tmp_path / "g.csv"

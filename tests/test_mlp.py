@@ -284,6 +284,24 @@ class TestSerialization:
         assert loaded.extractor_flags == {"normalize": True}
         assert loaded.config == model.config
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda lines: lines[:-1],  # last b2 row missing: truncated block
+        lambda lines: lines[:-1] + ["0.5 nan? 0.1"],  # non-numeric weight
+        lambda lines: lines[:-1] + ["0.5 0.2"],  # short row
+        lambda lines: [ln.replace("@w2 3 4", "@w2 3 four") for ln in lines],
+        lambda lines: [ln.replace("flags ", "flags normalize=yes") for ln in lines],
+        lambda lines: [ln.replace("feature_min ", "feature_min x ") for ln in lines],
+    ])
+    def test_malformed_body_is_format_error(self, tmp_path, corrupt):
+        model = small_model(7, 4, 3, seed=21)
+        model.feature_min = np.zeros(7)
+        model.feature_max = np.ones(7)
+        path = tmp_path / "m.mlp"
+        mlp.save_model(model, path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(FormatError):
+            mlp.load_model(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mlp"
         path.write_text("not a model\n")
