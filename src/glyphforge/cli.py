@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from . import dataset_io, ensemble, evaluation, mlp, pipeline
+from . import dataset_io, ensemble, evaluation, pipeline
 from .errors import (
     CorpusError,
     FormatError,
@@ -33,6 +33,7 @@ def _add_train_flags(parser):
     parser.add_argument("--momentum", type=float, default=0.7, help="momentum term")
     parser.add_argument("--epochs", type=int, default=1000, help="max training epochs")
     parser.add_argument("--target-mse", type=float, default=1e-3, help="early-stop epoch MSE")
+    parser.add_argument("--calibration-fraction", type=float, default=0.2, help="held-out share for fusion weights")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,11 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="fail on malformed images instead of skipping")
     p.add_argument("--dump-stages", metavar="DIR", help="write intermediate binary images as PGM")
 
-    p = sub.add_parser("train", help="train an MLP (or an ensemble) from feature tables")
+    p = sub.add_parser("train", help="train an MLP, or with two feature tables the fused pair")
     p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--features2", help="second feature CSV (ensemble mode)")
-    p.add_argument("--ensemble", action="store_true", help="train both MLPs plus fusion weights")
-    p.add_argument("--calibration-fraction", type=float, default=0.2)
+    p.add_argument("--features2", help="second feature CSV: train both MLPs plus fusion weights")
+    p.add_argument("--ensemble", action="store_true", help="optional; only checks that --features2 is given")
     p.add_argument("--out", required=True, help="model file path")
     _add_train_flags(p)
     _add_seed(p)
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--log-moments", action="store_true")
-    p.add_argument("--calibration-fraction", type=float, default=0.2)
     p.add_argument("--out", help="write the structured report to this path")
     _add_train_flags(p)
     _add_seed(p)
@@ -97,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_any_model(path):
-    with open(path) as fh:
-        magic = fh.readline().strip()
-    if magic == ensemble.ENSEMBLE_MAGIC:
-        return ensemble.load_ensemble(path)
-    return mlp.load_model(path)
-
-
 def _extractors(extractor_ids, args):
     """(extractor_id, flags) pairs; an extractor's flag is on when the option of that name is."""
     pairs = []
@@ -112,6 +103,24 @@ def _extractors(extractor_ids, args):
         flag = pipeline.EXTRACTOR_FLAG[extractor_id]
         pairs.append((extractor_id, {flag: True} if getattr(args, flag) else {}))
     return pairs
+
+
+def _load_tables(args):
+    """The --features table, then the --features2 table when given."""
+    return [dataset_io.load_features(p) for p in (args.features, args.features2) if p]
+
+
+def _train_kwargs(args):
+    """pipeline.train_model's keyword arguments from the training options."""
+    return dict(
+        hidden_size=args.hidden,
+        learning_rate=args.lr,
+        momentum=args.momentum,
+        max_epochs=args.epochs,
+        target_mse=args.target_mse,
+        calibration_fraction=args.calibration_fraction,
+        seed=args.seed,
+    )
 
 
 def _rankings(model, tables, idxs):
@@ -144,36 +153,16 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table = dataset_io.load_features(args.features)
-    labels = sorted({lab for _, lab, _ in table.rows})
-    kwargs = dict(
-        hidden_size=args.hidden,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        max_epochs=args.epochs,
-        target_mse=args.target_mse,
-    )
-    if args.ensemble:
-        if not args.features2:
-            raise CorpusError("--ensemble needs --features2")
-        table2 = dataset_io.load_features(args.features2)
-        ens, rep1, rep2 = pipeline.train_ensemble_on_tables(
-            table,
-            table2,
-            labels,
-            calibration_fraction=args.calibration_fraction,
-            seed=args.seed,
-            **kwargs,
-        )
-        ensemble.save_ensemble(ens, args.out)
-        w = ens.weights
-        print(f"member 1 ({table.extractor_id}): final MSE {rep1.final_mse:.6f}, calibration accuracy {w.d1:.4f}")
-        print(f"member 2 ({table2.extractor_id}): final MSE {rep2.final_mse:.6f}, calibration accuracy {w.d2:.4f}")
-        print(f"fusion weights: w1={w.w1:.4f} w2={w.w2:.4f}")
-    else:
-        model, report = pipeline.train_mlp_on_table(table, labels, seed=args.seed, **kwargs)
-        mlp.save_model(model, args.out)
-        print(f"trained {report.epochs_run} epochs, final MSE {report.final_mse:.6f}")
+    if args.ensemble and not args.features2:
+        raise CorpusError("--ensemble needs --features2")
+    tables = _load_tables(args)
+    labels = sorted({lab for _, lab, _ in tables[0].rows})
+    model, reports = pipeline.train_model(tables, labels, **_train_kwargs(args))
+    model.save(args.out)
+    for k, (table, report) in enumerate(zip(tables, reports), start=1):
+        print(f"member {k} ({table.extractor_id}): {report.epochs_run} epochs, final MSE {report.final_mse:.6f}")
+    for line in model.fusion_summary():
+        print(line)
     print(f"wrote {args.out}")
     return 0
 
@@ -185,18 +174,15 @@ def _eval_tables(model, tables):
     for table, extractor_id in zip(tables, extractor_ids):
         if table.extractor_id != extractor_id:
             raise FormatError(f"model wants {extractor_id!r} features, table has {table.extractor_id!r}")
-    ids = [r[0] for r in tables[0].rows]
-    if any([r[0] for r in t.rows] != ids for t in tables[1:]):
-        raise FormatError("feature tables do not cover the same samples")
-    rankings = _rankings(model, tables, range(len(ids)))
+    dataset_io.check_same_samples(tables)
+    rankings = _rankings(model, tables, range(len(tables[0].rows)))
     truth = [lab for _, lab, _ in tables[0].rows]
     return evaluation.evaluate_rankings(rankings, truth, model.labels)
 
 
 def cmd_eval(args) -> int:
-    model = _load_any_model(args.model)
-    paths = [args.features] + ([args.features2] if args.features2 else [])
-    report = _eval_tables(model, [dataset_io.load_features(p) for p in paths])
+    model = ensemble.load_any_model(args.model)
+    report = _eval_tables(model, _load_tables(args))
     text = evaluation.format_report(report)
     print(text)
     if args.report:
@@ -215,26 +201,10 @@ def cmd_crossval(args) -> int:
     extractor_ids = ("chain200", "moment63") if args.extractor == "ensemble" else (args.extractor,)
     tables = pipeline.extract_tables(samples, _extractors(extractor_ids, args))
     plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
-    kwargs = dict(
-        hidden_size=args.hidden,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        max_epochs=args.epochs,
-        target_mse=args.target_mse,
-    )
 
     def fold_fn(train_idx, test_idx):
         train = [t.subset(train_idx) for t in tables]
-        if args.extractor == "ensemble":
-            model, _, _ = pipeline.train_ensemble_on_tables(
-                *train,
-                class_table,
-                calibration_fraction=args.calibration_fraction,
-                seed=args.seed,
-                **kwargs,
-            )
-        else:
-            model, _ = pipeline.train_mlp_on_table(*train, class_table, seed=args.seed, **kwargs)
+        model, _ = pipeline.train_model(train, class_table, **_train_kwargs(args))
         return _rankings(model, tables, test_idx)
 
     report = evaluation.cross_validate(labels, plan, fold_fn)
@@ -257,7 +227,7 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = _load_any_model(args.model)
+    model = ensemble.load_any_model(args.model)
     if bool(args.image) == bool(args.dir):
         raise CorpusError("predict needs exactly one of --image or --dir")
     paths = (

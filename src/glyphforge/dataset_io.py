@@ -215,6 +215,13 @@ class FeatureTable:
         return FeatureTable(self.extractor_id, self.dim, [self.rows[i] for i in idxs], self.flags)
 
 
+def check_same_samples(tables) -> None:
+    """FormatError unless every table lists the same sample ids in the same order."""
+    ids = [r[0] for r in tables[0].rows]
+    if any([r[0] for r in t.rows] != ids for t in tables[1:]):
+        raise FormatError("feature tables do not cover the same samples")
+
+
 def save_features(table: FeatureTable, path) -> None:
     """Write the CSV; the header names the extractor options that are on."""
     flags = "".join(f" {k}=1" for k, v in sorted(table.flags.items()) if v)

@@ -38,8 +38,7 @@ def fuse(weights: FusionWeights, o1: np.ndarray, o2: np.ndarray):
     if o1.shape != o2.shape:
         raise ShapeError(f"confidence lengths differ: {o1.shape} vs {o2.shape}")
     scores = weights.w1 * o1 + weights.w2 * o2
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return [(i, float(scores[i])) for i in order]
+    return [(i, float(scores[i])) for i in mlp.rank_order(scores)]
 
 
 def calibrate(model1: mlp.MlpModel, model2: mlp.MlpModel, holdout) -> FusionWeights:
@@ -84,6 +83,14 @@ class EnsembleModel:
         x1, x2 = vectors
         return self.predict(x1, x2)
 
+    def fusion_summary(self):
+        """One line: the calibration accuracies and the fusion weights."""
+        w = self.weights
+        return [f"fusion: calibration accuracy d1={w.d1:.4f} d2={w.d2:.4f}, weights w1={w.w1:.4f} w2={w.w2:.4f}"]
+
+    def save(self, path) -> None:
+        save_ensemble(self, path)
+
     def predict(self, x1: np.ndarray, x2: np.ndarray):
         """Ranked (label, fused score) for one sample's two feature vectors."""
         o1 = mlp.forward(self.model1, x1)
@@ -96,14 +103,13 @@ class EnsembleModel:
 ENSEMBLE_MAGIC = "glyphforge-ensemble v1"
 
 
-def save_ensemble(ens: EnsembleModel, path, member_paths=None) -> None:
-    """Write the ensemble file; members are stored as relative paths."""
+def save_ensemble(ens: EnsembleModel, path) -> None:
+    """Write <stem>.chain.mlp and <stem>.moment.mlp beside the ensemble file, which names them."""
     directory = os.path.dirname(os.path.abspath(path))
-    if member_paths is None:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        member_paths = (f"{stem}.chain.mlp", f"{stem}.moment.mlp")
-        mlp.save_model(ens.model1, os.path.join(directory, member_paths[0]))
-        mlp.save_model(ens.model2, os.path.join(directory, member_paths[1]))
+    stem = os.path.splitext(os.path.basename(path))[0]
+    member_paths = (f"{stem}.chain.mlp", f"{stem}.moment.mlp")
+    mlp.save_model(ens.model1, os.path.join(directory, member_paths[0]))
+    mlp.save_model(ens.model2, os.path.join(directory, member_paths[1]))
     w = ens.weights
     lines = [
         ENSEMBLE_MAGIC,
@@ -134,6 +140,15 @@ def load_ensemble(path) -> EnsembleModel:
             w1=float(header["w1"]),
             w2=float(header["w2"]),
         )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or non-numeric field ({exc})") from exc
     return EnsembleModel(model1=model1, model2=model2, weights=weights)
+
+
+def load_any_model(path):
+    """The model in a .glyph or .mlp file, by its magic line: an EnsembleModel or an MlpModel."""
+    with open(path) as fh:
+        magic = fh.readline().strip()
+    if magic == ENSEMBLE_MAGIC:
+        return load_ensemble(path)
+    return mlp.load_model(path)

@@ -24,7 +24,6 @@ class SplitPlan:
     train_fraction: float = 0.65
     folds: int = 3
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
@@ -46,52 +45,40 @@ def split(labels, plan: SplitPlan):
     """Partition sample indices deterministically under plan.seed.
 
     fraction mode returns (train_idx, test_idx); kfold mode returns a list
-    of disjoint folds covering all indices. Stratified splitting keeps each
-    class's train share within one sample of the global fraction, with the
-    overall train size fixed at round(fraction * n).
+    of disjoint folds covering all indices. Both are stratified: each
+    class's train share stays within one sample of the global fraction,
+    with the overall train size fixed at round(fraction * n).
     """
     labels = list(labels)
     n = len(labels)
     rng = np.random.default_rng(plan.seed)
+    groups = sorted(_by_class(labels).items())
     if plan.mode == "kfold":
         folds = [[] for _ in range(plan.folds)]
-        if plan.stratified:
-            for lab, idxs in sorted(_by_class(labels).items()):
-                if len(idxs) < plan.folds:
-                    raise SplitError(
-                        f"class {lab!r} has {len(idxs)} samples, fewer than "
-                        f"{plan.folds} folds"
-                    )
-                order = rng.permutation(len(idxs))
-                for j, k in enumerate(order):
-                    folds[j % plan.folds].append(idxs[k])
-        else:
-            order = rng.permutation(n)
-            for j, i in enumerate(order):
-                folds[j % plan.folds].append(int(i))
+        for lab, idxs in groups:
+            if len(idxs) < plan.folds:
+                raise SplitError(
+                    f"class {lab!r} has {len(idxs)} samples, fewer than "
+                    f"{plan.folds} folds"
+                )
+            order = rng.permutation(len(idxs))
+            for j, k in enumerate(order):
+                folds[j % plan.folds].append(idxs[k])
         return [sorted(f) for f in folds]
 
     n_train = int(np.floor(plan.train_fraction * n + 0.5))  # round half up
-    if plan.stratified:
-        groups = sorted(_by_class(labels).items())
-        shuffled = {
-            lab: [idxs[k] for k in rng.permutation(len(idxs))]
-            for lab, idxs in groups
-        }
-        # largest-remainder allocation keeps per-class counts within +-1
-        # of proportional while hitting n_train exactly
-        quotas = [(lab, plan.train_fraction * len(idxs)) for lab, idxs in groups]
-        take = {lab: int(np.floor(q)) for lab, q in quotas}
-        leftover = n_train - sum(take.values())
-        by_rem = sorted(quotas, key=lambda t: (-(t[1] - np.floor(t[1])), t[0]))
-        for lab, _ in by_rem[: max(leftover, 0)]:
-            take[lab] += 1
-        train = []
-        for lab, _ in groups:
-            train.extend(shuffled[lab][: take[lab]])
-    else:
-        order = rng.permutation(n)
-        train = [int(i) for i in order[:n_train]]
+    # largest-remainder allocation keeps per-class counts within +-1
+    # of proportional while hitting n_train exactly
+    quotas = [(lab, plan.train_fraction * len(idxs)) for lab, idxs in groups]
+    take = {lab: int(np.floor(q)) for lab, q in quotas}
+    leftover = n_train - sum(take.values())
+    by_rem = sorted(quotas, key=lambda t: (-(t[1] - np.floor(t[1])), t[0]))
+    for lab, _ in by_rem[: max(leftover, 0)]:
+        take[lab] += 1
+    train = []
+    for lab, idxs in groups:
+        order = rng.permutation(len(idxs))
+        train.extend(idxs[k] for k in order[: take[lab]])
     train_set = set(train)
     test = [i for i in range(n) if i not in train_set]
     return sorted(train), test

@@ -112,9 +112,5 @@ def find_contour(binary: np.ndarray) -> np.ndarray:
     Out-of-bounds neighbors count as background, so border pixels of a
     solid shape are always contour points.
     """
-    p = np.pad(binary, 1, mode="constant", constant_values=False)
-    n = p[:-2, 1:-1]
-    s = p[2:, 1:-1]
-    e = p[1:-1, 2:]
-    w = p[1:-1, :-2]
+    n, _, e, _, s, _, w, _ = _neighbors(binary)
     return binary & ~(n & s & e & w)

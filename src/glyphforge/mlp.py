@@ -59,6 +59,13 @@ class MlpModel:
         (x,) = vectors
         return predict(self, x)
 
+    def fusion_summary(self):
+        """No fusion lines: a single MLP has no calibration or weights."""
+        return []
+
+    def save(self, path) -> None:
+        save_model(self, path)
+
 
 @dataclass
 class TrainingReport:
@@ -208,8 +215,12 @@ def train(model: MlpModel, dataset) -> TrainingReport:
 def predict(model: MlpModel, x: np.ndarray):
     """Ranked (label, confidence), confidence descending, ties by class index."""
     conf = forward(model, x)
-    order = sorted(range(len(conf)), key=lambda i: (-conf[i], i))
-    return [(model.labels[i], float(conf[i])) for i in order]
+    return [(model.labels[i], float(conf[i])) for i in rank_order(conf)]
+
+
+def rank_order(scores):
+    """Class indices by score descending, ties by class index."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 # --- model file format -------------------------------------------------------

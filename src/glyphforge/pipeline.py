@@ -108,10 +108,7 @@ def train_ensemble_on_tables(
     test set); both tables must list the same samples in the same order.
     Returns (EnsembleModel, report1, report2).
     """
-    ids1 = [r[0] for r in table1.rows]
-    ids2 = [r[0] for r in table2.rows]
-    if ids1 != ids2:
-        raise TrainError("feature tables do not cover the same samples")
+    dataset_io.check_same_samples([table1, table2])
     labels = list(labels)
     label_pos = {lab: i for i, lab in enumerate(labels)}
     n = len(table1.rows)
@@ -134,3 +131,18 @@ def train_ensemble_on_tables(
     ]
     weights = ensemble.calibrate(model1, model2, holdout)
     return ensemble.EnsembleModel(model1, model2, weights), report1, report2
+
+
+def train_model(tables, labels, calibration_fraction: float = 0.2, **train_kwargs):
+    """Train one MLP per feature table, fused by calibrated weights when there are two.
+
+    train_kwargs are train_mlp_on_table's seed and hyperparameters. Returns
+    (MlpModel or EnsembleModel, one TrainingReport per member in table order).
+    """
+    if len(tables) == 1:
+        model, report = train_mlp_on_table(*tables, labels, **train_kwargs)
+        return model, [report]
+    model, *reports = train_ensemble_on_tables(
+        *tables, labels, calibration_fraction=calibration_fraction, **train_kwargs
+    )
+    return model, reports

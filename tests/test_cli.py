@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from glyphforge import cli, dataset_io as dio, image_prep, mlp
+from glyphforge import cli, dataset_io as dio, ensemble, image_prep, mlp, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +114,15 @@ def test_train_single_then_predict_image(feature_files, corpus, tmp_path, capsys
 
     chain, _ = feature_files
     out = tmp_path / "chain.mlp"
+    capsys.readouterr()
     assert cli.main([
         "train", "--features", str(chain), "--out", str(out),
         "--epochs", "20", "--seed", "1",
     ]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert len(summary) == 2 and summary[0].startswith("member 1 (chain200): ")
+    assert " epochs, final MSE " in summary[0]
+    assert type(ensemble.load_any_model(out)) is mlp.MlpModel
     model = mlp.load_model(out)
     assert model.extractor_id == "chain200"
     sample_id, _, vec = dio.load_features(chain).rows[0]
@@ -153,6 +158,51 @@ def test_train_eval_predict_ensemble(feature_files, corpus, tmp_path, capsys):
     assert cli.main(["predict", "--model", str(ens_path), "--image", str(sample), "-k", "3"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().split("\n")[-1].split()) == 4  # path + 3 ranks
+
+
+def test_second_table_trains_the_ensemble_without_flag(feature_files, tmp_path, capsys):
+    chain, moment = feature_files
+    path = tmp_path / "x.glyph"
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--features", str(chain), "--features2", str(moment),
+        "--out", str(path), "--epochs", "10", "--seed", "2",
+    ]) == 0
+    out = capsys.readouterr().out.splitlines()
+    ens = ensemble.load_any_model(path)
+    assert [e for e, _ in ens.extractors] == ["chain200", "moment63"]
+    assert mlp.load_model(tmp_path / "x.chain.mlp").extractor_id == "chain200"
+    assert mlp.load_model(tmp_path / "x.moment.mlp").extractor_id == "moment63"
+    assert out[0].startswith("member 1 (chain200): ") and " epochs, final MSE " in out[0]
+    assert out[1].startswith("member 2 (moment63): ")
+    assert out[2].startswith("fusion: calibration accuracy d1=") and " w2=" in out[2]
+    assert out[3] == f"wrote {path}"
+
+
+def test_cli_ensemble_files_equal_pipeline_files(feature_files, ensemble_file, tmp_path):
+    tables = [dio.load_features(p) for p in feature_files]
+    labels = sorted({lab for _, lab, _ in tables[0].rows})
+    ens, _, _ = pipeline.train_ensemble_on_tables(*tables, labels, seed=2, max_epochs=10)
+    ensemble.save_ensemble(ens, tmp_path / "ens.glyph")
+    for name in ("ens.glyph", "ens.chain.mlp", "ens.moment.mlp"):
+        assert (tmp_path / name).read_bytes() == ensemble_file.with_name(name).read_bytes()
+
+
+def test_ensemble_flag_without_features2_exit_2(feature_files, tmp_path):
+    chain, _ = feature_files
+    assert cli.main(["train", "--features", str(chain), "--ensemble", "--out", str(tmp_path / "e.glyph")]) == 2
+
+
+def test_train_reordered_features2_exit_2(feature_files, tmp_path, capsys):
+    chain, moment = feature_files
+    lines = moment.read_text().splitlines()
+    reordered = tmp_path / "moment.csv"
+    reordered.write_text("\n".join([lines[0]] + lines[:0:-1]) + "\n")
+    assert cli.main([
+        "train", "--features", str(chain), "--features2", str(reordered),
+        "--out", str(tmp_path / "e.glyph"), "--epochs", "2",
+    ]) == 2
+    assert "same samples" in capsys.readouterr().err
 
 
 def test_eval_without_features2_for_ensemble_exit_2(feature_files, tmp_path):
@@ -223,7 +273,7 @@ def test_extract_non_integer_pgm_header(corpus, tmp_path):
     ]) == 2
 
 
-def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, tmp_path):
+def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, corpus, tmp_path):
     chain, _ = feature_files
     bad_csv = tmp_path / "bad.csv"
     lines = chain.read_text().splitlines()
@@ -231,8 +281,14 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     member = ensemble_file.with_name("ens.chain.mlp")
     bad_mlp = tmp_path / "bad.mlp"
     bad_mlp.write_text("\n".join(member.read_text().splitlines()[:-1]) + "\n")
+    for name in ("ens.chain.mlp", "ens.moment.mlp"):
+        shutil.copyfile(ensemble_file.with_name(name), tmp_path / name)
+    bad_glyph = tmp_path / "bad.glyph"
+    bad_glyph.write_text(ensemble_file.read_text().replace("\nw1 ", "\nw1 x"))
+    image = sorted((corpus / "c00").iterdir())[0]
     assert cli.main(["eval", "--model", str(member), "--features", str(bad_csv)]) == 2
     assert cli.main(["eval", "--model", str(bad_mlp), "--features", str(chain)]) == 2
+    assert cli.main(["predict", "--model", str(bad_glyph), "--image", str(image)]) == 2
 
 
 def test_ensemble_predict_dir_binarizes_once_per_image(ensemble_file, corpus, calls, capsys):

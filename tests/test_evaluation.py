@@ -43,11 +43,6 @@ class TestSplit:
         with pytest.raises(SplitError, match="tiny"):
             ev.split(labels, ev.SplitPlan(mode="kfold", folds=3, seed=4))
 
-    def test_unstratified(self):
-        labels = labels_for({"a": 7, "b": 3})
-        train, test = ev.split(labels, ev.SplitPlan(seed=5, stratified=False))
-        assert len(train) == 7 and len(test) == 3
-
 
 class TestEvaluate:
     LABELS = ["a", "b"]
