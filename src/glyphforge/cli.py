@@ -1,7 +1,8 @@
 """Command-line entry point: extract / train / eval / crossval / predict / synth.
 
-Exit codes: 0 success, 1 domain error (training/evaluation), 2 usage or
-IO error. GLYPHFORGE_SEED sets the default --seed for every subcommand.
+Exit codes: 0 success, 1 domain error (training/evaluation), 2 usage,
+out-of-range setting, malformed file or IO error. GLYPHFORGE_SEED sets the
+default --seed for every subcommand.
 """
 
 import argparse
@@ -9,12 +10,7 @@ import os
 import sys
 
 from . import dataset_io, ensemble, evaluation, pipeline
-from .errors import (
-    CorpusError,
-    FormatError,
-    GlyphforgeError,
-    IoError,
-)
+from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 
 
 def _default_seed() -> int:
@@ -27,13 +23,21 @@ def _add_seed(parser):
     )
 
 
+# training option -> (the pipeline.train_model keyword it sets, type, help): an MlpConfig
+# field or calibration_fraction; an option not given keeps that keyword's default
+_TRAIN_OPTIONS = {
+    "--hidden": ("hidden_size", int, "hidden layer size (default 50 chain / 45 moment)"),
+    "--lr": ("learning_rate", float, "learning rate"),
+    "--momentum": ("momentum", float, "momentum term"),
+    "--epochs": ("max_epochs", int, "max training epochs"),
+    "--target-mse": ("target_mse", float, "early-stop epoch MSE"),
+    "--calibration-fraction": ("calibration_fraction", float, "held-out share for fusion weights"),
+}
+
+
 def _add_train_flags(parser):
-    parser.add_argument("--hidden", type=int, default=None, help="hidden layer size (default 50 chain / 45 moment)")
-    parser.add_argument("--lr", type=float, default=0.8, help="learning rate")
-    parser.add_argument("--momentum", type=float, default=0.7, help="momentum term")
-    parser.add_argument("--epochs", type=int, default=1000, help="max training epochs")
-    parser.add_argument("--target-mse", type=float, default=1e-3, help="early-stop epoch MSE")
-    parser.add_argument("--calibration-fraction", type=float, default=0.2, help="held-out share for fusion weights")
+    for option, (dest, type_, help_) in _TRAIN_OPTIONS.items():
+        parser.add_argument(option, dest=dest, type=type_, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,16 +115,9 @@ def _load_tables(args):
 
 
 def _train_kwargs(args):
-    """pipeline.train_model's keyword arguments from the training options."""
-    return dict(
-        hidden_size=args.hidden,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        max_epochs=args.epochs,
-        target_mse=args.target_mse,
-        calibration_fraction=args.calibration_fraction,
-        seed=args.seed,
-    )
+    """pipeline.train_model's keyword arguments: the seed and the training options given."""
+    dests = [dest for dest, _, _ in _TRAIN_OPTIONS.values() if getattr(args, dest) is not None]
+    return dict({dest: getattr(args, dest) for dest in dests}, seed=args.seed)
 
 
 def _rankings(model, tables, idxs):
@@ -261,7 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, IoError, FormatError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, CorpusError, IoError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GlyphforgeError as exc:

@@ -7,6 +7,7 @@ maxval up to 255).
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,18 @@ import numpy as np
 from .errors import CorpusError, FormatError, IoError
 
 EXTRACTOR_DIMS = {"chain200": 200, "moment63": 63}
+
+
+@contextmanager
+def open_text(path):
+    """open(path) for reading text: an OS error is an IoError, undecodable bytes a FormatError."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
+    except OSError as exc:
+        raise IoError(f"{path}: {exc}") from exc
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -202,7 +215,9 @@ class FeatureTable:
 
     def __post_init__(self):
         expected = EXTRACTOR_DIMS.get(self.extractor_id)
-        if expected is not None and expected != self.dim:
+        if expected is None:
+            raise FormatError(f"unknown extractor {self.extractor_id!r}")
+        if expected != self.dim:
             raise FormatError(
                 f"extractor {self.extractor_id} implies dim {expected}, got {self.dim}"
             )
@@ -233,11 +248,8 @@ def save_features(table: FeatureTable, path) -> None:
 
 
 def load_features(path) -> FeatureTable:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# extractor="):
         raise FormatError(f"{path}: missing feature header")
     try:
@@ -258,5 +270,10 @@ def load_features(path) -> FeatureTable:
             vec = np.array([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise FormatError(f"{path}: line {n}: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}: line {n}: non-finite feature value")
         rows.append((parts[0], parts[1], vec))
-    return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows, flags=flags)
+    try:
+        return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows, flags=flags)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -5,12 +5,14 @@ w_k = d_k / (d_1 + d_2). The fused score for class i is the convex
 combination w1 * o1[i] + w2 * o2[i].
 """
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import mlp
+from .dataset_io import open_text
 from .errors import DegenerateWeights, FormatError, ShapeError
 
 
@@ -110,22 +112,15 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
     member_paths = (f"{stem}.chain.mlp", f"{stem}.moment.mlp")
     mlp.save_model(ens.model1, os.path.join(directory, member_paths[0]))
     mlp.save_model(ens.model2, os.path.join(directory, member_paths[1]))
-    w = ens.weights
-    lines = [
-        ENSEMBLE_MAGIC,
-        f"model1 {member_paths[0]}",
-        f"model2 {member_paths[1]}",
-        f"d1 {w.d1!r}",
-        f"d2 {w.d2!r}",
-        f"w1 {w.w1!r}",
-        f"w2 {w.w2!r}",
-    ]
+    lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}"]
+    lines += [f"{f.name} {f.type(getattr(ens.weights, f.name))!r}" for f in fields(FusionWeights)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_ensemble(path) -> EnsembleModel:
-    with open(path) as fh:
+    """The ensemble and its member files; the weights must be finite and sum to 1."""
+    with open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != ENSEMBLE_MAGIC:
         raise FormatError(f"{path}: not a {ENSEMBLE_MAGIC} file")
@@ -134,20 +129,17 @@ def load_ensemble(path) -> EnsembleModel:
     try:
         model1 = mlp.load_model(os.path.join(directory, header["model1"]))
         model2 = mlp.load_model(os.path.join(directory, header["model2"]))
-        weights = FusionWeights(
-            d1=float(header["d1"]),
-            d2=float(header["d2"]),
-            w1=float(header["w1"]),
-            w2=float(header["w2"]),
-        )
+        weights = FusionWeights(**{f.name: f.type(header[f.name]) for f in fields(FusionWeights)})
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or non-numeric field ({exc})") from exc
+    if not math.isclose(weights.w1 + weights.w2, 1.0):  # also false for inf or nan
+        raise FormatError(f"{path}: fusion weights w1={weights.w1!r} w2={weights.w2!r} do not sum to 1")
     return EnsembleModel(model1=model1, model2=model2, weights=weights)
 
 
 def load_any_model(path):
     """The model in a .glyph or .mlp file, by its magic line: an EnsembleModel or an MlpModel."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         magic = fh.readline().strip()
     if magic == ENSEMBLE_MAGIC:
         return load_ensemble(path)

@@ -43,3 +43,7 @@ class FormatError(GlyphforgeError):
 
 class IoError(GlyphforgeError):
     """An image or data file could not be read."""
+
+
+class ConfigError(GlyphforgeError, ValueError):
+    """A training or evaluation setting is out of range."""

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelError, SplitError
+from .errors import ConfigError, LabelError, SplitError
 
 TOP_KS = (1, 3, 5)
 
@@ -27,11 +27,11 @@ class SplitPlan:
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise ConfigError("train_fraction must be in (0, 1)")
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise ConfigError("folds must be >= 2")
         if self.mode not in ("fraction", "kfold"):
-            raise ValueError(f"unknown split mode {self.mode!r}")
+            raise ConfigError(f"unknown split mode {self.mode!r}")
 
 
 def _by_class(labels):

@@ -5,11 +5,12 @@ Inputs are min-max scaled to [0, 1] per feature with statistics frozen from
 the training set and stored in the model file.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, TrainError
+from .dataset_io import open_text
+from .errors import ConfigError, FormatError, ShapeError, TrainError
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -18,6 +19,8 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MlpConfig:
+    """The training configuration: its defaults are the paper's, and the .mlp header lists its fields."""
+
     input_size: int
     hidden_size: int
     output_size: int
@@ -29,11 +32,13 @@ class MlpConfig:
 
     def __post_init__(self):
         if min(self.input_size, self.hidden_size, self.output_size) < 1:
-            raise ValueError("all layer sizes must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ConfigError("all layer sizes must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -225,9 +230,10 @@ def rank_order(scores):
 
 # --- model file format -------------------------------------------------------
 #
-# Line-oriented text: "glyphforge-mlp v1" magic, "key value" header lines,
-# then "@name rows cols" blocks of whitespace-separated float rows. Floats
-# are written with repr() so the round trip is exact.
+# Line-oriented text: "glyphforge-mlp v1" magic, "key value" header lines
+# (one per MlpConfig field, in field order, among them), then "@name rows cols"
+# blocks of whitespace-separated float rows. Values are written with repr() so
+# the round trip is exact.
 
 MAGIC = "glyphforge-mlp v1"
 
@@ -237,17 +243,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def save_model(model: MlpModel, path) -> None:
-    cfg = model.config
-    lines = [MAGIC]
-    lines.append(f"extractor {model.extractor_id}")
-    lines.append(f"input_size {cfg.input_size}")
-    lines.append(f"hidden_size {cfg.hidden_size}")
-    lines.append(f"output_size {cfg.output_size}")
-    lines.append(f"learning_rate {cfg.learning_rate!r}")
-    lines.append(f"momentum {cfg.momentum!r}")
-    lines.append(f"max_epochs {cfg.max_epochs}")
-    lines.append(f"target_mse {cfg.target_mse!r}")
-    lines.append(f"seed {cfg.seed}")
+    lines = [MAGIC, f"extractor {model.extractor_id}"]
+    lines += [f"{f.name} {f.type(getattr(model.config, f.name))!r}" for f in fields(MlpConfig)]
     lines.append("labels " + ",".join(model.labels))
     flags = ",".join(f"{k}={int(bool(v))}" for k, v in sorted(model.extractor_flags.items()))
     lines.append(f"flags {flags}")
@@ -264,7 +261,7 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path) as fh:
+    with open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MAGIC:
         raise FormatError(f"{path}: not a {MAGIC} file")
@@ -275,16 +272,7 @@ def load_model(path) -> MlpModel:
         header[key] = value
         i += 1
     try:
-        cfg = MlpConfig(
-            input_size=int(header["input_size"]),
-            hidden_size=int(header["hidden_size"]),
-            output_size=int(header["output_size"]),
-            learning_rate=float(header["learning_rate"]),
-            momentum=float(header["momentum"]),
-            max_epochs=int(header["max_epochs"]),
-            target_mse=float(header["target_mse"]),
-            seed=int(header["seed"]),
-        )
+        cfg = MlpConfig(**{f.name: f.type(header[f.name]) for f in fields(MlpConfig)})
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad header ({exc})") from exc
     labels = header.get("labels", "").split(",") if header.get("labels") else []

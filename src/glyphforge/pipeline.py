@@ -3,9 +3,10 @@
 import numpy as np
 
 from . import chain_features, dataset_io, ensemble, image_prep, mlp, moment_features
-from .errors import FormatError, TrainError
+from .errors import ConfigError, FormatError, TrainError
 
 DEFAULT_HIDDEN = {"chain200": 50, "moment63": 45}
+CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
 # the one option each extractor takes; an extractor's flags dict holds it when on
 EXTRACTOR_FLAG = {"chain200": "normalize", "moment63": "log_moments"}
 
@@ -62,30 +63,19 @@ def extract_table(samples, extractor_id: str, flags=None) -> dataset_io.FeatureT
     return table
 
 
-def train_mlp_on_table(
-    table: dataset_io.FeatureTable,
-    labels,
-    hidden_size: int = None,
-    learning_rate: float = 0.8,
-    momentum: float = 0.7,
-    max_epochs: int = 1000,
-    target_mse: float = 1e-3,
-    seed: int = 0,
-):
-    """Train one MLP on a feature table; returns (model, report)."""
+def train_mlp_on_table(table: dataset_io.FeatureTable, labels, hidden_size: int = None, **config):
+    """Train one MLP on a feature table; returns (model, report).
+
+    config: MlpConfig training fields, each left out keeps its MlpConfig default.
+    """
     if not table.rows:
         raise TrainError("feature table has no rows")
+    if hidden_size is None:
+        hidden_size = DEFAULT_HIDDEN[table.extractor_id]
     labels = list(labels)
     label_pos = {lab: i for i, lab in enumerate(labels)}
     config = mlp.MlpConfig(
-        input_size=table.dim,
-        hidden_size=hidden_size or DEFAULT_HIDDEN.get(table.extractor_id, 50),
-        output_size=len(labels),
-        learning_rate=learning_rate,
-        momentum=momentum,
-        max_epochs=max_epochs,
-        target_mse=target_mse,
-        seed=seed,
+        input_size=table.dim, hidden_size=hidden_size, output_size=len(labels), **config
     )
     model = mlp.init_model(config, labels, extractor_id=table.extractor_id)
     model.extractor_flags = dict(table.flags)
@@ -98,7 +88,7 @@ def train_ensemble_on_tables(
     table1: dataset_io.FeatureTable,
     table2: dataset_io.FeatureTable,
     labels,
-    calibration_fraction: float = 0.2,
+    calibration_fraction: float = CALIBRATION_FRACTION,
     seed: int = 0,
     **train_kwargs,
 ):
@@ -133,12 +123,15 @@ def train_ensemble_on_tables(
     return ensemble.EnsembleModel(model1, model2, weights), report1, report2
 
 
-def train_model(tables, labels, calibration_fraction: float = 0.2, **train_kwargs):
+def train_model(tables, labels, calibration_fraction: float = CALIBRATION_FRACTION, **train_kwargs):
     """Train one MLP per feature table, fused by calibrated weights when there are two.
 
-    train_kwargs are train_mlp_on_table's seed and hyperparameters. Returns
+    train_kwargs are train_mlp_on_table's keyword arguments. The calibration
+    fraction is checked even for one table, which does not use it. Returns
     (MlpModel or EnsembleModel, one TrainingReport per member in table order).
     """
+    if not 0 < calibration_fraction < 1:
+        raise ConfigError("calibration_fraction must be in (0, 1)")
     if len(tables) == 1:
         model, report = train_mlp_on_table(*tables, labels, **train_kwargs)
         return model, [report]

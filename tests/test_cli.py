@@ -47,6 +47,19 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def trainings(monkeypatch):
+    """(config, number of training rows) of every mlp.train call."""
+    seen = []
+
+    def recorded(model, dataset, _train=mlp.train):
+        seen.append((model.config, len(dataset)))
+        return _train(model, dataset)
+
+    monkeypatch.setattr(mlp, "train", recorded)
+    return seen
+
+
 def test_synth_writes_corpus(corpus):
     samples = dio.load_corpus(corpus)
     assert len(samples) == 24
@@ -285,10 +298,77 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
         shutil.copyfile(ensemble_file.with_name(name), tmp_path / name)
     bad_glyph = tmp_path / "bad.glyph"
     bad_glyph.write_text(ensemble_file.read_text().replace("\nw1 ", "\nw1 x"))
+    nan_csv = tmp_path / "nan.csv"
+    sample_id, label, _, *values = lines[1].split(",")
+    nan_csv.write_text("\n".join([lines[0], ",".join([sample_id, label, "nan", *values])] + lines[2:]) + "\n")
+    unknown_csv = tmp_path / "unknown.csv"
+    unknown_csv.write_text(chain.read_text().replace("extractor=chain200", "extractor=foo", 1))
+    weight_lines = ensemble_file.read_text().splitlines()
+    glyphs = {}
+    for name, w1 in (("inf", "inf"), ("nan", "nan"), ("sum", "0.9")):
+        glyphs[name] = tmp_path / f"{name}.glyph"
+        glyphs[name].write_text("\n".join(f"w1 {w1}" if ln.startswith("w1 ") else ln for ln in weight_lines) + "\n")
     image = sorted((corpus / "c00").iterdir())[0]
     assert cli.main(["eval", "--model", str(member), "--features", str(bad_csv)]) == 2
     assert cli.main(["eval", "--model", str(bad_mlp), "--features", str(chain)]) == 2
     assert cli.main(["predict", "--model", str(bad_glyph), "--image", str(image)]) == 2
+    assert cli.main(["predict", "--model", str(image), "--image", str(image)]) == 2
+    assert cli.main(["predict", "--model", str(corpus), "--image", str(image)]) == 2
+    assert cli.main(["eval", "--model", str(member), "--features", str(image)]) == 2
+    assert cli.main(["eval", "--model", str(member), "--features", str(nan_csv)]) == 2
+    assert cli.main(["train", "--features", str(unknown_csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
+    for path in glyphs.values():
+        assert cli.main(["predict", "--model", str(path), "--image", str(image)]) == 2
+
+
+# every training option away from its default, and the MlpConfig fields they set
+NON_DEFAULT_OPTIONS = [
+    "--hidden", "17", "--lr", "0.35", "--momentum", "0.25", "--epochs", "3",
+    "--target-mse", "0.0025", "--calibration-fraction", "0.4", "--seed", "9",
+]
+NON_DEFAULT_CONFIG = dict(hidden_size=17, learning_rate=0.35, momentum=0.25, max_epochs=3, target_mse=0.0025, seed=9)
+
+
+def test_training_options_reach_every_config(feature_files, corpus, tmp_path, trainings):
+    chain, moment = feature_files
+    assert cli.main(["train", "--features", str(chain), "--out", str(tmp_path / "m.mlp"), *NON_DEFAULT_OPTIONS]) == 0
+    assert cli.main([
+        "train", "--features", str(chain), "--features2", str(moment),
+        "--out", str(tmp_path / "e.glyph"), *NON_DEFAULT_OPTIONS,
+    ]) == 0
+    assert cli.main(["crossval", "--corpus", str(corpus), "--folds", "2", *NON_DEFAULT_OPTIONS]) == 0
+    saved = [mlp.load_model(tmp_path / name).config for name in ("m.mlp", "e.chain.mlp", "e.moment.mlp")]
+    assert [config for config, _ in trainings[:3]] == saved
+    assert [(c.input_size, c.output_size) for c in saved] == [(200, 3), (200, 3), (63, 3)]
+    for config, _ in trainings:
+        assert {k: getattr(config, k) for k in NON_DEFAULT_CONFIG} == NON_DEFAULT_CONFIG
+    # 24 rows, 10 of them held out for calibration; a crossval fold trains on 12, 5 held out
+    assert [n for _, n in trainings] == [24, 14, 14, 7, 7, 7, 7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--momentum", "1.5"],
+    ["train", "--lr", "0"],
+    ["train", "--hidden", "-3"],
+    ["train", "--hidden", "0"],
+    ["train", "--epochs", "0"],
+    ["train", "--calibration-fraction", "1.5"],
+    ["train", "--features2", "MOMENT", "--calibration-fraction", "0"],
+    ["crossval", "--folds", "1"],
+    ["crossval", "--momentum", "-0.5"],
+], ids=" ".join)
+def test_out_of_range_setting_exit_2(feature_files, corpus, tmp_path, capsys, argv):
+    chain, moment = feature_files
+    command, *options = [str(moment) if a == "MOMENT" else a for a in argv]
+    if command == "train":
+        argv = ["train", "--features", str(chain), "--out", str(tmp_path / "m"), *options]
+    else:
+        argv = ["crossval", "--corpus", str(corpus), "--epochs", "2", *options]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
 
 
 def test_ensemble_predict_dir_binarizes_once_per_image(ensemble_file, corpus, calls, capsys):

@@ -192,6 +192,31 @@ class TestFeatureTable:
         with pytest.raises(FormatError):
             dio.load_features(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        table = self.make_table()
+        table.rows[1][2][5] = float(value)
+        path = tmp_path / "n.csv"
+        dio.save_features(table, path)
+        with pytest.raises(FormatError, match="non-finite"):
+            dio.load_features(path)
+
+    def test_unknown_extractor(self, tmp_path):
+        with pytest.raises(FormatError, match="unknown extractor"):
+            dio.FeatureTable(extractor_id="foo", dim=2, rows=[])
+        path = tmp_path / "u.csv"
+        path.write_text("# extractor=foo dim=2\nid,lab,1.0,2.0\n")
+        with pytest.raises(FormatError, match="unknown extractor"):
+            dio.load_features(path)
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00\x80")
+        with pytest.raises(FormatError):
+            dio.load_features(path)
+        with pytest.raises(IoError):
+            dio.load_features(tmp_path)
+
     def test_subset(self):
         table = self.make_table()
         sub = table.subset([3, 1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glyphforge import ensemble, mlp
-from glyphforge.errors import DegenerateWeights, ShapeError
+from glyphforge.errors import DegenerateWeights, FormatError, IoError, ShapeError
 
 
 class TestComputeWeights:
@@ -166,3 +166,14 @@ class TestEnsembleModel:
         a = ens.predict(np.zeros(2), np.zeros(2))
         b = loaded.predict(np.zeros(2), np.zeros(2))
         assert a == b
+
+    @pytest.mark.parametrize("load", [ensemble.load_ensemble, ensemble.load_any_model])
+    def test_unreadable_file(self, tmp_path, load):
+        path = tmp_path / "binary.glyph"
+        path.write_bytes(b"\xff\xfe\x00\x80")
+        with pytest.raises(FormatError):
+            load(path)
+        with pytest.raises(IoError):
+            load(tmp_path)
+        with pytest.raises(IoError):
+            load(tmp_path / "missing.glyph")

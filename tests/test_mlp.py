@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glyphforge import mlp
-from glyphforge.errors import FormatError, ShapeError, TrainError
+from glyphforge.errors import ConfigError, FormatError, IoError, ShapeError, TrainError
 
 
 def small_model(inp=5, hid=3, out=2, seed=0, **kw):
@@ -41,6 +41,14 @@ class TestConfig:
     def test_rejects_bad_momentum(self):
         with pytest.raises(ValueError):
             mlp.MlpConfig(input_size=2, hidden_size=2, output_size=2, momentum=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
+        ("momentum", -0.1), ("max_epochs", 0),
+    ])
+    def test_out_of_range_is_config_error(self, field, value):
+        with pytest.raises(ConfigError):
+            mlp.MlpConfig(**dict(dict(input_size=2, hidden_size=2, output_size=2), **{field: value}))
 
 
 class TestInit:
@@ -267,7 +275,9 @@ class TestPredict:
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
-        model = small_model(7, 4, 3, seed=21)
+        model = small_model(
+            7, 4, 3, seed=21, learning_rate=0.35, momentum=0.25, max_epochs=17, target_mse=2.5e-4
+        )
         model.extractor_id = "chain200"
         model.extractor_flags = {"normalize": True}
         model.feature_min = np.random.default_rng(1).normal(size=7)
@@ -283,6 +293,10 @@ class TestSerialization:
         assert loaded.extractor_id == "chain200"
         assert loaded.extractor_flags == {"normalize": True}
         assert loaded.config == model.config
+        assert path.read_text().splitlines()[2:10] == [
+            "input_size 7", "hidden_size 4", "output_size 3", "learning_rate 0.35",
+            "momentum 0.25", "max_epochs 17", "target_mse 0.00025", "seed 21",
+        ]
 
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:-1],  # last b2 row missing: truncated block
@@ -307,3 +321,11 @@ class TestSerialization:
         path.write_text("not a model\n")
         with pytest.raises(FormatError):
             mlp.load_model(path)
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "binary.mlp"
+        path.write_bytes(b"P5\n2 2\n255\n\xff\xfe\x00\x80")
+        with pytest.raises(FormatError):
+            mlp.load_model(path)
+        with pytest.raises(IoError):
+            mlp.load_model(tmp_path)
