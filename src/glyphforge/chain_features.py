@@ -6,6 +6,7 @@ so code k and code (k+4) % 8 are opposite moves.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,8 +17,6 @@ DIRECTIONS = (
     (1, 0), (1, -1), (0, -1), (-1, -1),
     (-1, 0), (-1, 1), (0, 1), (1, 1),
 )
-
-_DELTA_TO_CODE = {d: k for k, d in enumerate(DIRECTIONS)}
 
 CHAIN_ZONES = 5
 CHAIN_DIM = CHAIN_ZONES * CHAIN_ZONES * 8
@@ -36,10 +35,6 @@ class ChainCode:
     move_origins: tuple
 
 
-def _code_between(p, q) -> int:
-    return _DELTA_TO_CODE[(q[0] - p[0], q[1] - p[1])]
-
-
 def _cycle_area2(cycle) -> int:
     """Twice the shoelace area; positive = clockwise on screen (y down)."""
     area = 0
@@ -51,16 +46,17 @@ def _cycle_area2(cycle) -> int:
     return area
 
 
-def _chain_from_cycle(cycle, closed: bool) -> ChainCode:
-    moves = []
-    origins = []
-    last = len(cycle) if closed else len(cycle) - 1
-    for i in range(last):
-        p = cycle[i]
-        q = cycle[(i + 1) % len(cycle)]
-        moves.append(_code_between(p, q))
-        origins.append(p)
-    return ChainCode(start=cycle[0], moves=tuple(moves), move_origins=tuple(origins))
+@lru_cache(maxsize=None)
+def _probes(width: int):
+    """(code, flat step) probe orders for a zero-padded row length of width.
+
+    Index 8 is the first move's order (minimum chain code first); index k
+    is the clockwise sweep after a move of code k, starting one past its
+    backtrack direction.
+    """
+    steps = [dx + dy * width for dx, dy in DIRECTIONS]
+    sweeps = [[(first - i) % 8 for i in range(8)] for first in ((k + 3) % 8 for k in range(8))]
+    return tuple(tuple((c, steps[c]) for c in order) for order in sweeps + [range(8)])
 
 
 def trace_contours(contour_img: np.ndarray) -> list:
@@ -75,46 +71,45 @@ def trace_contours(contour_img: np.ndarray) -> list:
     that still come out counterclockwise (signed-area test) are reversed
     and their codes complemented so every emitted chain runs clockwise.
     """
-    ys, xs = np.nonzero(contour_img)
-    pixels = set(zip(xs.tolist(), ys.tolist()))
-    # scan order: topmost, then leftmost
-    order = sorted(pixels, key=lambda p: (p[1], p[0]))
-    visited = set()
+    h, w = contour_img.shape
+    width = w + 2
+    padded = np.zeros((h + 2, width), dtype=np.uint8)
+    padded[1:-1, 1:-1] = contour_img
+    unvisited = bytearray(padded.tobytes())
+    probes = _probes(width)
+    closing = {step: code for code, step in probes[8]}
     chains = []
-    for start in order:
-        if start in visited:
+    # raster order: topmost, then leftmost
+    for start in np.flatnonzero(padded).tolist():
+        if not unvisited[start]:
             continue
+        unvisited[start] = 0
         path = [start]
-        visited.add(start)
-        prev_code = None
+        codes = []
+        p = start
+        order = probes[8]
         while True:
-            p = path[-1]
-            if prev_code is None:
-                probe = range(8)  # minimum chain code number first
-            else:
-                # clockwise sweep from one past the backtrack direction
-                first = (prev_code + 3) % 8
-                probe = [(first - i) % 8 for i in range(8)]
-            best = None
-            for code in probe:
-                dx, dy = DIRECTIONS[code]
-                q = (p[0] + dx, p[1] + dy)
-                if q in pixels and q not in visited:
-                    best = q
-                    prev_code = code
+            for code, step in order:
+                if unvisited[p + step]:
                     break
-            if best is None:
+            else:
                 break
-            visited.add(best)
-            path.append(best)
-        closed = False
-        if len(path) > 1:
-            dx = start[0] - path[-1][0]
-            dy = start[1] - path[-1][1]
-            closed = (dx, dy) in _DELTA_TO_CODE
-        if closed and _cycle_area2(path) < 0:
-            path = [path[0]] + path[:0:-1]
-        chains.append(_chain_from_cycle(path, closed))
+            p += step
+            unvisited[p] = 0
+            path.append(p)
+            codes.append(code)
+            order = probes[code]
+        origins = [(i % width - 1, i // width - 1) for i in path]
+        start_xy = origins[0]
+        closing_code = closing.get(start - p) if len(path) > 1 else None
+        if closing_code is None:
+            origins.pop()
+        else:
+            codes.append(closing_code)
+            if _cycle_area2(origins) < 0:
+                origins[1:] = origins[:0:-1]
+                codes = [(c + 4) % 8 for c in reversed(codes)]
+        chains.append(ChainCode(start=start_xy, moves=tuple(codes), move_origins=tuple(origins)))
     return chains
 
 

@@ -136,14 +136,13 @@ def cmd_extract(args) -> int:
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
-        for s in samples:
-            stages = pipeline.preprocess_stages(s.image, pipeline.EXTRACTOR_FLAG)
+        for s, stages in pipeline.iter_stages(samples, pipeline.EXTRACTOR_FLAG, args.strict):
             stem = s.id.replace("/", "_").removesuffix(".pgm")
             for name, img in stages.items():
                 dataset_io.write_binary_pgm(
                     os.path.join(args.dump_stages, f"{stem}.{name}.pgm"), img
                 )
-    table = pipeline.extract_table(samples, *_extractors([args.extractor], args)[0])
+    table = pipeline.extract_table(samples, *_extractors([args.extractor], args)[0], strict=args.strict)
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -193,10 +192,10 @@ def cmd_eval(args) -> int:
 
 def cmd_crossval(args) -> int:
     samples = dataset_io.load_corpus(args.corpus)
-    labels = [s.label for s in samples]
-    class_table = sorted(set(labels))
     extractor_ids = ("chain200", "moment63") if args.extractor == "ensemble" else (args.extractor,)
     tables = pipeline.extract_tables(samples, _extractors(extractor_ids, args))
+    labels = [lab for _, lab, _ in tables[0].rows]
+    class_table = sorted(set(labels))
     plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
 
     def fold_fn(train_idx, test_idx):

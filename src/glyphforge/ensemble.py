@@ -103,15 +103,26 @@ class EnsembleModel:
 
 
 ENSEMBLE_MAGIC = "glyphforge-ensemble v1"
+# the member file of each extractor is <stem>.<part>.mlp
+MEMBER_FILE_PART = {"chain200": "chain", "moment63": "moment"}
 
 
 def save_ensemble(ens: EnsembleModel, path) -> None:
-    """Write <stem>.chain.mlp and <stem>.moment.mlp beside the ensemble file, which names them."""
+    """Write <stem>.chain.mlp and <stem>.moment.mlp beside the ensemble file, which names them.
+
+    Each member's file is named by its extractor, whatever the member order;
+    members that are not one chain200 and one moment63 MLP are named by
+    position, chain first.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
-    member_paths = (f"{stem}.chain.mlp", f"{stem}.moment.mlp")
-    mlp.save_model(ens.model1, os.path.join(directory, member_paths[0]))
-    mlp.save_model(ens.model2, os.path.join(directory, member_paths[1]))
+    members = (ens.model1, ens.model2)
+    parts = [MEMBER_FILE_PART.get(m.extractor_id) for m in members]
+    if set(parts) != set(MEMBER_FILE_PART.values()):
+        parts = list(MEMBER_FILE_PART.values())
+    member_paths = [f"{stem}.{part}.mlp" for part in parts]
+    for model, member_path in zip(members, member_paths):
+        mlp.save_model(model, os.path.join(directory, member_path))
     lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}"]
     lines += [f"{f.name} {f.type(getattr(ens.weights, f.name))!r}" for f in fields(FusionWeights)]
     with open(path, "w") as fh:

@@ -79,31 +79,70 @@ def _neighbors(img: np.ndarray):
     return n, ne, e, se, s, sw, w, nw
 
 
-def _thin_pass(img: np.ndarray, first_subiter: bool) -> np.ndarray:
-    n, ne, e, se, s, sw, w, nw = _neighbors(img)
-    ring = [n, ne, e, se, s, sw, w, nw]
-    b = sum(x.astype(np.uint8) for x in ring)
-    # 0->1 transitions around the ring P2,P3,...,P9,P2
-    a = sum(
-        ((~ring[i]) & ring[(i + 1) % 8]).astype(np.uint8) for i in range(8)
-    )
-    if first_subiter:
-        cond = (~(n & e & s)) & (~(e & s & w))
-    else:
-        cond = (~(n & e & w)) & (~(n & s & w))
-    deletable = img & (b >= 2) & (b <= 6) & (a == 1) & cond
-    return img & ~deletable
+def _zhang_suen_lut(first_subiter: bool) -> np.ndarray:
+    """Deletable flag of an object pixel for each 8-neighbour code.
+
+    Bit i of the code is ring pixel P(i+2): N, NE, E, SE, S, SW, W, NW.
+    """
+    lut = np.zeros(256, dtype=np.uint8)
+    for code in range(256):
+        n, ne, e, se, s, sw, w, nw = ring = [(code >> i) & 1 for i in range(8)]
+        b = sum(ring)
+        # 0->1 transitions around the ring P2,P3,...,P9,P2
+        a = sum((not ring[i]) and ring[(i + 1) % 8] for i in range(8))
+        if first_subiter:
+            cond = not (n and e and s) and not (e and s and w)
+        else:
+            cond = not (n and e and w) and not (n and s and w)
+        lut[code] = 2 <= b <= 6 and a == 1 and cond
+    return lut
+
+
+_THIN_LUTS = (_zhang_suen_lut(True), _zhang_suen_lut(False))
+
+
+def _thin_subiter(flat: np.ndarray, width: int, lut: np.ndarray) -> None:
+    """One Zhang-Suen sub-iteration, in place, on a flat stack of zero-padded images.
+
+    width is the padded row length. Every object pixel lies inside its own
+    image's padding, so the flat offsets below only ever reach its eight
+    neighbours; the codes computed at padding positions are masked out.
+    """
+    lo, hi = width + 1, flat.size - width - 1
+    offsets = (-width, 1 - width, 1, width + 1, width, width - 1, -1, -width - 1)
+    code = flat[lo + offsets[0] : hi + offsets[0]].copy()
+    for bit, off in enumerate(offsets[1:], start=1):
+        code |= flat[lo + off : hi + off] << bit
+    deleted = lut[code]
+    deleted &= flat[lo:hi]
+    flat[lo:hi] ^= deleted
 
 
 def thin(binary: np.ndarray) -> np.ndarray:
-    """Zhang-Suen iterative thinning to a one-pixel-wide skeleton."""
-    img = binary.copy()
-    while True:
-        after1 = _thin_pass(img, first_subiter=True)
-        after2 = _thin_pass(after1, first_subiter=False)
-        if np.array_equal(after2, img):
-            return after2
-        img = after2
+    """Zhang-Suen iterative thinning to a one-pixel-wide skeleton.
+
+    binary is one (H, W) image or an (N, H, W) stack thinned image by image;
+    an image leaves the working stack once an iteration deletes nothing.
+    """
+    binary = np.asarray(binary, dtype=bool)
+    if binary.size == 0:
+        return binary.copy()
+    stack = binary.reshape((-1,) + binary.shape[-2:])
+    n, h, w = stack.shape
+    padded = np.zeros((n, h + 2, w + 2), dtype=np.uint8)
+    padded[:, 1:-1, 1:-1] = stack
+    out = np.empty_like(stack)
+    active = np.arange(n)
+    while active.size:
+        before = padded.copy()
+        flat = padded.reshape(-1)
+        for lut in _THIN_LUTS:
+            _thin_subiter(flat, w + 2, lut)
+        changed = (padded != before).reshape(active.size, -1).any(axis=1)
+        done = ~changed
+        out[active[done]] = padded[done, 1:-1, 1:-1]
+        padded, active = padded[changed], active[changed]
+    return out.reshape(binary.shape)
 
 
 def find_contour(binary: np.ndarray) -> np.ndarray:

@@ -310,6 +310,9 @@ def load_model(path) -> MlpModel:
             raise FormatError(f"{path}: bad feature range ({exc})") from exc
         if fmin.shape != (cfg.input_size,) or fmax.shape != fmin.shape:
             raise FormatError(f"{path}: feature_min/feature_max length != input_size")
+    for name, values in [*mats.items(), ("feature_min", fmin), ("feature_max", fmax)]:
+        if values is not None and not np.isfinite(values).all():
+            raise FormatError(f"{path}: non-finite value in {name}")
     model = MlpModel(
         config=cfg,
         w1=mats["w1"],

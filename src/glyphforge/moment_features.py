@@ -26,13 +26,24 @@ class MomentSet:
     normalized: dict
 
 
+def _power_sums(u: np.ndarray, v: np.ndarray) -> dict:
+    """{(p, q): sum of u**p * v**q} over _ORDERS, each power computed once.
+
+    np.add.reduce on a 1-D array is the pairwise sum np.sum does, so the
+    values are the same bits as np.sum(u**p * v**q).
+    """
+    up = [u**p for p in range(4)]
+    vq = [v**q for q in range(4)]
+    return {(p, q): float(np.add.reduce(up[p] * vq[q])) for p, q in _ORDERS}
+
+
 def compute_moments(img: np.ndarray) -> MomentSet:
     ys, xs = np.nonzero(img)
     if xs.size == 0:
         raise EmptyGlyph("moments undefined for an image with no foreground")
     x = xs.astype(np.float64)
     y = ys.astype(np.float64)
-    raw = {(p, q): float(np.sum(x**p * y**q)) for p, q in _ORDERS}
+    raw = _power_sums(x, y)
     cx = raw[(1, 0)] / raw[(0, 0)]
     cy = raw[(0, 1)] / raw[(0, 0)]
     # central moments are computed in bounding-box-local coordinates so a
@@ -41,7 +52,7 @@ def compute_moments(img: np.ndarray) -> MomentSet:
     yl = y - ys.min()
     dx = xl - xl.sum() / raw[(0, 0)]
     dy = yl - yl.sum() / raw[(0, 0)]
-    central = {(p, q): float(np.sum(dx**p * dy**q)) for p, q in _ORDERS}
+    central = _power_sums(dx, dy)
     normalized = {}
     for p, q in _ORDERS:
         if p + q >= 2:

@@ -37,12 +37,12 @@ def ensemble_file(feature_files, tmp_path_factory):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls to image_prep.binarize and image_prep.thin."""
+    """Images passed to image_prep.binarize and image_prep.thin; thin takes one image or a stack."""
     counts = {"binarize": 0, "thin": 0}
     for name in counts:
-        def counted(*args, _name=name, _fn=getattr(image_prep, name)):
-            counts[_name] += 1
-            return _fn(*args)
+        def counted(image, _name=name, _fn=getattr(image_prep, name)):
+            counts[_name] += image.shape[0] if image.ndim == 3 else 1
+            return _fn(image)
         monkeypatch.setattr(image_prep, name, counted)
     return counts
 
@@ -201,6 +201,19 @@ def test_cli_ensemble_files_equal_pipeline_files(feature_files, ensemble_file, t
         assert (tmp_path / name).read_bytes() == ensemble_file.with_name(name).read_bytes()
 
 
+def test_swapped_tables_name_member_files_by_extractor(feature_files, tmp_path):
+    chain, moment = feature_files
+    path = tmp_path / "s.glyph"
+    assert cli.main([
+        "train", "--features", str(moment), "--features2", str(chain),
+        "--out", str(path), "--epochs", "10", "--seed", "2",
+    ]) == 0
+    assert path.read_text().splitlines()[1:3] == ["model1 s.moment.mlp", "model2 s.chain.mlp"]
+    assert mlp.load_model(tmp_path / "s.chain.mlp").extractor_id == "chain200"
+    assert mlp.load_model(tmp_path / "s.moment.mlp").extractor_id == "moment63"
+    assert [e for e, _ in ensemble.load_any_model(path).extractors] == ["moment63", "chain200"]
+
+
 def test_ensemble_flag_without_features2_exit_2(feature_files, tmp_path):
     chain, _ = feature_files
     assert cli.main(["train", "--features", str(chain), "--ensemble", "--out", str(tmp_path / "e.glyph")]) == 2
@@ -286,6 +299,29 @@ def test_extract_non_integer_pgm_header(corpus, tmp_path):
     ]) == 2
 
 
+def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    dio.write_pgm(root / "c01" / "blank.pgm", np.full((64, 64), 255, dtype=np.uint8))
+    out = tmp_path / "f.csv"
+    for extractor in ("chain200", "moment63"):
+        with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+            assert cli.main([
+                "extract", "--corpus", str(root), "--extractor", extractor, "--out", str(out),
+                "--dump-stages", str(tmp_path / "stages"),
+            ]) == 0
+        assert len(dio.load_features(out).rows) == 24
+    capsys.readouterr()
+    assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out), "--strict"]) == 2
+    assert "c01/blank.pgm" in capsys.readouterr().err
+    crossval = ["crossval", "--seed", "4", "--epochs", "5", "--corpus"]
+    assert cli.main([*crossval, str(corpus)]) == 0
+    report = capsys.readouterr().out
+    with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+        assert cli.main([*crossval, str(root)]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, corpus, tmp_path):
     chain, _ = feature_files
     bad_csv = tmp_path / "bad.csv"
@@ -319,6 +355,15 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     assert cli.main(["train", "--features", str(unknown_csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
     for path in glyphs.values():
         assert cli.main(["predict", "--model", str(path), "--image", str(image)]) == 2
+    member_lines = member.read_text().splitlines()
+    for name, line_start, value in (("weight", "@w1 ", "nan"), ("bias", "@b2 ", "-inf"), ("range", "feature_min ", "inf")):
+        at = next(i for i, ln in enumerate(member_lines) if ln.startswith(line_start))
+        at += line_start.startswith("@")  # a matrix block's first row follows its header line
+        row = member_lines[at].split()
+        row[-1] = value
+        non_finite = tmp_path / f"{name}.mlp"
+        non_finite.write_text("\n".join(member_lines[:at] + [" ".join(row)] + member_lines[at + 1 :]) + "\n")
+        assert cli.main(["predict", "--model", str(non_finite), "--image", str(image)]) == 2
 
 
 # every training option away from its default, and the MlpConfig fields they set

@@ -1,0 +1,242 @@
+"""The fast ingest stages against the straightforward implementations they replaced.
+
+thin, trace_contours and the moment features must give the same arrays,
+chains and float bits as the per-image numpy thinning pass, the tuple-set
+contour walk and the per-order np.sum moments below.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from glyphforge import chain_features as cf
+from glyphforge import cli, dataset_io
+from glyphforge import image_prep as ip
+from glyphforge import moment_features as mf
+
+# --- reference implementations ----------------------------------------------
+
+
+def _neighbors(img):
+    p = np.pad(img, 1, mode="constant", constant_values=False)
+    return p[:-2, 1:-1], p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[2:, 1:-1], p[2:, :-2], p[1:-1, :-2], p[:-2, :-2]
+
+
+def _thin_pass(img, first_subiter):
+    n, ne, e, se, s, sw, w, nw = ring = _neighbors(img)
+    b = sum(x.astype(np.uint8) for x in ring)
+    a = sum(((~ring[i]) & ring[(i + 1) % 8]).astype(np.uint8) for i in range(8))
+    if first_subiter:
+        cond = (~(n & e & s)) & (~(e & s & w))
+    else:
+        cond = (~(n & e & w)) & (~(n & s & w))
+    deletable = img & (b >= 2) & (b <= 6) & (a == 1) & cond
+    return img & ~deletable
+
+
+def reference_thin(binary):
+    img = binary.copy()
+    while True:
+        after = _thin_pass(_thin_pass(img, True), False)
+        if np.array_equal(after, img):
+            return after
+        img = after
+
+
+_DELTA_TO_CODE = {d: k for k, d in enumerate(cf.DIRECTIONS)}
+
+
+def _cycle_area2(cycle):
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _chain_from_cycle(cycle, closed):
+    last = len(cycle) if closed else len(cycle) - 1
+    moves, origins = [], []
+    for i in range(last):
+        p, q = cycle[i], cycle[(i + 1) % len(cycle)]
+        moves.append(_DELTA_TO_CODE[(q[0] - p[0], q[1] - p[1])])
+        origins.append(p)
+    return cf.ChainCode(start=cycle[0], moves=tuple(moves), move_origins=tuple(origins))
+
+
+def reference_trace_contours(contour_img):
+    ys, xs = np.nonzero(contour_img)
+    pixels = set(zip(xs.tolist(), ys.tolist()))
+    visited = set()
+    chains = []
+    for start in sorted(pixels, key=lambda p: (p[1], p[0])):
+        if start in visited:
+            continue
+        path = [start]
+        visited.add(start)
+        prev_code = None
+        while True:
+            p = path[-1]
+            if prev_code is None:
+                probe = range(8)
+            else:
+                first = (prev_code + 3) % 8
+                probe = [(first - i) % 8 for i in range(8)]
+            best = None
+            for code in probe:
+                dx, dy = cf.DIRECTIONS[code]
+                q = (p[0] + dx, p[1] + dy)
+                if q in pixels and q not in visited:
+                    best, prev_code = q, code
+                    break
+            if best is None:
+                break
+            visited.add(best)
+            path.append(best)
+        closed = len(path) > 1 and (start[0] - path[-1][0], start[1] - path[-1][1]) in _DELTA_TO_CODE
+        if closed and _cycle_area2(path) < 0:
+            path = [path[0]] + path[:0:-1]
+        chains.append(_chain_from_cycle(path, closed))
+    return chains
+
+
+def reference_compute_moments(img):
+    ys, xs = np.nonzero(img)
+    x = xs.astype(np.float64)
+    y = ys.astype(np.float64)
+    orders = [(p, q) for p in range(4) for q in range(4) if p + q <= 3]
+    raw = {(p, q): float(np.sum(x**p * y**q)) for p, q in orders}
+    xl = x - xs.min()
+    yl = y - ys.min()
+    dx = xl - xl.sum() / raw[(0, 0)]
+    dy = yl - yl.sum() / raw[(0, 0)]
+    central = {(p, q): float(np.sum(dx**p * dy**q)) for p, q in orders}
+    normalized = {
+        (p, q): central[(p, q)] / central[(0, 0)] ** ((p + q) / 2.0 + 1.0)
+        for p, q in orders
+        if p + q >= 2
+    }
+    return raw, central, normalized
+
+
+def reference_moment_zone_features(thinned, log_scale=False):
+    bh, bw = thinned.shape[0] // 3, thinned.shape[1] // 3
+    parts = []
+    for zr in range(3):
+        for zc in range(3):
+            block = thinned[zr * bh : (zr + 1) * bh, zc * bw : (zc + 1) * bw]
+            if not block.any():
+                parts.append(np.zeros(7))
+                continue
+            _, central, normalized = reference_compute_moments(block)
+            parts.append(mf.hu_invariants(mf.MomentSet({}, (0.0, 0.0), central, normalized)))
+    values = np.concatenate(parts)
+    return mf.signed_log(values) if log_scale else values
+
+
+# --- inputs --------------------------------------------------------------------
+
+
+def random_images(shape, seed):
+    """Random blobs of three densities, an empty and a full image, a frame and a blob on the top border."""
+    rng = np.random.default_rng(seed)
+    images = [rng.random(shape) < density for density in (0.15, 0.45, 0.7)]
+    frame = np.zeros(shape, bool)
+    frame[0, :] = frame[-1, :] = frame[:, 0] = frame[:, -1] = True
+    blob = rng.random(shape) < 0.6
+    blob[0, :] = True  # touches the top border
+    return images + [np.zeros(shape, bool), np.ones(shape, bool), frame, blob]
+
+
+SHAPES = [(60, 60), (17, 41), (41, 17), (1, 23), (23, 1), (1, 1), (2, 9), (5, 5)]
+ZONE_SHAPES = [(60, 60), (27, 45), (3, 30), (30, 3), (3, 3)]
+
+
+# --- thinning ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_thin_single_images_match_reference(shape):
+    for img in random_images(shape, seed=sum(shape)):
+        assert np.array_equal(ip.thin(img), reference_thin(img))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_thin_stack_matches_reference_per_image(shape):
+    # empty, full and one-pixel images converge after one iteration, blobs take several
+    stack = np.stack(random_images(shape, seed=7 * sum(shape)))
+    single = np.zeros(shape, bool)
+    single[shape[0] // 2, shape[1] // 2] = True
+    stack = np.concatenate([stack, single[None]])
+    thinned = ip.thin(stack)
+    assert thinned.shape == stack.shape and thinned.dtype == bool
+    for img, out in zip(stack, thinned):
+        assert np.array_equal(out, reference_thin(img))
+
+
+def test_thin_glyph_stack_matches_reference():
+    scaled = [ip.normalize_size(ip.binarize(s.image)) for s in dataset_io.synth_corpus(4, 10, seed=3)]
+    thinned = ip.thin(np.stack(scaled))
+    assert all(np.array_equal(out, reference_thin(img)) for img, out in zip(scaled, thinned))
+
+
+def test_thin_leaves_input_unchanged():
+    img = np.ones((6, 8), bool)
+    ip.thin(img)
+    assert img.all()
+
+
+# --- contour tracing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_trace_contours_matches_reference(shape):
+    for img in random_images(shape, seed=3 * sum(shape)):
+        for contour in (img, ip.find_contour(img)):
+            assert cf.trace_contours(contour) == reference_trace_contours(contour)
+
+
+def test_trace_contours_counterclockwise_cycle_is_reversed():
+    # the first move from (1, 0) is SW (code 5), so the walk comes out counterclockwise
+    img = np.zeros((5, 5), bool)
+    img[0, 1] = img[1, 0] = img[2, 1] = img[1, 2] = True
+    (chain,) = cf.trace_contours(img)
+    assert chain == reference_trace_contours(img)[0]
+    assert _cycle_area2(list(chain.move_origins)) > 0
+
+
+# --- moments --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_compute_moments_matches_reference(shape):
+    for img in random_images(shape, seed=5 * sum(shape)):
+        if not img.any():
+            continue
+        ms = mf.compute_moments(img)
+        assert (ms.raw, ms.central, ms.normalized) == reference_compute_moments(img)
+
+
+@pytest.mark.parametrize("shape", ZONE_SHAPES, ids=str)
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_moment_zone_features_bytes_match_reference(shape, log_scale):
+    for img in random_images(shape, seed=11 * sum(shape)):
+        for thinned in (img, ip.thin(img)):
+            got = mf.moment_zone_features(thinned, log_scale=log_scale)
+            assert got.tobytes() == reference_moment_zone_features(thinned, log_scale).tobytes()
+
+
+# --- end to end ------------------------------------------------------------------
+
+# SHA-256 of the feature CSVs of `synth --classes 4 --per-class 6 --seed 3`,
+# taken from the per-image thinning, tuple-set tracing and np.sum moments
+GOLDEN_SHA256 = {
+    "chain200": "42491b85e3c7bf2693922db42a22860e7553ae0db965e179aa71efe9b0151454",
+    "moment63": "998a98720ecf6e1643b9f30880ce847db1c16d6a6c6195b3caa0a69efd5e1de4",
+}
+
+
+def test_extract_golden_bytes(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--classes", "4", "--per-class", "6", "--seed", "3", "--out", str(corpus)]) == 0
+    for extractor, digest in GOLDEN_SHA256.items():
+        out = tmp_path / f"{extractor}.csv"
+        assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
