@@ -223,6 +223,11 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Rank each image; --dir reads and extracts pipeline.CHUNK_SIZE images at a time.
+
+    An image without foreground is skipped with a warning naming it under
+    --dir, and is an error naming it (exit 2) under --image.
+    """
     model = ensemble.load_any_model(args.model)
     if bool(args.image) == bool(args.dir):
         raise CorpusError("predict needs exactly one of --image or --dir")
@@ -235,11 +240,11 @@ def cmd_predict(args) -> int:
             if n.endswith(".pgm")
         )
     )
-    for path in paths:
-        image = dataset_io.read_pgm(path)
-        ranked = model.rank(pipeline.extract_features(image, model.extractors))[: args.k]
+    samples = (dataset_io.LabeledSample(id=path, label="", image=dataset_io.read_pgm(path)) for path in paths)
+    for sample, vectors in pipeline.iter_features(samples, model.extractors, strict=bool(args.image)):
+        ranked = model.rank(vectors)[: args.k]
         listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked)
-        print(f"{path}  {listing}")
+        print(f"{sample.id}  {listing}")
     return 0
 
 

@@ -115,11 +115,16 @@ def load_corpus(root, strict: bool = False):
     classes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
+    # the label and the sample id are fields of the feature CSV, which cannot hold a comma
     for cls in classes:
+        if "," in cls:
+            raise CorpusError(f"class directory {os.path.join(root, cls)} has a comma in its name")
         for name in sorted(os.listdir(os.path.join(root, cls))):
             if not name.endswith(".pgm"):
                 continue
             path = os.path.join(root, cls, name)
+            if "," in name:
+                raise CorpusError(f"image {path} has a comma in its name")
             try:
                 img = read_pgm(path)
             except IoError as exc:

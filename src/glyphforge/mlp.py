@@ -126,8 +126,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
             f"input length {x.shape} != ({model.config.input_size},)"
         )
     x = scale_input(model, x)
-    hidden = sigmoid(model.w1 @ x + model.b1)
-    return sigmoid(model.w2 @ hidden + model.b2)
+    with np.errstate(over="ignore"):  # exp(-t) of a saturated unit overflows to inf: sigmoid 0.0
+        hidden = sigmoid(model.w1 @ x + model.b1)
+        return sigmoid(model.w2 @ hidden + model.b2)
 
 
 def _backprop(w1, b1, w2, b2, x, target, gw1, gb1, gw2, gb2) -> float:
@@ -199,21 +200,24 @@ def train(model: MlpModel, dataset) -> TrainingReport:
 
     rng = np.random.default_rng(cfg.seed + 1)
     trace = []
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(dataset))
-        sq_err = 0.0
-        for i in order:
-            sq_err += 2.0 * _backprop(*params, xs[i], targets[i], *grads)
-            # per element the same float operations as -lr * grad + mom * vel,
-            # so the weights match the per-array update bit for bit
-            grad *= neg_lr
-            vel *= mom
-            vel += grad
-            weights += vel
-        mse = sq_err / (len(dataset) * cfg.output_size)
-        trace.append(mse)
-        if mse <= cfg.target_mse:
-            break
+    # once around the loop, not per sigmoid call: the overflow of a saturated
+    # unit's exp(-t) is silenced, and its value (sigmoid 0.0) is unchanged
+    with np.errstate(over="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(len(dataset))
+            sq_err = 0.0
+            for i in order:
+                sq_err += 2.0 * _backprop(*params, xs[i], targets[i], *grads)
+                # per element the same float operations as -lr * grad + mom * vel,
+                # so the weights match the per-array update bit for bit
+                grad *= neg_lr
+                vel *= mom
+                vel += grad
+                weights += vel
+            mse = sq_err / (len(dataset) * cfg.output_size)
+            trace.append(mse)
+            if mse <= cfg.target_mse:
+                break
     return TrainingReport(epochs_run=len(trace), mse_trace=trace)
 
 

@@ -1,10 +1,12 @@
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from glyphforge import cli, dataset_io as dio, ensemble, image_prep, mlp, pipeline
+from glyphforge.errors import CorpusError
 
 
 @pytest.fixture(scope="module")
@@ -430,3 +432,32 @@ def test_crossval_preprocesses_once_per_image(corpus, calls, extractor, binarize
         "--folds", "3", "--seed", "4", "--epochs", "5",
     ]) == 0
     assert calls == {"binarize": binarize, "thin": thin}
+
+
+def test_predict_dir_skips_blank_image_and_image_fails_on_it(ensemble_file, corpus, tmp_path, capsys):
+    images = tmp_path / "images"
+    shutil.copytree(corpus / "c00", images)
+    blank = images / "blank.pgm"  # sorts first
+    dio.write_pgm(blank, np.full((64, 64), 255, dtype=np.uint8))
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match=re.escape(f"skipping {blank}: image has no foreground pixel")):
+        assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == [str(images / f"s{j:03d}.pgm") for j in range(8)]
+    assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(blank)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {blank}: ")
+
+
+@pytest.mark.parametrize("original, renamed", [("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm")])
+def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys, original, renamed):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    (root / original).rename(root / renamed)
+    with pytest.raises(CorpusError, match=re.escape(str(root / renamed))):
+        dio.load_corpus(root)
+    capsys.readouterr()
+    out = tmp_path / "f.csv"
+    assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 2
+    assert str(root / renamed) in capsys.readouterr().err
+    assert not out.exists()

@@ -6,12 +6,13 @@ contour walk and the per-order np.sum moments below.
 """
 
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
 
 from glyphforge import chain_features as cf
-from glyphforge import cli, dataset_io
+from glyphforge import cli, dataset_io, pipeline
 from glyphforge import image_prep as ip
 from glyphforge import moment_features as mf
 
@@ -223,6 +224,54 @@ def test_moment_zone_features_bytes_match_reference(shape, log_scale):
             assert got.tobytes() == reference_moment_zone_features(thinned, log_scale).tobytes()
 
 
+def zone_counts(stack):
+    """Foreground pixels of each of the 3x3 zones of each image, shape (N, 9)."""
+    n, h, w = stack.shape
+    return np.count_nonzero(stack.reshape(n, 3, h // 3, 3, w // 3), axis=(2, 4)).reshape(n, 9)
+
+
+def shared_count_stack(shape, seed):
+    """random_images, sparse images, and the sparse images with each zone's pixels shuffled in place.
+
+    A shuffled copy has the zone pixel counts of its original, so zones of
+    different images fall into the same count group.
+    """
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    sparse = rng.random((4, h, w)) < 0.03
+    zones = sparse.reshape(4, 3, h // 3, 3, w // 3).swapaxes(2, 3).reshape(4, 9, -1)
+    shuffled = rng.permuted(zones, axis=2).reshape(4, 3, 3, h // 3, w // 3).swapaxes(2, 3).reshape(4, h, w)
+    return np.concatenate([np.stack(random_images(shape, seed)), sparse, shuffled])
+
+
+@pytest.mark.parametrize("shape", ZONE_SHAPES, ids=str)
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_moment_zone_features_stack_bytes_match_reference(shape, log_scale):
+    stack = shared_count_stack(shape, seed=13 * sum(shape))
+    counts = zone_counts(stack)
+    assert (counts == 0).any() and (counts == shape[0] * shape[1] // 9).any()  # empty and full zones
+    per_image = [set(c) - {0} for c in counts]
+    assert any(a & b for i, a in enumerate(per_image) for b in per_image[i + 1 :])
+    want = np.stack([reference_moment_zone_features(img, log_scale) for img in stack])
+    got = mf.moment_zone_features(stack, log_scale=log_scale)
+    assert got.shape == (len(stack), 63)
+    assert got.tobytes() == want.tobytes()
+    for img, row in zip(stack, want):  # N=1 and a single image
+        assert mf.moment_zone_features(img[None], log_scale=log_scale).tobytes() == row.tobytes()
+        assert mf.moment_zone_features(img, log_scale=log_scale).tobytes() == row.tobytes()
+
+
+def test_moment_zone_features_glyph_stack_matches_reference():
+    scaled = [ip.normalize_size(ip.binarize(s.image)) for s in dataset_io.synth_corpus(4, 10, seed=3)]
+    thinned = ip.thin(np.stack(scaled))
+    want = np.stack([reference_moment_zone_features(img) for img in thinned])
+    assert mf.moment_zone_features(thinned).tobytes() == want.tobytes()
+
+
+def test_moment_zone_features_empty_stack():
+    assert mf.moment_zone_features(np.zeros((0, 60, 60), bool)).shape == (0, 63)
+
+
 # --- end to end ------------------------------------------------------------------
 
 # SHA-256 of the feature CSVs of `synth --classes 4 --per-class 6 --seed 3`,
@@ -240,3 +289,31 @@ def test_extract_golden_bytes(tmp_path):
         out = tmp_path / f"{extractor}.csv"
         assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--classes", "3", "--per-class", "12", "--seed", "8", "--out", str(corpus)]) == 0
+    tables = []
+    for extractor in ("chain200", "moment63"):
+        tables.append(tmp_path / f"{extractor}.csv")
+        assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(tables[-1])]) == 0
+    model = tmp_path / "ens.glyph"
+    assert cli.main([
+        "train", "--features", str(tables[0]), "--features2", str(tables[1]), "--epochs", "5", "--out", str(model),
+    ]) == 0
+    images = tmp_path / "images"
+    images.mkdir()
+    for path in sorted(corpus.glob("*/*.pgm")):
+        shutil.copyfile(path, images / f"{path.parent.name}_{path.name}")
+    paths = sorted(images.iterdir())
+    assert len(paths) > pipeline.CHUNK_SIZE
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model), "--dir", str(images), "-k", "3"]) == 0
+    chunked = capsys.readouterr().out
+    single = []
+    for path in paths:
+        assert cli.main(["predict", "--model", str(model), "--image", str(path), "-k", "3"]) == 0
+        single.append(capsys.readouterr().out)
+    assert chunked == "".join(single)
+    assert len(chunked.splitlines()) == len(paths)

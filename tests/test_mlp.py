@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,30 @@ class TestTrainBitIdentity:
         assert report.mse_trace == ref_trace
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    def test_saturated_units_train_without_overflow_warning(self, monkeypatch):
+        # raw Hu invariants span ~1e-12..1e1; against a frozen range of [0, 1e-4]
+        # they scale to ~1e5, so exp(-t) overflows in the hidden and output sigmoids
+        rng = np.random.default_rng(21)
+        xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
+        data = [(x, i % 3) for i, x in enumerate(xs)]
+
+        def trained():
+            model = small_model(63, 45, 3, seed=6, max_epochs=5)
+            model.feature_min, model.feature_max = np.zeros(63), np.full(63, 1e-4)
+            mlp.train(model, data)
+            return model, mlp.forward(model, xs[0])
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "errstate", lambda **_: contextlib.nullcontext())
+            with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+                allowed, allowed_out = trained()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            silenced, silenced_out = trained()
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(silenced, name), getattr(allowed, name)), name
+        assert np.array_equal(silenced_out, allowed_out)
 
     def test_scale_matrix_equals_rows(self):
         model = small_model(6, 3, 3)
