@@ -136,12 +136,15 @@ def cmd_extract(args) -> int:
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
+        kept = []  # the samples with foreground: each skipped one is warned about once, here
         for s, stages in pipeline.iter_stages(samples, pipeline.EXTRACTOR_FLAG, args.strict):
             stem = s.id.replace("/", "_").removesuffix(".pgm")
             for name, img in stages.items():
                 dataset_io.write_binary_pgm(
                     os.path.join(args.dump_stages, f"{stem}.{name}.pgm"), img
                 )
+            kept.append(s)
+        samples = kept
     table = pipeline.extract_table(samples, *_extractors([args.extractor], args)[0], strict=args.strict)
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
@@ -156,7 +159,10 @@ def cmd_train(args) -> int:
     model, reports = pipeline.train_model(tables, labels, **_train_kwargs(args))
     model.save(args.out)
     for k, (table, report) in enumerate(zip(tables, reports), start=1):
-        print(f"member {k} ({table.extractor_id}): {report.epochs_run} epochs, final MSE {report.final_mse:.6f}")
+        print(
+            f"member {k} ({table.extractor_id}): {report.epochs_run} epochs, "
+            f"final MSE {report.final_mse:.6f}, stopped: {report.stop_reason}"
+        )
     for line in model.fusion_summary():
         print(line)
     print(f"wrote {args.out}")
@@ -225,8 +231,8 @@ def cmd_crossval(args) -> int:
 def cmd_predict(args) -> int:
     """Rank each image; --dir reads and extracts pipeline.CHUNK_SIZE images at a time.
 
-    An image without foreground is skipped with a warning naming it under
-    --dir, and is an error naming it (exit 2) under --image.
+    A malformed image, or one without foreground, is skipped with a warning
+    naming it under --dir, and is an error naming it (exit 2) under --image.
     """
     model = ensemble.load_any_model(args.model)
     if bool(args.image) == bool(args.dir):
@@ -240,8 +246,10 @@ def cmd_predict(args) -> int:
             if n.endswith(".pgm")
         )
     )
-    samples = (dataset_io.LabeledSample(id=path, label="", image=dataset_io.read_pgm(path)) for path in paths)
-    for sample, vectors in pipeline.iter_features(samples, model.extractors, strict=bool(args.image)):
+    strict = bool(args.image)
+    images = ((path, dataset_io.read_pgm_or_skip(path, strict)) for path in paths)
+    samples = (dataset_io.LabeledSample(id=path, label="", image=img) for path, img in images if img is not None)
+    for sample, vectors in pipeline.iter_features(samples, model.extractors, strict):
         ranked = model.rank(vectors)[: args.k]
         listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked)
         print(f"{sample.id}  {listing}")

@@ -84,6 +84,17 @@ def read_pgm(path) -> np.ndarray:
     return img.reshape(height, width)
 
 
+def read_pgm_or_skip(path, strict: bool = False):
+    """read_pgm(path); a malformed file is skipped (None) with a warning naming it, or with strict raises."""
+    try:
+        return read_pgm(path)
+    except IoError as exc:
+        if strict:
+            raise
+        warnings.warn(f"skipping malformed image: {exc}")
+        return None
+
+
 def write_pgm(path, img: np.ndarray) -> None:
     """Write a uint8 grayscale array as binary P5."""
     img = np.asarray(img, dtype=np.uint8)
@@ -125,14 +136,9 @@ def load_corpus(root, strict: bool = False):
             path = os.path.join(root, cls, name)
             if "," in name:
                 raise CorpusError(f"image {path} has a comma in its name")
-            try:
-                img = read_pgm(path)
-            except IoError as exc:
-                if strict:
-                    raise
-                warnings.warn(f"skipping malformed image: {exc}")
-                continue
-            samples.append(LabeledSample(id=f"{cls}/{name}", label=cls, image=img))
+            img = read_pgm_or_skip(path, strict)
+            if img is not None:
+                samples.append(LabeledSample(id=f"{cls}/{name}", label=cls, image=img))
     if not samples:
         raise CorpusError(f"no samples found under {root}")
     return samples
@@ -248,7 +254,7 @@ def save_features(table: FeatureTable, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# extractor={table.extractor_id} dim={table.dim}{flags}\n")
         for sample_id, label, vec in table.rows:
-            values = ",".join(repr(float(v)) for v in vec)
+            values = ",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
             fh.write(f"{sample_id},{label},{values}\n")
 
 

@@ -98,7 +98,21 @@ def _zhang_suen_lut(first_subiter: bool) -> np.ndarray:
     return lut
 
 
-_THIN_LUTS = (_zhang_suen_lut(True), _zhang_suen_lut(False))
+def _code9_lut(ring_lut: np.ndarray) -> np.ndarray:
+    """Deletable flag for each 9-bit code of a 3x3 neighbourhood, centre included.
+
+    The code is t[p-1] | t[p] << 3 | t[p+1] << 6 over the column triples
+    t = up | mid << 1 | down << 2, so its bits are NW, W, SW, N, centre, S,
+    NE, E, SE. A background centre is never deletable; an object centre is
+    deletable when ring_lut (bit i = ring pixel P(i+2)) says so.
+    """
+    code = np.arange(512)
+    nw, w, sw, n, centre, s, ne, e, se = ((code >> i) & 1 for i in range(9))
+    ring = n | ne << 1 | e << 2 | se << 3 | s << 4 | sw << 5 | w << 6 | nw << 7
+    return (ring_lut[ring] & centre).astype(np.uint8)
+
+
+_THIN_LUTS = tuple(_code9_lut(_zhang_suen_lut(first)) for first in (True, False))
 
 
 def _thin_subiter(flat: np.ndarray, width: int, lut: np.ndarray) -> None:
@@ -106,16 +120,22 @@ def _thin_subiter(flat: np.ndarray, width: int, lut: np.ndarray) -> None:
 
     width is the padded row length. Every object pixel lies inside its own
     image's padding, so the flat offsets below only ever reach its eight
-    neighbours; the codes computed at padding positions are masked out.
+    neighbours; codes at padding positions have a background centre, which
+    the table never deletes.
     """
     lo, hi = width + 1, flat.size - width - 1
-    offsets = (-width, 1 - width, 1, width + 1, width, width - 1, -1, -width - 1)
-    code = flat[lo + offsets[0] : hi + offsets[0]].copy()
-    for bit, off in enumerate(offsets[1:], start=1):
-        code |= flat[lo + off : hi + off] << bit
-    deleted = lut[code]
-    deleted &= flat[lo:hi]
-    flat[lo:hi] ^= deleted
+    # column triples for positions lo - 1 .. hi, then the 9-bit code of lo .. hi - 1
+    a, b = lo - 1, hi + 1
+    triple = flat[a:b] << 1
+    triple |= flat[a - width : b - width]
+    triple |= flat[a + width : b + width] << 2
+    code = triple[2:].astype(np.uint16)
+    code <<= 3
+    code |= triple[1:-1]
+    code <<= 3
+    code |= triple[:-2]
+    # np.take: about half the time of lut[code] on a chunk of 32 images
+    flat[lo:hi] ^= np.take(lut, code)
 
 
 def thin(binary: np.ndarray) -> np.ndarray:

@@ -76,6 +76,7 @@ class MlpModel:
 class TrainingReport:
     epochs_run: int
     mse_trace: list
+    stop_reason: str  # "target": an epoch MSE reached target_mse; "capped": max_epochs ran out first
 
     @property
     def final_mse(self) -> float:
@@ -218,7 +219,8 @@ def train(model: MlpModel, dataset) -> TrainingReport:
             trace.append(mse)
             if mse <= cfg.target_mse:
                 break
-    return TrainingReport(epochs_run=len(trace), mse_trace=trace)
+    stop_reason = "target" if trace[-1] <= cfg.target_mse else "capped"
+    return TrainingReport(epochs_run=len(trace), mse_trace=trace, stop_reason=stop_reason)
 
 
 def predict(model: MlpModel, x: np.ndarray):

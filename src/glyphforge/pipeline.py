@@ -28,7 +28,11 @@ def _preprocess_chunk(images, extractor_ids):
     stages = []
     for image in images:
         try:
-            binary = image_prep.binarize(image)
+            gray = np.asarray(image, dtype=np.uint8)
+            if gray.size and gray.min() == gray.max():
+                # binarize would warn without naming the image, and then find no foreground
+                raise EmptyGlyph("image has no foreground pixel")
+            binary = image_prep.binarize(gray)
             stages.append({"binary": binary, "scaled": image_prep.normalize_size(binary)})
         except EmptyGlyph as exc:
             stages.append(exc)
@@ -43,14 +47,13 @@ def _preprocess_chunk(images, extractor_ids):
 
 
 def _chunk_vectors(stages, extractor_id, flags):
-    """One extractor's vectors for the stages of a chunk's images, in order.
+    """One extractor's vectors for the stages of a chunk's images, in order: one call on the chunk's stack.
 
-    chain200 traces each image's contour; moment63 is one call on the stack
-    of the chunk's thinned images.
+    chain200 reads the contours, moment63 the thinned images.
     """
     if extractor_id == "chain200":
-        normalize = flags.get("normalize", False)
-        return [chain_features.extract_chain_features(st["contour"], normalize=normalize) for st in stages]
+        return chain_features.extract_chain_features(
+            np.stack([st["contour"] for st in stages]), normalize=flags.get("normalize", False))
     return moment_features.moment_zone_features(
         np.stack([st["thinned"] for st in stages]), log_scale=flags.get("log_moments", False))
 

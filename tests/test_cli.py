@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,57 @@ def test_predict_dir_skips_blank_image_and_image_fails_on_it(ensemble_file, corp
     assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(blank)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {blank}: ")
+
+
+def test_predict_dir_skips_malformed_image_and_image_fails_on_it(ensemble_file, corpus, tmp_path, capsys):
+    images = tmp_path / "images"
+    shutil.copytree(corpus / "c01", images)
+    bad = images / "a_bad.pgm"  # sorts first
+    bad.write_bytes(b"P5\nabc 64\n255\n")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match=re.escape(f"skipping malformed image: {bad}: non-integer")):
+        assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == [str(images / f"s{j:03d}.pgm") for j in range(8)]
+    assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}: ")
+
+
+def test_blank_images_warn_once_each_naming_them(ensemble_file, corpus, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    for name, level in (("blank.pgm", 255), ("dark.pgm", 0)):
+        dio.write_pgm(root / "c01" / name, np.full((64, 64), level, dtype=np.uint8))
+    runs = [  # (how the command names an image of c01, argv)
+        ("c01/", ["extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv")]),
+        ("c01/", [
+            "extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(tmp_path / "f.csv"),
+            "--dump-stages", str(tmp_path / "stages"),
+        ]),
+        ("c01/", ["crossval", "--corpus", str(root), "--seed", "4", "--epochs", "5"]),
+        (f"{root / 'c01'}/", ["predict", "--model", str(ensemble_file), "--dir", str(root / "c01")]),
+    ]
+    for prefix, argv in runs:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 0
+        assert sorted(str(w.message) for w in seen) == [
+            f"skipping {prefix}{name}: image has no foreground pixel" for name in ("blank.pgm", "dark.pgm")
+        ], argv[0]
+
+
+@pytest.mark.parametrize("target_mse, epochs, stop_reason", [("1", 1, "target"), ("0", 3, "capped")])
+def test_train_prints_each_member_stop_reason(feature_files, tmp_path, capsys, target_mse, epochs, stop_reason):
+    chain, moment = feature_files
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--features", str(chain), "--features2", str(moment), "--out", str(tmp_path / "e.glyph"),
+        "--epochs", "3", "--target-mse", target_mse,
+    ]) == 0
+    members = capsys.readouterr().out.splitlines()[:2]
+    for k, (line, extractor) in enumerate(zip(members, ("chain200", "moment63")), start=1):
+        assert re.fullmatch(rf"member {k} \({extractor}\): {epochs} epochs, final MSE \d\.\d{{6}}, stopped: {stop_reason}", line)
 
 
 @pytest.mark.parametrize("original, renamed", [("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm")])

@@ -2,10 +2,12 @@
 
 thin, trace_contours and the moment features must give the same arrays,
 chains and float bits as the per-image numpy thinning pass, the tuple-set
-contour walk and the per-order np.sum moments below.
+contour walk and the per-order np.sum moments below; the chain features of
+a stack, the same bytes as chain_histogram's per-move loop over each image.
 """
 
 import hashlib
+import re
 import shutil
 
 import numpy as np
@@ -15,6 +17,7 @@ from glyphforge import chain_features as cf
 from glyphforge import cli, dataset_io, pipeline
 from glyphforge import image_prep as ip
 from glyphforge import moment_features as mf
+from glyphforge.errors import ExtractionError
 
 # --- reference implementations ----------------------------------------------
 
@@ -184,6 +187,23 @@ def test_thin_leaves_input_unchanged():
     assert img.all()
 
 
+@pytest.mark.parametrize("first_subiter", [True, False])
+def test_thin_table_matches_ring_definition(first_subiter):
+    """Every 9-bit code: bits NW, W, SW, N, centre, S, NE, E, SE."""
+    table = ip._THIN_LUTS[0 if first_subiter else 1]
+    assert table.shape == (512,)
+    for code in range(512):
+        nw, w, sw, n, centre, s, ne, e, se = [(code >> i) & 1 for i in range(9)]
+        ring = [n, ne, e, se, s, sw, w, nw]  # P2..P9
+        b = sum(ring)
+        a = sum(1 for i in range(8) if not ring[i] and ring[(i + 1) % 8])
+        if first_subiter:
+            cond = not (n and e and s) and not (e and s and w)
+        else:
+            cond = not (n and e and w) and not (n and s and w)
+        assert table[code] == bool(centre and 2 <= b <= 6 and a == 1 and cond), code
+
+
 # --- contour tracing -------------------------------------------------------------
 
 
@@ -201,6 +221,57 @@ def test_trace_contours_counterclockwise_cycle_is_reversed():
     (chain,) = cf.trace_contours(img)
     assert chain == reference_trace_contours(img)[0]
     assert _cycle_area2(list(chain.move_origins)) > 0
+
+
+def chain_inputs(shape, seed):
+    """Contour images: random_images and their contours, one pixel, an open chain and scattered dots.
+
+    Their chain counts differ: none (empty), one (a frame), and many.
+    """
+    h, w = shape
+    images = random_images(shape, seed)
+    single = np.zeros(shape, bool)
+    single[h // 2, w // 2] = True
+    line = np.zeros(shape, bool)  # an open chain: its last pixel is not next to its first
+    line[h // 2, : min(w, h) // 2 + 1] = True
+    line[: h // 2, 0] = True
+    dots = np.zeros(shape, bool)
+    dots[::2, : min(w, h) : 3] = True
+    return images + [ip.find_contour(img) for img in images] + [single, line, dots]
+
+
+@pytest.mark.parametrize("shape", [(60, 60), (35, 20), (5, 5), (10, 3), (5, 1)], ids=str)
+@pytest.mark.parametrize("normalize", [False, True])
+def test_chain_features_stack_bytes_match_per_image_histogram(shape, normalize):
+    stack = np.stack(chain_inputs(shape, seed=17 * sum(shape)))
+    counts = [len(cf.trace_contours(img)) for img in stack]
+    assert 0 in counts and 1 in counts and max(counts) > 2
+    want = [cf.chain_histogram(cf.trace_contours(img), shape[0], normalize=normalize) for img in stack]
+    got = cf.extract_chain_features(stack, normalize=normalize)
+    assert got.shape == (len(stack), cf.CHAIN_DIM)
+    assert got.tobytes() == np.stack(want).tobytes()
+    for img, row in zip(stack, want):  # N=1 and a single image
+        assert cf.extract_chain_features(img[None], normalize=normalize).tobytes() == row.tobytes()
+        assert cf.extract_chain_features(img, normalize=normalize).tobytes() == row.tobytes()
+
+
+def test_chain_features_glyph_stack_matches_per_image_histogram():
+    scaled = [ip.normalize_size(ip.binarize(s.image)) for s in dataset_io.synth_corpus(4, 10, seed=3)]
+    contours = [ip.find_contour(img) for img in scaled]
+    want = np.stack([cf.chain_histogram(cf.trace_contours(c)) for c in contours])
+    assert cf.extract_chain_features(np.stack(contours)).tobytes() == want.tobytes()
+
+
+def test_chain_features_stack_errors_match_per_image_histogram():
+    wide = np.zeros((2, 10, 15), bool)
+    wide[1, 4, 11:13] = True  # moves from x = 11 and 12, right of the 10 x 10 zone square
+    with pytest.raises(ExtractionError, match=re.escape("move origin (11, 4) outside image")):
+        cf.chain_histogram(cf.trace_contours(wide[1]), 10)
+    with pytest.raises(ExtractionError, match=re.escape("move origin (11, 4) outside image")):
+        cf.extract_chain_features(wide)
+    with pytest.raises(ExtractionError, match="not divisible"):
+        cf.extract_chain_features(np.zeros((3, 12, 12), bool))
+    assert cf.extract_chain_features(np.zeros((0, 60, 60), bool)).shape == (0, cf.CHAIN_DIM)
 
 
 # --- moments --------------------------------------------------------------------
@@ -274,20 +345,24 @@ def test_moment_zone_features_empty_stack():
 
 # --- end to end ------------------------------------------------------------------
 
-# SHA-256 of the feature CSVs of `synth --classes 4 --per-class 6 --seed 3`,
-# taken from the per-image thinning, tuple-set tracing and np.sum moments
+# SHA-256 of the feature CSVs of `synth --classes 4 --per-class 6 --seed 3`:
+# the unflagged ones taken from the per-image thinning, tuple-set tracing and
+# np.sum moments, the flagged ones from the per-move chain histogram loop and
+# the 8-neighbour thinning table
 GOLDEN_SHA256 = {
-    "chain200": "42491b85e3c7bf2693922db42a22860e7553ae0db965e179aa71efe9b0151454",
-    "moment63": "998a98720ecf6e1643b9f30880ce847db1c16d6a6c6195b3caa0a69efd5e1de4",
+    ("chain200",): "42491b85e3c7bf2693922db42a22860e7553ae0db965e179aa71efe9b0151454",
+    ("moment63",): "998a98720ecf6e1643b9f30880ce847db1c16d6a6c6195b3caa0a69efd5e1de4",
+    ("chain200", "--normalize"): "913d3521880f7c65f0ad154310ee365da715d9d44c5dcc23230e0e44a8353118",
+    ("moment63", "--log-moments"): "60d542575ebe53ce3894419548605580e88900abfa444e4af6bb370b3f7dfd03",
 }
 
 
 def test_extract_golden_bytes(tmp_path):
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--classes", "4", "--per-class", "6", "--seed", "3", "--out", str(corpus)]) == 0
-    for extractor, digest in GOLDEN_SHA256.items():
+    for (extractor, *flags), digest in GOLDEN_SHA256.items():
         out = tmp_path / f"{extractor}.csv"
-        assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(out)]) == 0
+        assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
