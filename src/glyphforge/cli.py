@@ -6,11 +6,13 @@ default --seed for every subcommand.
 """
 
 import argparse
+import functools
 import os
 import sys
 
 from . import dataset_io, ensemble, evaluation, pipeline
 from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
+from .extractors import EXTRACTORS
 
 
 def _default_seed() -> int:
@@ -26,7 +28,7 @@ def _add_seed(parser):
 # training option -> (the pipeline.train_model keyword it sets, type, help): an MlpConfig
 # field or calibration_fraction; an option not given keeps that keyword's default
 _TRAIN_OPTIONS = {
-    "--hidden": ("hidden_size", int, "hidden layer size (default 50 chain / 45 moment)"),
+    "--hidden": ("hidden_size", int, "hidden layer size (default: the extractor's own)"),
     "--lr": ("learning_rate", float, "learning rate"),
     "--momentum": ("momentum", float, "momentum term"),
     "--epochs": ("max_epochs", int, "max training epochs"),
@@ -38,6 +40,12 @@ _TRAIN_OPTIONS = {
 def _add_train_flags(parser):
     for option, (dest, type_, help_) in _TRAIN_OPTIONS.items():
         parser.add_argument(option, dest=dest, type=type_, help=help_)
+
+
+def _add_extractor_flags(parser):
+    """Each extractor's option: --normalize for flag normalize, on or off."""
+    for e in EXTRACTORS.values():
+        parser.add_argument("--" + e.flag.replace("_", "-"), dest=e.flag, action="store_true", help=e.flag_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract a feature table from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--extractor", choices=("chain200", "moment63"), required=True)
+    p.add_argument("--extractor", choices=tuple(EXTRACTORS), required=True)
     p.add_argument("--out", required=True, help="feature CSV path")
-    p.add_argument("--normalize", action="store_true", help="normalize chain histograms by total move count")
-    p.add_argument("--log-moments", action="store_true", help="signed-log scale moment features")
+    _add_extractor_flags(p)
     p.add_argument("--strict", action="store_true", help="fail on malformed images instead of skipping")
     p.add_argument("--dump-stages", metavar="DIR", help="write intermediate binary images as PGM")
 
@@ -80,14 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="k-fold cross-validation on a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument(
-        "--extractor",
-        choices=("chain200", "moment63", "ensemble"),
-        default="ensemble",
-    )
+    p.add_argument("--extractor", choices=(*EXTRACTORS, "ensemble"), default="ensemble")
     p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--log-moments", action="store_true")
+    _add_extractor_flags(p)
     p.add_argument("--out", help="write the structured report to this path")
     _add_train_flags(p)
     _add_seed(p)
@@ -102,11 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _extractors(extractor_ids, args):
     """(extractor_id, flags) pairs; an extractor's flag is on when the option of that name is."""
-    pairs = []
-    for extractor_id in extractor_ids:
-        flag = pipeline.EXTRACTOR_FLAG[extractor_id]
-        pairs.append((extractor_id, {flag: True} if getattr(args, flag) else {}))
-    return pairs
+    return [(e, {EXTRACTORS[e].flag: True} if getattr(args, EXTRACTORS[e].flag) else {}) for e in extractor_ids]
 
 
 def _load_tables(args):
@@ -132,20 +130,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _dump_stages(directory, sample, stages) -> None:
+    """Write each stage of one sample as <directory>/<class>_<name>.<stage>.pgm."""
+    stem = sample.id.replace("/", "_").removesuffix(".pgm")
+    for name, img in stages.items():
+        dataset_io.write_binary_pgm(os.path.join(directory, f"{stem}.{name}.pgm"), img)
+
+
 def cmd_extract(args) -> int:
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
+    on_stages = None
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
-        kept = []  # the samples with foreground: each skipped one is warned about once, here
-        for s, stages in pipeline.iter_stages(samples, pipeline.EXTRACTOR_FLAG, args.strict):
-            stem = s.id.replace("/", "_").removesuffix(".pgm")
-            for name, img in stages.items():
-                dataset_io.write_binary_pgm(
-                    os.path.join(args.dump_stages, f"{stem}.{name}.pgm"), img
-                )
-            kept.append(s)
-        samples = kept
-    table = pipeline.extract_table(samples, *_extractors([args.extractor], args)[0], strict=args.strict)
+        on_stages = functools.partial(_dump_stages, args.dump_stages)
+    table = pipeline.extract_table(
+        samples, *_extractors([args.extractor], args)[0], strict=args.strict, on_stages=on_stages
+    )
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -198,7 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_crossval(args) -> int:
     samples = dataset_io.load_corpus(args.corpus)
-    extractor_ids = ("chain200", "moment63") if args.extractor == "ensemble" else (args.extractor,)
+    extractor_ids = tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,)
     tables = pipeline.extract_tables(samples, _extractors(extractor_ids, args))
     labels = [lab for _, lab, _ in tables[0].rows]
     class_table = sorted(set(labels))
@@ -234,6 +234,8 @@ def cmd_predict(args) -> int:
     A malformed image, or one without foreground, is skipped with a warning
     naming it under --dir, and is an error naming it (exit 2) under --image.
     """
+    if args.k < 1:
+        raise ConfigError("-k must be >= 1")
     model = ensemble.load_any_model(args.model)
     if bool(args.image) == bool(args.dir):
         raise CorpusError("predict needs exactly one of --image or --dir")

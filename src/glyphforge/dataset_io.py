@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusError, FormatError, IoError
-
-EXTRACTOR_DIMS = {"chain200": 200, "moment63": 63}
+from .errors import ConfigError, CorpusError, FormatError, IoError
+from .extractors import EXTRACTORS
 
 
 @contextmanager
@@ -192,8 +191,8 @@ def synth_corpus(classes: int, per_class: int, seed: int = 0):
     Each instance gets seeded random scaling (+-15%), per-vertex jitter
     (+-2 px) and translation (+-4 px) before rendering.
     """
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
+    if classes < 2 or per_class < 1:
+        raise ConfigError(f"need at least 2 classes and 1 sample per class, got {classes} and {per_class}")
     rng = np.random.default_rng(seed)
     samples = []
     templates = [_class_template(c) for c in range(classes)]
@@ -225,13 +224,11 @@ class FeatureTable:
     flags: dict = field(default_factory=dict)  # extractor options, e.g. {"log_moments": True}
 
     def __post_init__(self):
-        expected = EXTRACTOR_DIMS.get(self.extractor_id)
-        if expected is None:
+        extractor = EXTRACTORS.get(self.extractor_id)
+        if extractor is None:
             raise FormatError(f"unknown extractor {self.extractor_id!r}")
-        if expected != self.dim:
-            raise FormatError(
-                f"extractor {self.extractor_id} implies dim {expected}, got {self.dim}"
-            )
+        if extractor.dim != self.dim:
+            raise FormatError(f"extractor {self.extractor_id} implies dim {extractor.dim}, got {self.dim}")
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")

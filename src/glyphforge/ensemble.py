@@ -14,6 +14,7 @@ import numpy as np
 from . import mlp
 from .dataset_io import open_text
 from .errors import DegenerateWeights, FormatError, ShapeError
+from .extractors import EXTRACTORS
 
 
 @dataclass(frozen=True)
@@ -103,23 +104,22 @@ class EnsembleModel:
 
 
 ENSEMBLE_MAGIC = "glyphforge-ensemble v1"
-# the member file of each extractor is <stem>.<part>.mlp
-MEMBER_FILE_PART = {"chain200": "chain", "moment63": "moment"}
 
 
 def save_ensemble(ens: EnsembleModel, path) -> None:
-    """Write <stem>.chain.mlp and <stem>.moment.mlp beside the ensemble file, which names them.
+    """Write <stem>.<part>.mlp for each member beside the ensemble file, which names them.
 
-    Each member's file is named by its extractor, whatever the member order;
-    members that are not one chain200 and one moment63 MLP are named by
-    position, chain first.
+    Each member's file is named by its extractor's member_part (chain for
+    chain200, moment for moment63), whatever the member order. Members whose
+    extractors are unknown or the same are named by position, after the
+    first two registered extractors: <stem>.chain.mlp, then <stem>.moment.mlp.
     """
     directory = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
     members = (ens.model1, ens.model2)
-    parts = [MEMBER_FILE_PART.get(m.extractor_id) for m in members]
-    if set(parts) != set(MEMBER_FILE_PART.values()):
-        parts = list(MEMBER_FILE_PART.values())
+    parts = [EXTRACTORS[m.extractor_id].member_part if m.extractor_id in EXTRACTORS else None for m in members]
+    if None in parts or len(set(parts)) < len(parts):
+        parts = [e.member_part for e in EXTRACTORS.values()][: len(members)]
     member_paths = [f"{stem}.{part}.mlp" for part in parts]
     for model, member_path in zip(members, member_paths):
         mlp.save_model(model, os.path.join(directory, member_path))

@@ -65,20 +65,6 @@ def normalize_size(binary: np.ndarray, size: int = CANONICAL_SIZE) -> np.ndarray
     return box[np.ix_(row_idx, col_idx)]
 
 
-def _neighbors(img: np.ndarray):
-    """The eight shifted copies P2..P9 (N, NE, E, SE, S, SW, W, NW)."""
-    p = np.pad(img, 1, mode="constant", constant_values=False)
-    n = p[:-2, 1:-1]
-    ne = p[:-2, 2:]
-    e = p[1:-1, 2:]
-    se = p[2:, 2:]
-    s = p[2:, 1:-1]
-    sw = p[2:, :-2]
-    w = p[1:-1, :-2]
-    nw = p[:-2, :-2]
-    return n, ne, e, se, s, sw, w, nw
-
-
 def _zhang_suen_lut(first_subiter: bool) -> np.ndarray:
     """Deletable flag of an object pixel for each 8-neighbour code.
 
@@ -168,8 +154,10 @@ def thin(binary: np.ndarray) -> np.ndarray:
 def find_contour(binary: np.ndarray) -> np.ndarray:
     """Object pixels with at least one 4-connected background neighbor.
 
+    binary is one (H, W) image or an (N, H, W) stack, each image on its own.
     Out-of-bounds neighbors count as background, so border pixels of a
     solid shape are always contour points.
     """
-    n, _, e, _, s, _, w, _ = _neighbors(binary)
+    p = np.pad(binary, [(0, 0)] * (binary.ndim - 2) + [(1, 1)] * 2)  # False around each image
+    n, s, e, w = p[..., :-2, 1:-1], p[..., 2:, 1:-1], p[..., 1:-1, 2:], p[..., 1:-1, :-2]
     return binary & ~(n & s & e & w)

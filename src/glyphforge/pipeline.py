@@ -6,13 +6,11 @@ import warnings
 
 import numpy as np
 
-from . import chain_features, dataset_io, ensemble, image_prep, mlp, moment_features
+from . import dataset_io, ensemble, image_prep, mlp
 from .errors import ConfigError, CorpusError, EmptyGlyph, FormatError, TrainError
+from .extractors import EXTRACTORS
 
-DEFAULT_HIDDEN = {"chain200": 50, "moment63": 45}
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
-# the one option each extractor takes; an extractor's flags dict holds it when on
-EXTRACTOR_FLAG = {"chain200": "normalize", "moment63": "log_moments"}
 # images per thin call: thinning all 1500 images of the paper-scale corpus
 # as one stack took extract's peak RSS from 45 to 85 MB, and chunks of 8
 # ran ~9% slower than chunks of 32
@@ -22,8 +20,8 @@ CHUNK_SIZE = 32
 def _preprocess_chunk(images, extractor_ids):
     """The binary stages each image of a chunk needs, or the EmptyGlyph it raised.
 
-    Binarize and normalize run per image; the contour only for chain200,
-    and for moment63 one thin call on the stack of the chunk's images.
+    Binarize and normalize run per image; each stage the extractors read,
+    once on the stack of the chunk's images.
     """
     stages = []
     for image in images:
@@ -37,47 +35,13 @@ def _preprocess_chunk(images, extractor_ids):
         except EmptyGlyph as exc:
             stages.append(exc)
     kept = [st for st in stages if isinstance(st, dict)]
-    if "chain200" in extractor_ids:
-        for st in kept:
-            st["contour"] = image_prep.find_contour(st["scaled"])
-    if "moment63" in extractor_ids and kept:
-        for st, thinned in zip(kept, image_prep.thin(np.stack([st["scaled"] for st in kept]))):
-            st["thinned"] = thinned
+    if kept:
+        scaled = np.stack([st["scaled"] for st in kept])
+        makers = {EXTRACTORS[e].stage: EXTRACTORS[e].make_stage for e in extractor_ids}
+        for name, make_stage in makers.items():
+            for st, img in zip(kept, make_stage(scaled)):
+                st[name] = img
     return stages
-
-
-def _chunk_vectors(stages, extractor_id, flags):
-    """One extractor's vectors for the stages of a chunk's images, in order: one call on the chunk's stack.
-
-    chain200 reads the contours, moment63 the thinned images.
-    """
-    if extractor_id == "chain200":
-        return chain_features.extract_chain_features(
-            np.stack([st["contour"] for st in stages]), normalize=flags.get("normalize", False))
-    return moment_features.moment_zone_features(
-        np.stack([st["thinned"] for st in stages]), log_scale=flags.get("log_moments", False))
-
-
-def _extractor_ids(extractors):
-    """The ids of (extractor_id, flags) pairs; an unknown id is a FormatError."""
-    for extractor_id, _ in extractors:
-        if extractor_id not in EXTRACTOR_FLAG:
-            raise FormatError(f"unknown extractor {extractor_id!r}")
-    return [e for e, _ in extractors]
-
-
-def preprocess_stages(image: np.ndarray, extractor_ids):
-    """The binary stages of one grayscale glyph that the extractors need: a chunk of one."""
-    (stages,) = _preprocess_chunk([image], extractor_ids)
-    if isinstance(stages, EmptyGlyph):
-        raise stages
-    return stages
-
-
-def extract_features(image: np.ndarray, extractors):
-    """One feature vector per (extractor_id, flags) pair, from one preprocessing pass: a chunk of one."""
-    stages = preprocess_stages(image, _extractor_ids(extractors))
-    return [_chunk_vectors([stages], extractor_id, flags)[0] for extractor_id, flags in extractors]
 
 
 def _stage_chunks(samples, extractor_ids, strict):
@@ -100,57 +64,60 @@ def _stage_chunks(samples, extractor_ids, strict):
         yield kept
 
 
-def iter_stages(samples, extractor_ids, strict: bool = False):
-    """(sample, stages) for each sample with foreground, preprocessed CHUNK_SIZE samples at a time.
-
-    Samples without foreground are skipped, or fail with strict (see _stage_chunks).
-    """
-    for kept in _stage_chunks(samples, extractor_ids, strict):
-        yield from kept
-
-
-def _chunk_features(kept, extractors):
-    """(sample, vectors) for the (sample, stages) pairs of one chunk."""
+def _chunk_features(kept, extractors, on_stages):
+    """(sample, vectors) for one chunk's (sample, stages) pairs: one call per extractor on its stage's stack."""
     if not kept:
         return []
-    stages = [st for _, st in kept]
-    columns = [_chunk_vectors(stages, extractor_id, flags) for extractor_id, flags in extractors]
+    if on_stages:
+        for sample, stages in kept:
+            on_stages(sample, stages)
+    columns = []
+    for extractor_id, flags in extractors:
+        e = EXTRACTORS[extractor_id]
+        columns.append(e.features(np.stack([st[e.stage] for _, st in kept]), flags.get(e.flag, False)))
     return list(zip([s for s, _ in kept], zip(*columns)))
 
 
-def iter_features(samples, extractors, strict: bool = False):
+def iter_features(samples, extractors, strict: bool = False, on_stages=None):
     """(sample, vectors) for each sample with foreground: one vector per (extractor_id, flags) pair.
 
-    Each extractor makes its vectors for a whole chunk of CHUNK_SIZE samples
-    at once. Samples without foreground are skipped, or fail with strict
-    (see _stage_chunks).
+    Samples are read CHUNK_SIZE at a time; those without foreground are
+    skipped, or fail with strict (see _stage_chunks). An unknown extractor id
+    is a FormatError. With on_stages, every registered stage is made, and
+    on_stages(sample, stages) sees each sample's stages dict ("binary",
+    "scaled" and each extractor's stage) before its vectors are made.
     """
-    chunks = _stage_chunks(samples, _extractor_ids(extractors), strict)
+    for extractor_id, _ in extractors:
+        if extractor_id not in EXTRACTORS:
+            raise FormatError(f"unknown extractor {extractor_id!r}")
+    chunks = _stage_chunks(samples, list(EXTRACTORS) if on_stages else [e for e, _ in extractors], strict)
     # map, not a loop variable: a chunk's stages are freed before the next
     # chunk is preprocessed (holding two chunks cost ~0.5 MB of peak RSS)
-    for features in map(functools.partial(_chunk_features, extractors=extractors), chunks):
+    for features in map(functools.partial(_chunk_features, extractors=extractors, on_stages=on_stages), chunks):
         yield from features
 
 
-def extract_tables(samples, extractors, strict: bool = False):
+def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
     """One FeatureTable per (extractor_id, flags) pair, in one pass over the samples.
 
-    Samples without foreground are skipped, or fail with strict (see _stage_chunks).
+    Samples without foreground are skipped, or fail with strict; on_stages
+    sees each kept sample's stages (see iter_features).
     """
     rows = [[] for _ in extractors]
-    for s, vectors in iter_features(samples, extractors, strict):
+    for s, vectors in iter_features(samples, extractors, strict, on_stages):
         for table_rows, vec in zip(rows, vectors):
             table_rows.append((s.id, s.label, vec))
     return [
-        dataset_io.FeatureTable(
-            extractor_id, dataset_io.EXTRACTOR_DIMS[extractor_id], table_rows, dict(flags)
-        )
+        dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, dict(flags))
         for (extractor_id, flags), table_rows in zip(extractors, rows)
     ]
 
 
-def extract_table(samples, extractor_id: str, flags=None, strict: bool = False) -> dataset_io.FeatureTable:
-    (table,) = extract_tables(samples, [(extractor_id, flags or {})], strict)
+def extract_table(
+    samples, extractor_id: str, flags=None, strict: bool = False, on_stages=None
+) -> dataset_io.FeatureTable:
+    """extract_tables for one extractor: its FeatureTable."""
+    (table,) = extract_tables(samples, [(extractor_id, flags or {})], strict, on_stages)
     return table
 
 
@@ -162,7 +129,7 @@ def train_mlp_on_table(table: dataset_io.FeatureTable, labels, hidden_size: int 
     if not table.rows:
         raise TrainError("feature table has no rows")
     if hidden_size is None:
-        hidden_size = DEFAULT_HIDDEN[table.extractor_id]
+        hidden_size = EXTRACTORS[table.extractor_id].hidden_size
     labels = list(labels)
     label_pos = {lab: i for i, lab in enumerate(labels)}
     config = mlp.MlpConfig(

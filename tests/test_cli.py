@@ -83,7 +83,7 @@ def test_extract_missing_corpus_exit_2(tmp_path):
     assert code == 2
 
 
-def test_extract_dump_stages(corpus, tmp_path):
+def test_extract_dump_stages(corpus, feature_files, tmp_path, calls):
     out = tmp_path / "f.csv"
     stages = tmp_path / "stages"
     assert cli.main([
@@ -93,6 +93,10 @@ def test_extract_dump_stages(corpus, tmp_path):
     names = os.listdir(stages)
     assert any(n.endswith(".contour.pgm") for n in names)
     assert any(n.endswith(".thinned.pgm") for n in names)
+    # one pass: each image is binarized and thinned once, and the table is the one written without the flag
+    assert calls == {"binarize": 24, "thin": 24}
+    assert out.read_bytes() == feature_files[0].read_bytes()
+    assert len(names) == 4 * 24
 
 
 def test_train_records_default_hidden(feature_files, tmp_path, capsys):
@@ -404,14 +408,21 @@ def test_training_options_reach_every_config(feature_files, corpus, tmp_path, tr
     ["train", "--features2", "MOMENT", "--calibration-fraction", "0"],
     ["crossval", "--folds", "1"],
     ["crossval", "--momentum", "-0.5"],
+    ["synth", "--classes", "1"],
+    ["synth", "--per-class", "0"],
+    ["predict", "-k", "0"],
+    ["predict", "-k", "-1"],
 ], ids=" ".join)
-def test_out_of_range_setting_exit_2(feature_files, corpus, tmp_path, capsys, argv):
+def test_out_of_range_setting_exit_2(feature_files, ensemble_file, corpus, tmp_path, capsys, argv):
     chain, moment = feature_files
     command, *options = [str(moment) if a == "MOMENT" else a for a in argv]
-    if command == "train":
-        argv = ["train", "--features", str(chain), "--out", str(tmp_path / "m"), *options]
-    else:
-        argv = ["crossval", "--corpus", str(corpus), "--epochs", "2", *options]
+    required = {
+        "train": ["--features", str(chain), "--out", str(tmp_path / "m")],
+        "crossval": ["--corpus", str(corpus), "--epochs", "2"],
+        "synth": ["--out", str(tmp_path / "m")],
+        "predict": ["--model", str(ensemble_file), "--image", str(corpus / "c00" / "s000.pgm")],
+    }
+    argv = [command, *required[command], *options]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

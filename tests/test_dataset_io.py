@@ -3,7 +3,7 @@ import pytest
 
 from glyphforge import dataset_io as dio
 from glyphforge import pipeline
-from glyphforge.errors import CorpusError, FormatError, IoError
+from glyphforge.errors import ConfigError, CorpusError, FormatError, IoError
 
 
 class TestPgm:
@@ -110,11 +110,17 @@ class TestSynthCorpus:
         assert any(not np.array_equal(x.image, y.image) for x, y in zip(a, b))
 
     def test_per_class_zero(self):
-        assert dio.synth_corpus(4, 0, seed=0) == []
+        with pytest.raises(ConfigError, match="1 sample per class"):
+            dio.synth_corpus(4, 0, seed=0)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             dio.synth_corpus(1, 5, seed=0)
+
+    @pytest.mark.parametrize("classes, per_class", [(1, 5), (0, 5), (-2, 5), (4, -1)])
+    def test_out_of_range_counts_are_config_error(self, classes, per_class):
+        with pytest.raises(ConfigError):
+            dio.synth_corpus(classes, per_class, seed=0)
 
     def test_images_have_foreground(self):
         for s in dio.synth_corpus(5, 3, seed=9):
@@ -123,12 +129,12 @@ class TestSynthCorpus:
 
     def test_templates_distinct_under_chain200(self):
         templates = [
-            dio.render_polyline(dio._class_template(c)) for c in range(20)
+            dio.LabeledSample(id=f"t{c:02d}", label=f"t{c:02d}", image=dio.render_polyline(dio._class_template(c)))
+            for c in range(20)
         ]
-        vectors = [
-            tuple(pipeline.extract_features(t, [("chain200", {})])[0]) for t in templates
-        ]
-        assert len(set(vectors)) == 20
+        table = pipeline.extract_table(templates, "chain200")
+        assert len(table.rows) == 20
+        assert len({tuple(vec) for _, _, vec in table.rows}) == 20
 
 
 class TestFeatureTable:

@@ -209,8 +209,10 @@ def test_thin_table_matches_ring_definition(first_subiter):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_trace_contours_matches_reference(shape):
-    for img in random_images(shape, seed=3 * sum(shape)):
-        for contour in (img, ip.find_contour(img)):
+    images = random_images(shape, seed=3 * sum(shape))
+    for img, stacked in zip(images, ip.find_contour(np.stack(images))):
+        assert np.array_equal(stacked, ip.find_contour(img))  # a stack's contours are its images' contours
+        for contour in (img, stacked):
             assert cf.trace_contours(contour) == reference_trace_contours(contour)
 
 
