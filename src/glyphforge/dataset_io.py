@@ -79,7 +79,10 @@ def read_pgm(path) -> np.ndarray:
             raise IoError(f"{path}: non-numeric P2 raster") from exc
         if len(values) < width * height:
             raise IoError(f"{path}: truncated PGM raster")
-        img = np.array(values[: width * height], dtype=np.uint8)
+        values = values[: width * height]
+        if min(values) < 0 or max(values) > maxval:
+            raise IoError(f"{path}: P2 sample outside 0..{maxval}")
+        img = np.array(values, dtype=np.uint8)
     return img.reshape(height, width)
 
 
@@ -229,6 +232,8 @@ class FeatureTable:
             raise FormatError(f"unknown extractor {self.extractor_id!r}")
         if extractor.dim != self.dim:
             raise FormatError(f"extractor {self.extractor_id} implies dim {extractor.dim}, got {self.dim}")
+        if not set(self.flags) <= {extractor.flag}:
+            raise FormatError(f"flags {sorted(self.flags)}: extractor {self.extractor_id} has only {extractor.flag}")
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")

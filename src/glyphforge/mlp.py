@@ -292,6 +292,8 @@ def load_model(path) -> MlpModel:
         while i < len(lines):
             name, rows, cols = lines[i][1:].split()
             rows, cols = int(rows), int(cols)
+            if min(rows, cols) < 0:  # a negative row count moves the block loop backwards or not at all
+                raise FormatError(f"{path}: matrix {name} has a negative size")
             block = [
                 [float(tok) for tok in lines[i + 1 + r].split()] for r in range(rows)
             ]

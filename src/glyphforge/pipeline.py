@@ -1,6 +1,5 @@
 """End-to-end glue: raw image -> features -> trained models -> rankings."""
 
-import functools
 import itertools
 import warnings
 
@@ -17,84 +16,62 @@ CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to cal
 CHUNK_SIZE = 32
 
 
-def _preprocess_chunk(images, extractor_ids):
-    """The binary stages each image of a chunk needs, or the EmptyGlyph it raised.
+def _chunk_features(chunk, extractors, strict, on_stages):
+    """(sample, vectors) for each sample of one chunk that has foreground.
 
-    Binarize and normalize run per image; each stage the extractors read,
-    once on the stack of the chunk's images.
+    Binarize and normalize run per image; a sample without foreground is
+    skipped with a warning that names it, or with strict is a CorpusError.
+    Each stage the extractors read is made once, as one (N, H, W) stack of
+    the kept images, and each extractor reads that stack. With on_stages,
+    every registered stage is made, and on_stages(sample, stages) sees each
+    kept sample's stages dict ("binary", "scaled" and each stage) first.
     """
-    stages = []
-    for image in images:
+    kept, binaries, scaled = [], [], []
+    for sample in chunk:
         try:
-            gray = np.asarray(image, dtype=np.uint8)
+            gray = np.asarray(sample.image, dtype=np.uint8)
             if gray.size and gray.min() == gray.max():
                 # binarize would warn without naming the image, and then find no foreground
                 raise EmptyGlyph("image has no foreground pixel")
             binary = image_prep.binarize(gray)
-            stages.append({"binary": binary, "scaled": image_prep.normalize_size(binary)})
+            scaled.append(image_prep.normalize_size(binary))
         except EmptyGlyph as exc:
-            stages.append(exc)
-    kept = [st for st in stages if isinstance(st, dict)]
-    if kept:
-        scaled = np.stack([st["scaled"] for st in kept])
-        makers = {EXTRACTORS[e].stage: EXTRACTORS[e].make_stage for e in extractor_ids}
-        for name, make_stage in makers.items():
-            for st, img in zip(kept, make_stage(scaled)):
-                st[name] = img
-    return stages
-
-
-def _stage_chunks(samples, extractor_ids, strict):
-    """Per CHUNK_SIZE samples, the (sample, stages) pairs of those with foreground.
-
-    samples may be an iterator; it is read one chunk at a time. A sample
-    whose image has no foreground pixel is skipped with a warning that names
-    it; with strict it is a CorpusError instead.
-    """
-    samples = iter(samples)
-    while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
-        kept = []
-        for sample, stages in zip(chunk, _preprocess_chunk([s.image for s in chunk], extractor_ids)):
-            if isinstance(stages, EmptyGlyph):
-                if strict:
-                    raise CorpusError(f"{sample.id}: {stages}")
-                warnings.warn(f"skipping {sample.id}: {stages}")
-            else:
-                kept.append((sample, stages))
-        yield kept
-
-
-def _chunk_features(kept, extractors, on_stages):
-    """(sample, vectors) for one chunk's (sample, stages) pairs: one call per extractor on its stage's stack."""
+            if strict:
+                raise CorpusError(f"{sample.id}: {exc}") from exc
+            warnings.warn(f"skipping {sample.id}: {exc}")
+            continue
+        kept.append(sample)
+        binaries.append(binary)
     if not kept:
         return []
+    scaled = np.stack(scaled)
+    needed = list(EXTRACTORS) if on_stages else [x for x, _ in extractors]
+    makers = {EXTRACTORS[x].stage: EXTRACTORS[x].make_stage for x in needed}
+    stacks = {name: make_stage(scaled) for name, make_stage in makers.items()}
     if on_stages:
-        for sample, stages in kept:
-            on_stages(sample, stages)
+        stages = {"binary": binaries, "scaled": scaled, **stacks}
+        for i, sample in enumerate(kept):
+            on_stages(sample, {name: stack[i] for name, stack in stages.items()})
     columns = []
     for extractor_id, flags in extractors:
         e = EXTRACTORS[extractor_id]
-        columns.append(e.features(np.stack([st[e.stage] for _, st in kept]), flags.get(e.flag, False)))
-    return list(zip([s for s, _ in kept], zip(*columns)))
+        columns.append(e.features(stacks[e.stage], flags.get(e.flag, False)))
+    return list(zip(kept, zip(*columns)))
 
 
 def iter_features(samples, extractors, strict: bool = False, on_stages=None):
     """(sample, vectors) for each sample with foreground: one vector per (extractor_id, flags) pair.
 
-    Samples are read CHUNK_SIZE at a time; those without foreground are
-    skipped, or fail with strict (see _stage_chunks). An unknown extractor id
-    is a FormatError. With on_stages, every registered stage is made, and
-    on_stages(sample, stages) sees each sample's stages dict ("binary",
-    "scaled" and each extractor's stage) before its vectors are made.
+    Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
+    for skipped samples, strict and on_stages); a chunk's stages are freed
+    before the next chunk is read. An unknown extractor id is a FormatError.
     """
     for extractor_id, _ in extractors:
         if extractor_id not in EXTRACTORS:
             raise FormatError(f"unknown extractor {extractor_id!r}")
-    chunks = _stage_chunks(samples, list(EXTRACTORS) if on_stages else [e for e, _ in extractors], strict)
-    # map, not a loop variable: a chunk's stages are freed before the next
-    # chunk is preprocessed (holding two chunks cost ~0.5 MB of peak RSS)
-    for features in map(functools.partial(_chunk_features, extractors=extractors, on_stages=on_stages), chunks):
-        yield from features
+    samples = iter(samples)
+    while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
+        yield from _chunk_features(chunk, extractors, strict, on_stages)
 
 
 def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
@@ -121,79 +98,51 @@ def extract_table(
     return table
 
 
-def train_mlp_on_table(table: dataset_io.FeatureTable, labels, hidden_size: int = None, **config):
-    """Train one MLP on a feature table; returns (model, report).
-
-    config: MlpConfig training fields, each left out keeps its MlpConfig default.
-    """
-    if not table.rows:
-        raise TrainError("feature table has no rows")
-    if hidden_size is None:
-        hidden_size = EXTRACTORS[table.extractor_id].hidden_size
-    labels = list(labels)
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    config = mlp.MlpConfig(
-        input_size=table.dim, hidden_size=hidden_size, output_size=len(labels), **config
-    )
-    model = mlp.init_model(config, labels, extractor_id=table.extractor_id)
-    model.extractor_flags = dict(table.flags)
-    dataset = [(vec, label_pos[lab]) for _, lab, vec in table.rows]
-    report = mlp.train(model, dataset)
-    return model, report
-
-
-def train_ensemble_on_tables(
-    table1: dataset_io.FeatureTable,
-    table2: dataset_io.FeatureTable,
-    labels,
-    calibration_fraction: float = CALIBRATION_FRACTION,
-    seed: int = 0,
-    **train_kwargs,
+def train_model(
+    tables, labels, calibration_fraction: float = CALIBRATION_FRACTION,
+    hidden_size: int = None, seed: int = 0, **config,
 ):
-    """Train both member MLPs plus fusion weights from a calibration split.
-
-    The calibration split is carved out of the training data (never the
-    test set); both tables must list the same samples in the same order.
-    Returns (EnsembleModel, report1, report2).
-    """
-    dataset_io.check_same_samples([table1, table2])
-    labels = list(labels)
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    n = len(table1.rows)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_cal = max(1, int(round(calibration_fraction * n)))
-    cal_idx = set(int(i) for i in order[:n_cal])
-    fit_idx = [i for i in range(n) if i not in cal_idx]
-    if not fit_idx:
-        raise TrainError("calibration split leaves no training samples")
-    model1, report1 = train_mlp_on_table(
-        table1.subset(fit_idx), labels, seed=seed, **train_kwargs
-    )
-    model2, report2 = train_mlp_on_table(
-        table2.subset(fit_idx), labels, seed=seed, **train_kwargs
-    )
-    holdout = [
-        (table1.rows[i][2], table2.rows[i][2], label_pos[table1.rows[i][1]])
-        for i in sorted(cal_idx)
-    ]
-    weights = ensemble.calibrate(model1, model2, holdout)
-    return ensemble.EnsembleModel(model1, model2, weights), report1, report2
-
-
-def train_model(tables, labels, calibration_fraction: float = CALIBRATION_FRACTION, **train_kwargs):
     """Train one MLP per feature table, fused by calibrated weights when there are two.
 
-    train_kwargs are train_mlp_on_table's keyword arguments. The calibration
-    fraction is checked even for one table, which does not use it. Returns
-    (MlpModel or EnsembleModel, one TrainingReport per member in table order).
+    One table trains on all its rows. Two tables must list the same samples
+    in the same order: a seeded calibration_fraction of the rows is held out
+    (never the test set), each member trains on the rest, and the members'
+    top-1 accuracies on the holdout give the fusion weights. The fraction is
+    checked even for one table, which does not use it. hidden_size None
+    takes each extractor's own; config: the other MlpConfig training fields,
+    each left out keeps its MlpConfig default. Returns (MlpModel or
+    EnsembleModel, one TrainingReport per member in table order).
     """
     if not 0 < calibration_fraction < 1:
         raise ConfigError("calibration_fraction must be in (0, 1)")
-    if len(tables) == 1:
-        model, report = train_mlp_on_table(*tables, labels, **train_kwargs)
-        return model, [report]
-    model, *reports = train_ensemble_on_tables(
-        *tables, labels, calibration_fraction=calibration_fraction, **train_kwargs
-    )
-    return model, reports
+    dataset_io.check_same_samples(tables)
+    rows = tables[0].rows
+    if not rows:
+        raise TrainError("feature table has no rows")
+    labels = list(labels)
+    label_pos = {lab: i for i, lab in enumerate(labels)}
+    fit_idx, cal_idx = range(len(rows)), []
+    if len(tables) > 1:
+        order = np.random.default_rng(seed).permutation(len(rows))
+        cal_idx = sorted(int(i) for i in order[: max(1, int(round(calibration_fraction * len(rows))))])
+        fit_idx = sorted(set(fit_idx) - set(cal_idx))
+        if not fit_idx:
+            raise TrainError("calibration split leaves no training samples")
+    members, reports = [], []
+    for table in tables:
+        size = EXTRACTORS[table.extractor_id].hidden_size if hidden_size is None else hidden_size
+        cfg = mlp.MlpConfig(input_size=table.dim, hidden_size=size, output_size=len(labels), seed=seed, **config)
+        model = mlp.init_model(cfg, labels, extractor_id=table.extractor_id)
+        model.extractor_flags = dict(table.flags)
+        reports.append(mlp.train(model, [(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx]))
+        members.append(model)
+    if len(members) == 1:
+        return members[0], reports
+    holdout = [(*(t.rows[i][2] for t in tables), label_pos[rows[i][1]]) for i in cal_idx]
+    return ensemble.EnsembleModel(*members, ensemble.calibrate(*members, holdout)), reports
+
+
+def train_ensemble_on_tables(table1, table2, labels, **train_kwargs):
+    """train_model on two tables; returns (EnsembleModel, report1, report2)."""
+    model, reports = train_model([table1, table2], labels, **train_kwargs)
+    return (model, *reports)

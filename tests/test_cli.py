@@ -296,14 +296,39 @@ def test_predict_unknown_extractor_exit_2(feature_files, corpus, tmp_path, capsy
 def test_extract_non_integer_pgm_header(corpus, tmp_path):
     root = tmp_path / "corpus"
     shutil.copytree(corpus, root)
-    (root / "c00" / "bad.pgm").write_bytes(b"P5\nabc 64\n255\n")
     out = tmp_path / "f.csv"
-    with pytest.warns(UserWarning, match="skipping malformed image"):
-        assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 0
-    assert len(dio.load_features(out).rows) == 24
-    assert cli.main([
-        "extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out), "--strict",
-    ]) == 2
+    # a non-integer header field, then ASCII samples above and below 0..maxval
+    for bad in (b"P5\nabc 64\n255\n", b"P2\n2 1\n255\n300 0\n", b"P2\n2 1\n255\n0 -1\n"):
+        (root / "c00" / "bad.pgm").write_bytes(bad)
+        with pytest.warns(UserWarning, match="skipping malformed image"):
+            assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 0
+        assert len(dio.load_features(out).rows) == 24
+        assert cli.main([
+            "extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out), "--strict",
+        ]) == 2
+
+
+def test_dumped_stages_equal_each_image_alone(corpus, tmp_path, monkeypatch):
+    """Each kept image's dumped stages are its own, also after a blank image mid-chunk."""
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    dio.write_pgm(root / "c01" / "blank.pgm", np.full((64, 64), 255, dtype=np.uint8))  # 9th of 25
+    monkeypatch.setattr(pipeline, "CHUNK_SIZE", 5)  # the blank image is in the middle of the second chunk
+    stages = tmp_path / "stages"
+    with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+        assert cli.main([
+            "extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv"),
+            "--dump-stages", str(stages),
+        ]) == 0
+    samples = dio.load_corpus(corpus)
+    assert len(os.listdir(stages)) == 4 * len(samples)
+    for sample in samples:
+        binary = image_prep.binarize(sample.image)
+        scaled = image_prep.normalize_size(binary)
+        want = dict(binary=binary, scaled=scaled, contour=image_prep.find_contour(scaled), thinned=image_prep.thin(scaled))
+        stem = sample.id.replace("/", "_").removesuffix(".pgm")
+        for name, img in want.items():
+            assert np.array_equal(dio.read_pgm(stages / f"{stem}.{name}.pgm") == 0, img), (sample.id, name)
 
 
 def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
@@ -346,6 +371,8 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     nan_csv.write_text("\n".join([lines[0], ",".join([sample_id, label, "nan", *values])] + lines[2:]) + "\n")
     unknown_csv = tmp_path / "unknown.csv"
     unknown_csv.write_text(chain.read_text().replace("extractor=chain200", "extractor=foo", 1))
+    foreign_flag_csv = tmp_path / "foreign_flag.csv"  # the moment63 flag in a chain200 header
+    foreign_flag_csv.write_text(chain.read_text().replace("dim=200\n", "dim=200 log_moments=1\n", 1))
     weight_lines = ensemble_file.read_text().splitlines()
     glyphs = {}
     for name, w1 in (("inf", "inf"), ("nan", "nan"), ("sum", "0.9")):
@@ -359,7 +386,9 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     assert cli.main(["predict", "--model", str(corpus), "--image", str(image)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(image)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(nan_csv)]) == 2
-    assert cli.main(["train", "--features", str(unknown_csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
+    for csv in (unknown_csv, foreign_flag_csv):
+        assert cli.main(["train", "--features", str(csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
+    assert not (tmp_path / "u.mlp").exists()
     for path in glyphs.values():
         assert cli.main(["predict", "--model", str(path), "--image", str(image)]) == 2
     member_lines = member.read_text().splitlines()
@@ -465,15 +494,16 @@ def test_predict_dir_skips_malformed_image_and_image_fails_on_it(ensemble_file, 
     images = tmp_path / "images"
     shutil.copytree(corpus / "c01", images)
     bad = images / "a_bad.pgm"  # sorts first
-    bad.write_bytes(b"P5\nabc 64\n255\n")
-    capsys.readouterr()
-    with pytest.warns(UserWarning, match=re.escape(f"skipping malformed image: {bad}: non-integer")):
-        assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [ln.split()[0] for ln in lines] == [str(images / f"s{j:03d}.pgm") for j in range(8)]
-    assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(bad)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {bad}: ")
+    for content, reason in ((b"P5\nabc 64\n255\n", "non-integer"), (b"P2\n2 1\n255\n300 0\n", "P2 sample outside")):
+        bad.write_bytes(content)
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match=re.escape(f"skipping malformed image: {bad}: {reason}")):
+            assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines] == [str(images / f"s{j:03d}.pgm") for j in range(8)]
+        assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: ")
 
 
 def test_blank_images_warn_once_each_naming_them(ensemble_file, corpus, tmp_path):

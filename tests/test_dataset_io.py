@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from glyphforge import dataset_io as dio
-from glyphforge import pipeline
-from glyphforge.errors import ConfigError, CorpusError, FormatError, IoError
+from glyphforge import ensemble, mlp, pipeline
+from glyphforge.errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 
 
 class TestPgm:
@@ -37,6 +37,13 @@ class TestPgm:
         path = tmp_path / "h.pgm"
         path.write_bytes(header + b"\x00" * 4)
         with pytest.raises(IoError):
+            dio.read_pgm(path)
+
+    @pytest.mark.parametrize("maxval, raster", [(b"255", b"300 0"), (b"255", b"0 -1"), (b"15", b"16 0")])
+    def test_p2_sample_outside_maxval(self, tmp_path, maxval, raster):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(b"P2\n2 1\n" + maxval + b"\n" + raster + b"\n")
+        with pytest.raises(IoError, match="P2 sample outside"):
             dio.read_pgm(path)
 
     def test_binary_dump_convention(self, tmp_path):
@@ -234,3 +241,65 @@ class TestFeatureTable:
         path.write_text("# extractor=moment63 dim=63\nid,lab,1.0,2.0\n")
         with pytest.raises(FormatError):
             dio.load_features(path)
+
+
+# an inserted byte is one of the characters the file formats are made of, or else any byte
+_FORMAT_BYTES = b"0123456789-+.e \n#=,@"
+
+
+def _mutants(data, rng, count):
+    """count copies of data, each with 1 to 3 of: a bit flip, an inserted byte, a deleted byte, a truncation."""
+    for _ in range(count):
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(buf) + 1))
+            op = rng.choice(4, p=[0.3, 0.3, 0.3, 0.1])
+            if op == 0 and at < len(buf):
+                buf[at] ^= 1 << int(rng.integers(8))
+            elif op == 1:
+                pool = _FORMAT_BYTES if rng.random() < 0.75 else range(256)
+                buf.insert(at, pool[int(rng.integers(len(pool)))])
+            elif op == 2:
+                del buf[at : at + 1]
+            elif op == 3:
+                del buf[at:]
+        yield bytes(buf)
+
+
+def test_mutated_files_raise_only_glyphforge_errors(tmp_path):
+    """Flipped, inserted, deleted and truncated bytes in a valid PGM, CSV, .mlp or .glyph: a loader raises
+    a GlyphforgeError or loads the file, and nothing else escapes."""
+    rng = np.random.default_rng(2010)
+    dio.write_pgm(tmp_path / "p5.pgm", rng.integers(0, 256, size=(3, 4), dtype=np.uint8))
+    (tmp_path / "p2.pgm").write_bytes(b"P2\n# glyph\n4 3\n255\n0 255 128 7\n200 31 99 255\n12 0 250 64\n")
+    rows = [(f"c{i}/s{i}.pgm", f"c{i}", rng.normal(size=63)) for i in range(2)]
+    dio.save_features(dio.FeatureTable("moment63", 63, rows, {"log_moments": True}), tmp_path / "f.csv")
+    members = []
+    for extractor_id in ("chain200", "moment63"):
+        model = mlp.init_model(mlp.MlpConfig(input_size=3, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id)
+        model.feature_min, model.feature_max = np.zeros(3), np.ones(3)
+        members.append(model)
+    members[1].extractor_flags = {"log_moments": True}
+    mlp.save_model(members[0], tmp_path / "m.mlp")
+    ensemble.save_ensemble(ensemble.EnsembleModel(*members, ensemble.compute_weights(0.75, 0.5)), tmp_path / "e.glyph")
+    loaders = {
+        "p2.pgm": [dio.read_pgm],
+        "p5.pgm": [dio.read_pgm],
+        "f.csv": [dio.load_features],
+        "m.mlp": [mlp.load_model, ensemble.load_any_model],
+        "e.glyph": [ensemble.load_any_model],
+    }
+    for name, loads in loaders.items():
+        original = (tmp_path / name).read_bytes()
+        mutant_path = tmp_path / f"mutant.{name}"  # beside e.glyph's member files
+        for load in loads:
+            load(tmp_path / name)
+        for mutant in _mutants(original, rng, 300):
+            mutant_path.write_bytes(mutant)
+            for load in loads:
+                try:
+                    load(mutant_path)
+                except GlyphforgeError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{load.__qualname__} on mutated {name} {mutant!r}: {exc!r}")

@@ -332,6 +332,7 @@ class TestSerialization:
         lambda lines: [ln.replace("@w2 3 4", "@w2 3 four") for ln in lines],
         lambda lines: [ln.replace("flags ", "flags normalize=yes") for ln in lines],
         lambda lines: [ln.replace("feature_min ", "feature_min x ") for ln in lines],
+        lambda lines: [ln.replace("@b1 1 4", "@b1 -1 4") for ln in lines],  # would re-read its own header forever
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(7, 4, 3, seed=21)
