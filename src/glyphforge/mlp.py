@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataset_io import open_text
 from .errors import ConfigError, FormatError, ShapeError, TrainError
+from .extractors import EXTRACTORS
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -301,6 +302,10 @@ def load_model(path) -> MlpModel:
             i += 1 + rows
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad flags or matrix block ({exc})") from exc
+    extractor_id = header.get("extractor", "")
+    own_flags = {EXTRACTORS[extractor_id].flag} if extractor_id in EXTRACTORS else set()
+    if not set(flags) <= own_flags:
+        raise FormatError(f"{path}: flags {sorted(flags)}: extractor {extractor_id!r} has only {sorted(own_flags)}")
     for name, shape in (
         ("w1", (cfg.hidden_size, cfg.input_size)),
         ("b1", (1, cfg.hidden_size)),
@@ -328,7 +333,7 @@ def load_model(path) -> MlpModel:
         w2=mats["w2"],
         b2=mats["b2"].ravel(),
         labels=labels,
-        extractor_id=header.get("extractor", ""),
+        extractor_id=extractor_id,
         feature_min=fmin,
         feature_max=fmax,
         extractor_flags=flags,

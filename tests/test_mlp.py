@@ -333,6 +333,8 @@ class TestSerialization:
         lambda lines: [ln.replace("flags ", "flags normalize=yes") for ln in lines],
         lambda lines: [ln.replace("feature_min ", "feature_min x ") for ln in lines],
         lambda lines: [ln.replace("@b1 1 4", "@b1 -1 4") for ln in lines],  # would re-read its own header forever
+        lambda lines: [ln.replace("extractor ", "extractor chain200").replace("flags ", "flags log_moments=1")
+                       for ln in lines],  # another extractor's flag
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(7, 4, 3, seed=21)
