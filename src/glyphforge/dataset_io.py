@@ -7,25 +7,53 @@ maxval up to 255).
 
 import os
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, CorpusError, FormatError, IoError
-from .extractors import EXTRACTORS
+from .extractors import EXTRACTORS, check_flags
 
 
-@contextmanager
-def open_text(path):
-    """open(path) for reading text: an OS error is an IoError, undecodable bytes a FormatError."""
+def read_lines(path, magic=None) -> list:
+    """The lines of a text file; with magic, its first line must be magic.
+
+    An OS error is an IoError; undecodable bytes, or another first line, a FormatError.
+    """
     try:
         with open(path) as fh:
-            yield fh
+            lines = [ln.rstrip("\n") for ln in fh]  # a line ends at a newline only, as the writers end it
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"{path}: {exc}") from exc
+    if magic is not None and lines[:1] != [magic]:
+        raise FormatError(f"{path}: not a {magic} file")
+    return lines
+
+
+def floats(tokens, where) -> np.ndarray:
+    """The tokens as float64 values; a token that is not a finite number is a FormatError naming where."""
+    try:
+        values = np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: non-finite value")
+    return values
+
+
+def field_lines(record) -> list:
+    """One "name value" line per dataclass field, in field order; repr() makes the round trip exact."""
+    return [f"{f.name} {f.type(getattr(record, f.name))!r}" for f in fields(record)]
+
+
+def from_fields(cls, header, path):
+    """cls from the header's {name: value} entries, one per field, each parsed with the field's type."""
+    try:
+        return cls(**{f.name: f.type(header[f.name]) for f in fields(cls)})
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or bad field ({exc})") from exc
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -72,6 +100,8 @@ def read_pgm(path) -> np.ndarray:
         if len(raster) < width * height:
             raise IoError(f"{path}: truncated PGM raster")
         img = np.frombuffer(raster, dtype=np.uint8)
+        if maxval < 255 and img.max() > maxval:  # a byte exceeds only a maxval below 255
+            raise IoError(f"{path}: P5 sample outside 0..{maxval}")
     else:
         try:
             values = [int(t) for t in data[pos:].split()]
@@ -232,8 +262,7 @@ class FeatureTable:
             raise FormatError(f"unknown extractor {self.extractor_id!r}")
         if extractor.dim != self.dim:
             raise FormatError(f"extractor {self.extractor_id} implies dim {extractor.dim}, got {self.dim}")
-        if not set(self.flags) <= {extractor.flag}:
-            raise FormatError(f"flags {sorted(self.flags)}: extractor {self.extractor_id} has only {extractor.flag}")
+        check_flags(self.extractor_id, self.flags)
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")
@@ -261,8 +290,7 @@ def save_features(table: FeatureTable, path) -> None:
 
 
 def load_features(path) -> FeatureTable:
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("# extractor="):
         raise FormatError(f"{path}: missing feature header")
     try:
@@ -279,13 +307,7 @@ def load_features(path) -> FeatureTable:
         parts = ln.split(",")
         if len(parts) != dim + 2:
             raise FormatError(f"{path}: row has {len(parts) - 2} values, want {dim}")
-        try:
-            vec = np.array([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {n}: {exc}") from exc
-        if not np.isfinite(vec).all():
-            raise FormatError(f"{path}: line {n}: non-finite feature value")
-        rows.append((parts[0], parts[1], vec))
+        rows.append((parts[0], parts[1], floats(parts[2:], f"{path}: line {n}")))
     try:
         return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows, flags=flags)
     except FormatError as exc:

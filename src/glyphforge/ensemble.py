@@ -7,12 +7,12 @@ combination w1 * o1[i] + w2 * o2[i].
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mlp
-from .dataset_io import open_text
+from .dataset_io import field_lines, from_fields, read_lines
 from .errors import DegenerateWeights, FormatError, ShapeError
 from .extractors import EXTRACTORS
 
@@ -123,35 +123,27 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
     member_paths = [f"{stem}.{part}.mlp" for part in parts]
     for model, member_path in zip(members, member_paths):
         mlp.save_model(model, os.path.join(directory, member_path))
-    lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}"]
-    lines += [f"{f.name} {f.type(getattr(ens.weights, f.name))!r}" for f in fields(FusionWeights)]
+    lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}", *field_lines(ens.weights)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_ensemble(path) -> EnsembleModel:
     """The ensemble and its member files; the weights must be finite and sum to 1."""
-    with open_text(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != ENSEMBLE_MAGIC:
-        raise FormatError(f"{path}: not a {ENSEMBLE_MAGIC} file")
-    header = dict(ln.partition(" ")[::2] for ln in lines[1:] if ln)
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        model1 = mlp.load_model(os.path.join(directory, header["model1"]))
-        model2 = mlp.load_model(os.path.join(directory, header["model2"]))
-        weights = FusionWeights(**{f.name: f.type(header[f.name]) for f in fields(FusionWeights)})
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or non-numeric field ({exc})") from exc
+    header = dict(ln.partition(" ")[::2] for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln)
+    weights = from_fields(FusionWeights, header, path)
     if not math.isclose(weights.w1 + weights.w2, 1.0):  # also false for inf or nan
         raise FormatError(f"{path}: fusion weights w1={weights.w1!r} w2={weights.w2!r} do not sum to 1")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        model1, model2 = (mlp.load_model(os.path.join(directory, header[k])) for k in ("model1", "model2"))
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field ({exc})") from exc
     return EnsembleModel(model1=model1, model2=model2, weights=weights)
 
 
 def load_any_model(path):
     """The model in a .glyph or .mlp file, by its magic line: an EnsembleModel or an MlpModel."""
-    with open_text(path) as fh:
-        magic = fh.readline().strip()
-    if magic == ENSEMBLE_MAGIC:
+    if read_lines(path)[:1] == [ENSEMBLE_MAGIC]:
         return load_ensemble(path)
     return mlp.load_model(path)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import chain_features, image_prep, moment_features
+from .errors import FormatError
 
 
 @dataclass(frozen=True)
@@ -38,3 +39,10 @@ EXTRACTORS = {e.id: e for e in (
         "log_moments", "signed-log scale moment features", hidden_size=45, member_part="moment",
     ),
 )}
+
+
+def check_flags(extractor_id: str, flags) -> None:
+    """FormatError unless each flag is the extractor's own option; an unknown extractor has none."""
+    own = {EXTRACTORS[extractor_id].flag} if extractor_id in EXTRACTORS else set()
+    if not set(flags) <= own:
+        raise FormatError(f"flags {sorted(flags)}: extractor {extractor_id!r} has only {sorted(own)}")

@@ -5,13 +5,13 @@ Inputs are min-max scaled to [0, 1] per feature with statistics frozen from
 the training set and stored in the model file.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset_io import open_text
+from .dataset_io import field_lines, floats, from_fields, read_lines
 from .errors import ConfigError, FormatError, ShapeError, TrainError
-from .extractors import EXTRACTORS
+from .extractors import check_flags
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -238,9 +238,10 @@ def rank_order(scores):
 # --- model file format -------------------------------------------------------
 #
 # Line-oriented text: "glyphforge-mlp v1" magic, "key value" header lines
-# (one per MlpConfig field, in field order, among them), then "@name rows cols"
-# blocks of whitespace-separated float rows. Values are written with repr() so
-# the round trip is exact.
+# (one per MlpConfig field, in field order, among them), then the blocks w1, b1,
+# w2, b2 in that order and nothing after them, each an "@name rows cols" line
+# and its rows of whitespace-separated floats. Values are written with repr()
+# so the round trip is exact.
 
 MAGIC = "glyphforge-mlp v1"
 
@@ -250,8 +251,7 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def save_model(model: MlpModel, path) -> None:
-    lines = [MAGIC, f"extractor {model.extractor_id}"]
-    lines += [f"{f.name} {f.type(getattr(model.config, f.name))!r}" for f in fields(MlpConfig)]
+    lines = [MAGIC, f"extractor {model.extractor_id}", *field_lines(model.config)]
     lines.append("labels " + ",".join(model.labels))
     flags = ",".join(f"{k}={int(bool(v))}" for k, v in sorted(model.extractor_flags.items()))
     lines.append(f"flags {flags}")
@@ -268,76 +268,38 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open_text(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MAGIC:
-        raise FormatError(f"{path}: not a {MAGIC} file")
-    header = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("@"):
-        key, _, value = lines[i].partition(" ")
-        header[key] = value
-        i += 1
-    try:
-        cfg = MlpConfig(**{f.name: f.type(header[f.name]) for f in fields(MlpConfig)})
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad header ({exc})") from exc
-    labels = header.get("labels", "").split(",") if header.get("labels") else []
-    try:
-        flags = {}
-        for item in header.get("flags", "").split(","):
-            if item:
-                k, _, v = item.partition("=")
-                flags[k] = bool(int(v))
-        mats = {}
-        while i < len(lines):
-            name, rows, cols = lines[i][1:].split()
-            rows, cols = int(rows), int(cols)
-            if min(rows, cols) < 0:  # a negative row count moves the block loop backwards or not at all
-                raise FormatError(f"{path}: matrix {name} has a negative size")
-            block = [
-                [float(tok) for tok in lines[i + 1 + r].split()] for r in range(rows)
-            ]
-            mats[name] = np.array(block, dtype=np.float64).reshape(rows, cols)
-            i += 1 + rows
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: bad flags or matrix block ({exc})") from exc
+    """The model in a .mlp file: the header, then exactly the blocks save_model writes, in its order."""
+    lines = read_lines(path, MAGIC)
+    i = next((k for k, ln in enumerate(lines) if ln.startswith("@")), len(lines))
+    header = dict(ln.partition(" ")[::2] for ln in lines[1:i])
+    cfg = from_fields(MlpConfig, header, path)
     extractor_id = header.get("extractor", "")
-    own_flags = {EXTRACTORS[extractor_id].flag} if extractor_id in EXTRACTORS else set()
-    if not set(flags) <= own_flags:
-        raise FormatError(f"{path}: flags {sorted(flags)}: extractor {extractor_id!r} has only {sorted(own_flags)}")
-    for name, shape in (
-        ("w1", (cfg.hidden_size, cfg.input_size)),
-        ("b1", (1, cfg.hidden_size)),
-        ("w2", (cfg.output_size, cfg.hidden_size)),
-        ("b2", (1, cfg.output_size)),
-    ):
-        if name not in mats or mats[name].shape != shape:
-            raise FormatError(f"{path}: matrix {name} missing or wrong shape")
+    try:
+        items = [item.partition("=") for item in header.get("flags", "").split(",") if item]
+        flags = {k: bool(int(v)) for k, _, v in items}
+        check_flags(extractor_id, flags)
+    except (ValueError, FormatError) as exc:
+        raise FormatError(f"{path}: bad flags ({exc})") from exc
+    h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
+    blocks = []
+    for name, rows, cols in (("w1", h, n), ("b1", 1, h), ("w2", o, h), ("b2", 1, o)):
+        if lines[i : i + 1] != [f"@{name} {rows} {cols}"]:
+            raise FormatError(f"{path}: line {i + 1}: want the line @{name} {rows} {cols}")
+        block = [floats(ln.split(), f"{path}: {name}") for ln in lines[i + 1 : i + 1 + rows]]
+        if len(block) != rows or any(len(r) != cols for r in block):
+            raise FormatError(f"{path}: block {name} is not {rows} x {cols}")
+        blocks.append(np.array(block))
+        i += 1 + rows
+    if i < len(lines):
+        raise FormatError(f"{path}: line {i + 1}: nothing may follow @b2")
     fmin = fmax = None
     if "feature_min" in header:
-        try:
-            fmin = np.array([float(t) for t in header["feature_min"].split()])
-            fmax = np.array([float(t) for t in header["feature_max"].split()])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: bad feature range ({exc})") from exc
-        if fmin.shape != (cfg.input_size,) or fmax.shape != fmin.shape:
+        fmin, fmax = (floats(header.get(k, "").split(), f"{path}: {k}") for k in ("feature_min", "feature_max"))
+        if fmin.shape != (n,) or fmax.shape != fmin.shape:
             raise FormatError(f"{path}: feature_min/feature_max length != input_size")
-    for name, values in [*mats.items(), ("feature_min", fmin), ("feature_max", fmax)]:
-        if values is not None and not np.isfinite(values).all():
-            raise FormatError(f"{path}: non-finite value in {name}")
-    model = MlpModel(
-        config=cfg,
-        w1=mats["w1"],
-        b1=mats["b1"].ravel(),
-        w2=mats["w2"],
-        b2=mats["b2"].ravel(),
-        labels=labels,
-        extractor_id=extractor_id,
-        feature_min=fmin,
-        feature_max=fmax,
-        extractor_flags=flags,
-    )
-    if len(model.labels) != cfg.output_size:
+    labels = header["labels"].split(",") if header.get("labels") else []
+    if len(labels) != o:
         raise FormatError(f"{path}: label table length != output_size")
-    return model
+    w1, b1, w2, b2 = blocks
+    return MlpModel(config=cfg, w1=w1, b1=b1.ravel(), w2=w2, b2=b2.ravel(), labels=labels,
+                    extractor_id=extractor_id, feature_min=fmin, feature_max=fmax, extractor_flags=flags)

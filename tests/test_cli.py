@@ -8,6 +8,7 @@ import pytest
 
 from glyphforge import cli, dataset_io as dio, ensemble, image_prep, mlp, pipeline
 from glyphforge.errors import CorpusError
+from test_dataset_io import _mutants
 
 
 @pytest.fixture(scope="module")
@@ -554,3 +555,37 @@ def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys,
     assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 2
     assert str(root / renamed) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mutated_files_exit_0_1_or_2_without_traceback(feature_files, ensemble_file, corpus, tmp_path, capsys):
+    """Flipped, inserted, deleted and truncated bytes in a corpus PGM, a feature CSV, a .mlp and a .glyph, given to
+    the command that reads each: cli.main returns 0, 1 or 2, and a nonzero exit prints one error: line."""
+    rng = np.random.default_rng(2011)
+    root = tmp_path / "corpus"
+    for cls in ("c00", "c01"):
+        (root / cls).mkdir(parents=True)
+        for name in ("s000.pgm", "s001.pgm"):
+            shutil.copyfile(corpus / cls / name, root / cls / name)
+    models = tmp_path / "models"  # the mutated .glyph sits beside the member files it names
+    shutil.copytree(ensemble_file.parent, models)
+    image = corpus / "c00" / "s000.pgm"
+    pgm, csv, member, glyph = root / "c00" / "s000.pgm", tmp_path / "f.csv", models / "m.mlp", models / "m.glyph"
+    cases = [  # (the valid file, where its mutants go, the command)
+        (pgm, pgm, ["extract", "--corpus", root, "--extractor", "chain200", "--out", tmp_path / "x.csv"]),
+        (feature_files[0], csv, ["eval", "--model", models / "ens.chain.mlp", "--features", csv]),
+        (models / "ens.chain.mlp", member, ["predict", "--model", member, "--image", image]),
+        (ensemble_file, glyph, ["predict", "--model", glyph, "--image", image]),
+    ]
+    for original, target, argv in cases:
+        for mutant in _mutants(original.read_bytes(), rng, 40):
+            target.write_bytes(mutant)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = cli.main([str(a) for a in argv])
+                except Exception as exc:
+                    pytest.fail(f"{argv[0]} on mutated {original.name} {mutant!r}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], mutant, err)

@@ -39,11 +39,18 @@ class TestPgm:
         with pytest.raises(IoError):
             dio.read_pgm(path)
 
-    @pytest.mark.parametrize("maxval, raster", [(b"255", b"300 0"), (b"255", b"0 -1"), (b"15", b"16 0")])
-    def test_p2_sample_outside_maxval(self, tmp_path, maxval, raster):
+    @pytest.mark.parametrize("magic, maxval, raster", [
+        pytest.param(b"P2", b"255", b"300 0", id="255-300 0"),
+        pytest.param(b"P2", b"255", b"0 -1", id="255-0 -1"),
+        pytest.param(b"P2", b"15", b"16 0", id="15-16 0"),
+        pytest.param(b"P5", b"100", bytes([200, 0]), id="P5-100-200 0"),
+        pytest.param(b"P5", b"15", bytes([0, 16]), id="P5-15-0 16"),
+        pytest.param(b"P5", b"1", bytes([2, 1]), id="P5-1-2 1"),
+    ])
+    def test_p2_sample_outside_maxval(self, tmp_path, magic, maxval, raster):
         path = tmp_path / "r.pgm"
-        path.write_bytes(b"P2\n2 1\n" + maxval + b"\n" + raster + b"\n")
-        with pytest.raises(IoError, match="P2 sample outside"):
+        path.write_bytes(magic + b"\n2 1\n" + maxval + b"\n" + raster + b"\n")
+        with pytest.raises(IoError, match=f"{magic.decode()} sample outside"):
             dio.read_pgm(path)
 
     def test_binary_dump_convention(self, tmp_path):

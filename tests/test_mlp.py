@@ -300,6 +300,14 @@ class TestPredict:
         assert mlp.predict(model, x)[0][0] == model.labels[int(np.argmax(mlp.forward(model, x)))]
 
 
+def _swap_blocks(lines, first, second):
+    """lines with the block headed by first and the one headed by second, which follows it, swapped."""
+    a = next(i for i, ln in enumerate(lines) if ln.startswith(first + " "))
+    b = next(i for i, ln in enumerate(lines) if ln.startswith(second + " "))
+    c = next((i for i, ln in enumerate(lines) if i > b and ln.startswith("@")), len(lines))
+    return lines[:a] + lines[b:c] + lines[a:b] + lines[c:]
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         model = small_model(
@@ -335,6 +343,8 @@ class TestSerialization:
         lambda lines: [ln.replace("@b1 1 4", "@b1 -1 4") for ln in lines],  # would re-read its own header forever
         lambda lines: [ln.replace("extractor ", "extractor chain200").replace("flags ", "flags log_moments=1")
                        for ln in lines],  # another extractor's flag
+        lambda lines: _swap_blocks(lines, "@b1", "@w2"),  # every block well formed, b1 and w2 out of order
+        lambda lines: lines + ["@x 1 1", "0.5"],  # a well-formed block after @b2
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(7, 4, 3, seed=21)
