@@ -10,7 +10,9 @@ import functools
 import os
 import sys
 
-from . import dataset_io, ensemble, evaluation, pipeline
+import numpy as np
+
+from . import dataset_io, ensemble, evaluation, mlp, pipeline
 from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 from .extractors import EXTRACTORS
 
@@ -119,8 +121,12 @@ def _train_kwargs(args):
 
 
 def _rankings(model, tables, idxs):
-    """Ranked labels for rows idxs; tables follow model.extractors."""
-    return [[lab for lab, _ in model.rank([t.rows[i][2] for t in tables])] for i in idxs]
+    """Ranked labels for rows idxs, scored in one call on one (len(idxs), dim) matrix per table.
+
+    tables follow model.extractors.
+    """
+    scores = model.scores([np.array([t.rows[i][2] for i in idxs]).reshape(len(idxs), t.dim) for t in tables])
+    return [[model.labels[c] for c in mlp.rank_order(row)] for row in scores.tolist()]
 
 
 def cmd_synth(args) -> int:
@@ -197,19 +203,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    samples = dataset_io.load_corpus(args.corpus)
     extractor_ids = tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,)
-    tables = pipeline.extract_tables(samples, _extractors(extractor_ids, args))
+    # the corpus images are not named here, so they are freed before the folds train
+    tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), _extractors(extractor_ids, args))
     labels = [lab for _, lab, _ in tables[0].rows]
     class_table = sorted(set(labels))
     plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
 
-    def fold_fn(train_idx, test_idx):
-        train = [t.subset(train_idx) for t in tables]
-        model, _ = pipeline.train_model(train, class_table, **_train_kwargs(args))
-        return _rankings(model, tables, test_idx)
+    def folds_fn(splits):
+        table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
+        trained = pipeline.train_models(table_sets, class_table, **_train_kwargs(args))
+        return [_rankings(model, tables, test_idx) for (model, _), (_, test_idx) in zip(trained, splits)]
 
-    report = evaluation.cross_validate(labels, plan, fold_fn)
+    report = evaluation.cross_validate(labels, plan, folds_fn)
     lines = [f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}"]
     for f, rep in enumerate(report.fold_reports):
         accs = " ".join(

@@ -51,12 +51,11 @@ def calibrate(model1: mlp.MlpModel, model2: mlp.MlpModel, holdout) -> FusionWeig
     """
     if len(holdout) == 0:
         raise DegenerateWeights("empty calibration set")
-    hits1 = hits2 = 0
-    for x1, x2, cls in holdout:
-        if int(np.argmax(mlp.forward(model1, x1))) == cls:
-            hits1 += 1
-        if int(np.argmax(mlp.forward(model2, x2))) == cls:
-            hits2 += 1
+    x1s, x2s, classes = (np.array(column) for column in zip(*holdout))
+    hits1, hits2 = (
+        int(np.count_nonzero(np.argmax(mlp.forward(model, xs), axis=1) == classes))
+        for model, xs in ((model1, x1s), (model2, x2s))
+    )
     return compute_weights(hits1 / len(holdout), hits2 / len(holdout))
 
 
@@ -85,6 +84,11 @@ class EnsembleModel:
         """Ranked (label, fused score) for one vector per extractor."""
         x1, x2 = vectors
         return self.predict(x1, x2)
+
+    def scores(self, matrices):
+        """(B, classes) fused scores of B samples: one (B, dim) matrix per extractor."""
+        x1, x2 = matrices
+        return self.weights.w1 * mlp.forward(self.model1, x1) + self.weights.w2 * mlp.forward(self.model2, x2)
 
     def fusion_summary(self):
         """One line: the calibration accuracies and the fusion weights."""
@@ -129,9 +133,11 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 
 
 def load_ensemble(path) -> EnsembleModel:
-    """The ensemble and its member files; the weights must be finite and sum to 1."""
+    """The ensemble and its member files; d1 and d2 must be in [0, 1], the weights finite and summing to 1."""
     header = dict(ln.partition(" ")[::2] for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln)
     weights = from_fields(FusionWeights, header, path)
+    if not (0 <= weights.d1 <= 1 and 0 <= weights.d2 <= 1):  # also false for nan
+        raise FormatError(f"{path}: calibration accuracies d1={weights.d1!r} d2={weights.d2!r} are not in [0, 1]")
     if not math.isclose(weights.w1 + weights.w2, 1.0):  # also false for inf or nan
         raise FormatError(f"{path}: fusion weights w1={weights.w1!r} w2={weights.w2!r} do not sum to 1")
     directory = os.path.dirname(os.path.abspath(path))

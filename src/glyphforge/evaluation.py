@@ -134,25 +134,25 @@ class CrossValReport:
         self.std_top_k = {k: float(np.std(v)) for k, v in accs.items()}
 
 
-def cross_validate(true_labels, plan: SplitPlan, fold_fn) -> CrossValReport:
-    """K-fold evaluation; fold_fn(train_idx, test_idx) returns test rankings.
+def cross_validate(true_labels, plan: SplitPlan, folds_fn) -> CrossValReport:
+    """K-fold evaluation; folds_fn(splits) returns each fold's test rankings.
 
-    Each fold's models are trained inside fold_fn on train_idx only, so a
-    sample is never scored by a model that saw it.
+    splits lists every fold's (train_idx, test_idx), so folds_fn can train
+    all folds at once. Each fold's models are trained inside folds_fn on its
+    train_idx only, so a sample is never scored by a model that saw it.
     """
     if plan.mode != "kfold":
         raise ValueError("cross_validate needs a kfold SplitPlan")
     folds = split(true_labels, plan)
     class_table = sorted(set(true_labels))
-    reports = []
-    for f, test_idx in enumerate(folds):
-        train_idx = [i for g, fold in enumerate(folds) if g != f for i in fold]
-        rankings = fold_fn(sorted(train_idx), test_idx)
-        reports.append(
-            evaluate_rankings(
-                rankings, [true_labels[i] for i in test_idx], class_table
-            )
-        )
+    splits = [
+        (sorted(i for g, fold in enumerate(folds) if g != f for i in fold), test_idx)
+        for f, test_idx in enumerate(folds)
+    ]
+    reports = [
+        evaluate_rankings(rankings, [true_labels[i] for i in test_idx], class_table)
+        for rankings, (_, test_idx) in zip(folds_fn(splits), splits, strict=True)
+    ]
     return CrossValReport(fold_reports=reports)
 
 

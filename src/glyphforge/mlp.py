@@ -5,7 +5,8 @@ Inputs are min-max scaled to [0, 1] per feature with statistics frozen from
 the training set and stored in the model file.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +35,10 @@ class MlpConfig:
     def __post_init__(self):
         if min(self.input_size, self.hidden_size, self.output_size) < 1:
             raise ConfigError("all layer sizes must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not 0 <= self.target_mse < math.inf:  # a nan target could never be reached
+            raise ConfigError("target_mse must be finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
         if self.max_epochs < 1:
@@ -64,6 +67,11 @@ class MlpModel:
         """Ranked (label, confidence) for one vector per extractor."""
         (x,) = vectors
         return predict(self, x)
+
+    def scores(self, matrices):
+        """(B, classes) confidences of B samples: one (B, dim) matrix per extractor."""
+        (x,) = matrices
+        return forward(self, x)
 
     def fusion_summary(self):
         """No fusion lines: a single MLP has no calibration or weights."""
@@ -106,69 +114,123 @@ def init_model(config: MlpConfig, labels=None, extractor_id: str = "") -> MlpMod
     )
 
 
-def scale_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Min-max scale one feature vector or a matrix of row vectors.
+def scale_input(model: MlpModel, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Min-max scale one feature vector or a matrix of row vectors, into out when given.
 
     Features whose training span is 0 scale to 0.0.
     """
     if model.feature_min is None:
         return np.asarray(x, dtype=np.float64)
     span = model.feature_max - model.feature_min
-    scaled = np.subtract(x, model.feature_min, dtype=np.float64)
+    scaled = np.subtract(x, model.feature_min, dtype=np.float64, out=out)
     scaled /= np.where(span > 0, span, 1.0)
     scaled[..., ~(span > 0)] = 0.0
     return scaled
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Per-class confidences in (0, 1): sigmoid hidden and output layers."""
+    """Per-class confidences in (0, 1): sigmoid hidden and output layers.
+
+    x is one feature vector, giving (output_size,), or a (B, input_size)
+    matrix, giving (B, output_size). Each row goes through a stacked matmul,
+    which runs the BLAS call of the one-vector product for every row, so a
+    row's confidences equal those of forward on that row alone bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.config.input_size,):
-        raise ShapeError(
-            f"input length {x.shape} != ({model.config.input_size},)"
-        )
+    n = model.config.input_size
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ShapeError(f"input shape {x.shape} is neither ({n},) nor (rows, {n})")
     x = scale_input(model, x)
     with np.errstate(over="ignore"):  # exp(-t) of a saturated unit overflows to inf: sigmoid 0.0
-        hidden = sigmoid(model.w1 @ x + model.b1)
-        return sigmoid(model.w2 @ hidden + model.b2)
+        hidden = sigmoid(np.matmul(model.w1, x[..., None]) + model.b1[:, None])
+        return sigmoid(np.matmul(model.w2, hidden) + model.b2[:, None])[..., 0]
 
 
-def _backprop(w1, b1, w2, b2, x, target, gw1, gb1, gw2, gb2) -> float:
-    """One backprop pass on a scaled input; writes the gradients in place.
+def _layers(buf: np.ndarray, cfg: MlpConfig):
+    """Views (w1, b1, w2, b2) of a (S, P) buffer, each row laid out in that order.
 
-    Returns loss = 0.5 * sum((target - output)^2).
+    Their shapes are (S, h, n), (S, h), (S, o, h) and (S, o); writes to them
+    write to buf.
     """
-    hidden = sigmoid(w1 @ x + b1)
-    out = sigmoid(w2 @ hidden + b2)
-    err = out - target
-    np.multiply(err * out, 1.0 - out, out=gb2)
-    np.multiply(gb2[:, None], hidden, out=gw2)
-    np.multiply((w2.T @ gb2) * hidden, 1.0 - hidden, out=gb1)
-    np.multiply(gb1[:, None], x, out=gw1)
-    return 0.5 * float(np.dot(err, err))
-
-
-def _split(flat: np.ndarray, cfg: MlpConfig):
-    """Views (w1, b1, w2, b2) into one flat buffer laid out in that order."""
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
-    w1, b1, w2, b2 = np.split(flat, np.cumsum([h * n, h, o * h]))
-    return w1.reshape(h, n), b1, w2.reshape(o, h), b2
+    ends = np.cumsum([h * n, h, o * h, o])
+    shapes = ((h, n), (h,), (o, h), (o,))
+    return [buf[:, a:b].reshape(len(buf), *shape) for a, b, shape in zip([0, *ends[:-1]], ends, shapes)]
+
+
+def _flat(models) -> np.ndarray:
+    """The (S, P) weight buffer of models of one shape, one row per model (see _layers)."""
+    return np.stack([np.concatenate([m.w1.ravel(), m.b1, m.w2.ravel(), m.b2]) for m in models])
+
+
+def _sigmoid_inplace(t: np.ndarray) -> None:
+    """t = sigmoid(t) by the four float operations of sigmoid()."""
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+
+
+def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
+    """step(x_col, x_row, target, sq): one online backprop pass of every lane (row) of weights.
+
+    x_col (S, n, 1) and x_row (S, 1, n) view each lane's scaled input and
+    target (S, o, 1) its target. step writes each lane's gradients of
+    loss = 0.5 * sum((target - output)^2) into its row of grad and
+    sum((target - output)^2) into sq (S, 1, 1). The layers are stacked
+    matmuls and the outer products broadcast multiplies, so each lane runs
+    the BLAS calls and float operations of one model alone, whatever S is.
+    All intermediate arrays are allocated once here.
+    """
+    s, h, o = len(weights), cfg.hidden_size, cfg.output_size
+    w1, b1, w2, b2 = _layers(weights, cfg)
+    gw1, gb1, gw2, gb2 = _layers(grad, cfg)
+    b1, b2, gb1, gb2 = b1[..., None], b2[..., None], gb1[..., None], gb2[..., None]
+    w2t = w2.mT
+    hidden, one_minus_h = np.empty((s, h, 1)), np.empty((s, h, 1))
+    hidden_row = hidden.reshape(s, 1, h)
+    out, err, one_minus_o = np.empty((s, o, 1)), np.empty((s, o, 1)), np.empty((s, o, 1))
+    err_row = err.reshape(s, 1, o)
+
+    def step(x_col, x_row, target, sq):
+        np.matmul(w1, x_col, out=hidden)
+        np.add(hidden, b1, out=hidden)
+        _sigmoid_inplace(hidden)
+        np.matmul(w2, hidden, out=out)
+        np.add(out, b2, out=out)
+        _sigmoid_inplace(out)
+        np.subtract(out, target, out=err)
+        np.matmul(err_row, err, out=sq)
+        np.multiply(err, out, out=gb2)
+        np.subtract(1.0, out, out=one_minus_o)
+        np.multiply(gb2, one_minus_o, out=gb2)
+        np.multiply(gb2, hidden_row, out=gw2)
+        np.matmul(w2t, gb2, out=gb1)
+        np.multiply(gb1, hidden, out=gb1)
+        np.subtract(1.0, hidden, out=one_minus_h)
+        np.multiply(gb1, one_minus_h, out=gb1)
+        np.multiply(gb1, x_row, out=gw1)
+
+    return step
 
 
 def gradients(model: MlpModel, x: np.ndarray, target: np.ndarray):
     """Backprop gradients of loss = 0.5 * sum((target - output)^2).
 
     Returns (gw1, gb1, gw2, gb2, loss). Gradients are w.r.t. the raw
-    weights; input scaling is applied exactly as in forward().
+    weights; input scaling is applied exactly as in forward(). This is one
+    lane's step of train_lanes.
     """
     x = scale_input(model, x)
-    grads = [np.empty_like(m) for m in (model.w1, model.b1, model.w2, model.b2)]
-    loss = _backprop(model.w1, model.b1, model.w2, model.b2, x, target, *grads)
-    return (*grads, loss)
+    target = np.asarray(target, dtype=np.float64)
+    weights = _flat([model])
+    grad, sq = np.empty_like(weights), np.empty((1, 1, 1))
+    _backprop_step(weights, grad, model.config)(x[None, :, None], x[None, None, :], target[None, :, None], sq)
+    return (*(g[0] for g in _layers(grad, model.config)), 0.5 * float(sq[0, 0, 0]))
 
 
 def train(model: MlpModel, dataset) -> TrainingReport:
-    """Online backprop with momentum over a shuffled pass each epoch.
+    """Online backprop with momentum over a shuffled pass each epoch: train_lanes with one lane.
 
     dataset: sequence of (feature_vector, class_index). Sets the model's
     min-max scaling statistics from the dataset before the first epoch.
@@ -176,52 +238,110 @@ def train(model: MlpModel, dataset) -> TrainingReport:
     over all samples and output units) drops to target_mse. Afterwards the
     model's w1, b1, w2 and b2 are views into one flat weight buffer.
     """
-    if len(dataset) == 0:
-        raise TrainError("cannot train on an empty dataset")
-    cfg = model.config
-    xs = np.array([np.asarray(x, dtype=np.float64) for x, _ in dataset])
-    if xs.shape[1] != cfg.input_size:
-        raise ShapeError(f"feature dim {xs.shape[1]} != input_size {cfg.input_size}")
-    idxs = [int(c) for _, c in dataset]
-    if max(idxs) >= cfg.output_size or min(idxs) < 0:
-        raise TrainError("class index outside output layer range")
-    if model.feature_min is None:
-        model.feature_min = xs.min(axis=0)
-        model.feature_max = xs.max(axis=0)
-    xs = scale_input(model, xs)
-    targets = np.zeros((len(dataset), cfg.output_size))
-    targets[np.arange(len(dataset)), idxs] = 1.0
+    (report,) = train_lanes([model], [dataset])
+    return report
 
-    weights = np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
-    params = _split(weights, cfg)
-    model.w1, model.b1, model.w2, model.b2 = params
-    grad = np.empty_like(weights)
-    grads = _split(grad, cfg)
+
+# steps whose rows one np.take gathers while training lanes: gathering a whole
+# epoch at once would hold a second copy of every lane's training rows
+GATHER_ROWS = 64
+
+
+def train_lanes(models, datasets) -> list:
+    """train(model, dataset) for each pair, as lanes trained in lockstep; one TrainingReport per pair.
+
+    Lanes whose configs differ only in seed and whose datasets have the same
+    length train together; the others form groups of their own. Each lane
+    keeps its own seed + 1 permutation, momentum and target-MSE stop, and
+    its weights, MSE trace and stop reason equal those of train on that lane
+    alone bit for bit. A lane that stops leaves its group at that epoch's end.
+    """
+    groups = {}
+    for k, (model, dataset) in enumerate(zip(models, datasets, strict=True)):
+        if len(dataset) == 0:
+            raise TrainError("cannot train on an empty dataset")
+        groups.setdefault((len(dataset), *astuple(replace(model.config, seed=0))), []).append(k)
+    reports = [None] * len(models)
+    for lanes in groups.values():
+        for k, report in zip(lanes, _train_group([models[k] for k in lanes], [datasets[k] for k in lanes])):
+            reports[k] = report
+    return reports
+
+
+def _train_group(models, datasets) -> list:
+    """train_lanes for models whose configs differ only in seed, on datasets of one length."""
+    cfg = models[0].config
+    n_rows, n_lanes = len(datasets[0]), len(models)
+    xs = np.empty((n_lanes, n_rows, cfg.input_size))
+    targets = np.zeros((n_lanes, n_rows, cfg.output_size))
+    for k, dataset in enumerate(datasets):
+        for j, (x, _) in enumerate(dataset):
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape != (cfg.input_size,):
+                raise ShapeError(f"feature dim {x.shape} != input_size {cfg.input_size}")
+            xs[k, j] = x
+        idxs = [int(c) for _, c in dataset]
+        if max(idxs) >= cfg.output_size or min(idxs) < 0:
+            raise TrainError("class index outside output layer range")
+        targets[k, np.arange(n_rows), idxs] = 1.0
+    for model, x in zip(models, xs):
+        if model.feature_min is None:
+            model.feature_min, model.feature_max = x.min(axis=0), x.max(axis=0)
+        scale_input(model, x, out=x)
+    xs = xs.reshape(n_lanes * n_rows, cfg.input_size)
+    targets = targets.reshape(n_lanes * n_rows, cfg.output_size)
+
+    rngs = [np.random.default_rng(m.config.seed + 1) for m in models]
+    traces = [[] for _ in models]
+    active = list(range(n_lanes))  # the lanes still training, one per row of weights and vel
+    weights = _flat(models)
     vel = np.zeros_like(weights)
     neg_lr, mom = -cfg.learning_rate, cfg.momentum
-
-    rng = np.random.default_rng(cfg.seed + 1)
-    trace = []
-    # once around the loop, not per sigmoid call: the overflow of a saturated
-    # unit's exp(-t) is silenced, and its value (sigmoid 0.0) is unchanged
-    with np.errstate(over="ignore"):
-        for epoch in range(cfg.max_epochs):
-            order = rng.permutation(len(dataset))
-            sq_err = 0.0
-            for i in order:
-                sq_err += 2.0 * _backprop(*params, xs[i], targets[i], *grads)
-                # per element the same float operations as -lr * grad + mom * vel,
-                # so the weights match the per-array update bit for bit
-                grad *= neg_lr
-                vel *= mom
-                vel += grad
-                weights += vel
-            mse = sq_err / (len(dataset) * cfg.output_size)
-            trace.append(mse)
-            if mse <= cfg.target_mse:
-                break
-    stop_reason = "target" if trace[-1] <= cfg.target_mse else "capped"
-    return TrainingReport(epochs_run=len(trace), mse_trace=trace, stop_reason=stop_reason)
+    while active:
+        grad = np.empty_like(weights)
+        step = _backprop_step(weights, grad, cfg)
+        x_buf = np.empty((GATHER_ROWS, len(active), cfg.input_size))
+        x_cols, x_rows = x_buf[..., None], x_buf[:, :, None, :]
+        t_buf = np.empty((GATHER_ROWS, len(active), cfg.output_size))
+        t_cols = t_buf[..., None]
+        sq = np.empty((n_rows, len(active)))
+        sq_cells = sq[..., None, None]
+        first_row = np.array(active) * n_rows
+        done = []
+        # once around the loop, not per sigmoid call: the overflow of a saturated
+        # unit's exp(-t) is silenced, and its value (sigmoid 0.0) is unchanged
+        with np.errstate(over="ignore"):
+            while not done:
+                order = np.stack([rngs[k].permutation(n_rows) for k in active], axis=1) + first_row
+                for start in range(0, n_rows, GATHER_ROWS):
+                    chunk = order[start : start + GATHER_ROWS]
+                    # every index is in range; under the default mode="raise", take buffers its out
+                    np.take(xs, chunk, axis=0, out=x_buf[: len(chunk)], mode="clip")
+                    np.take(targets, chunk, axis=0, out=t_buf[: len(chunk)], mode="clip")
+                    for j in range(len(chunk)):
+                        step(x_cols[j], x_rows[j], t_cols[j], sq_cells[start + j])
+                        # per element the same float operations as -lr * grad + mom * vel,
+                        # so the weights match the per-array update bit for bit
+                        grad *= neg_lr
+                        vel *= mom
+                        vel += grad
+                        weights += vel
+                for r, k in enumerate(active):
+                    sq_err = 0.0  # in step order, by the float operations of training one model alone
+                    for d in sq[:, r].tolist():
+                        sq_err += 2.0 * (0.5 * d)
+                    traces[k].append(sq_err / (n_rows * cfg.output_size))
+                    if traces[k][-1] <= cfg.target_mse or len(traces[k]) == cfg.max_epochs:
+                        done.append(r)
+        for r in done:
+            m = models[active[r]]
+            m.w1, m.b1, m.w2, m.b2 = (v[0] for v in _layers(weights[r : r + 1].copy(), cfg))
+        keep = [r for r in range(len(active)) if r not in done]
+        weights, vel, active = weights[keep], vel[keep], [active[r] for r in keep]
+    return [
+        TrainingReport(len(trace), trace, "target" if trace[-1] <= cfg.target_mse else "capped")
+        for trace in traces
+    ]
 
 
 def predict(model: MlpModel, x: np.ndarray):

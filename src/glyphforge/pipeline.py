@@ -98,10 +98,51 @@ def extract_table(
     return table
 
 
-def train_model(
-    tables, labels, calibration_fraction: float = CALIBRATION_FRACTION,
+def train_models(
+    table_sets, labels, calibration_fraction: float = CALIBRATION_FRACTION,
     hidden_size: int = None, seed: int = 0, **config,
 ):
+    """train_model for each set of tables, with every member MLP trained in one mlp.train_lanes call.
+
+    Members of one extractor on equally many rows, such as the folds of a
+    cross-validation, train as lanes in lockstep; each equals its training
+    alone bit for bit. Returns one (model, reports) pair per set.
+    """
+    if not 0 < calibration_fraction < 1:
+        raise ConfigError("calibration_fraction must be in (0, 1)")
+    labels = list(labels)
+    label_pos = {lab: i for i, lab in enumerate(labels)}
+    members, datasets, holdouts = [], [], []
+    for tables in table_sets:
+        dataset_io.check_same_samples(tables)
+        rows = tables[0].rows
+        if not rows:
+            raise TrainError("feature table has no rows")
+        fit_idx, cal_idx = range(len(rows)), []
+        if len(tables) > 1:
+            order = np.random.default_rng(seed).permutation(len(rows))
+            cal_idx = sorted(int(i) for i in order[: max(1, int(round(calibration_fraction * len(rows))))])
+            fit_idx = sorted(set(fit_idx) - set(cal_idx))
+            if not fit_idx:
+                raise TrainError("calibration split leaves no training samples")
+        holdouts.append([(*(t.rows[i][2] for t in tables), label_pos[rows[i][1]]) for i in cal_idx])
+        for table in tables:
+            size = EXTRACTORS[table.extractor_id].hidden_size if hidden_size is None else hidden_size
+            cfg = mlp.MlpConfig(input_size=table.dim, hidden_size=size, output_size=len(labels), seed=seed, **config)
+            model = mlp.init_model(cfg, labels, extractor_id=table.extractor_id)
+            model.extractor_flags = dict(table.flags)
+            members.append(model)
+            datasets.append([(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx])
+    reports, members = iter(mlp.train_lanes(members, datasets)), iter(members)
+    results = []
+    for tables, holdout in zip(table_sets, holdouts):
+        models = list(itertools.islice(members, len(tables)))
+        model = models[0] if len(models) == 1 else ensemble.EnsembleModel(*models, ensemble.calibrate(*models, holdout))
+        results.append((model, list(itertools.islice(reports, len(tables)))))
+    return results
+
+
+def train_model(tables, labels, **train_kwargs):
     """Train one MLP per feature table, fused by calibrated weights when there are two.
 
     One table trains on all its rows. Two tables must list the same samples
@@ -113,33 +154,8 @@ def train_model(
     each left out keeps its MlpConfig default. Returns (MlpModel or
     EnsembleModel, one TrainingReport per member in table order).
     """
-    if not 0 < calibration_fraction < 1:
-        raise ConfigError("calibration_fraction must be in (0, 1)")
-    dataset_io.check_same_samples(tables)
-    rows = tables[0].rows
-    if not rows:
-        raise TrainError("feature table has no rows")
-    labels = list(labels)
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    fit_idx, cal_idx = range(len(rows)), []
-    if len(tables) > 1:
-        order = np.random.default_rng(seed).permutation(len(rows))
-        cal_idx = sorted(int(i) for i in order[: max(1, int(round(calibration_fraction * len(rows))))])
-        fit_idx = sorted(set(fit_idx) - set(cal_idx))
-        if not fit_idx:
-            raise TrainError("calibration split leaves no training samples")
-    members, reports = [], []
-    for table in tables:
-        size = EXTRACTORS[table.extractor_id].hidden_size if hidden_size is None else hidden_size
-        cfg = mlp.MlpConfig(input_size=table.dim, hidden_size=size, output_size=len(labels), seed=seed, **config)
-        model = mlp.init_model(cfg, labels, extractor_id=table.extractor_id)
-        model.extractor_flags = dict(table.flags)
-        reports.append(mlp.train(model, [(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx]))
-        members.append(model)
-    if len(members) == 1:
-        return members[0], reports
-    holdout = [(*(t.rows[i][2] for t in tables), label_pos[rows[i][1]]) for i in cal_idx]
-    return ensemble.EnsembleModel(*members, ensemble.calibrate(*members, holdout)), reports
+    (result,) = train_models([tables], labels, **train_kwargs)
+    return result
 
 
 def train_ensemble_on_tables(table1, table2, labels, **train_kwargs):

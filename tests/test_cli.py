@@ -53,14 +53,14 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def trainings(monkeypatch):
-    """(config, number of training rows) of every mlp.train call."""
+    """(config, number of training rows) of every lane of every mlp.train_lanes call."""
     seen = []
 
-    def recorded(model, dataset, _train=mlp.train):
-        seen.append((model.config, len(dataset)))
-        return _train(model, dataset)
+    def recorded(models, datasets, _train_lanes=mlp.train_lanes):
+        seen.extend((model.config, len(dataset)) for model, dataset in zip(models, datasets))
+        return _train_lanes(models, datasets)
 
-    monkeypatch.setattr(mlp, "train", recorded)
+    monkeypatch.setattr(mlp, "train_lanes", recorded)
     return seen
 
 
@@ -428,9 +428,28 @@ def test_training_options_reach_every_config(feature_files, corpus, tmp_path, tr
     assert [n for _, n in trainings] == [24, 14, 14, 7, 7, 7, 7]
 
 
+def test_crossval_unequal_folds_equal_per_fold_training(corpus, tmp_path, monkeypatch, trainings):
+    lockstep, per_fold = tmp_path / "lockstep.txt", tmp_path / "per_fold.txt"
+    argv = ["crossval", "--corpus", str(corpus), "--folds", "5", "--epochs", "4", "--seed", "3", "--out"]
+    assert cli.main([*argv, str(lockstep)]) == 0
+    # 5 stratified folds of 24 rows train on 18 or 21, of which 14 or 17 fit and the rest calibrate;
+    # each member's folds of one length train as lanes of one group
+    assert sorted(n for _, n in trainings) == [14] * 6 + [17] * 4
+    # the folds trained one at a time, each by the call pipeline.train_model makes
+    train_models = pipeline.train_models
+    monkeypatch.setattr(pipeline, "train_models", lambda table_sets, labels, **kwargs: [
+        train_models([tables], labels, **kwargs)[0] for tables in table_sets
+    ])
+    assert cli.main([*argv, str(per_fold)]) == 0
+    assert per_fold.read_text() == lockstep.read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--momentum", "1.5"],
     ["train", "--lr", "0"],
+    ["train", "--lr", "inf"],
+    ["train", "--target-mse", "nan"],
+    ["train", "--target-mse", "-1"],
     ["train", "--hidden", "-3"],
     ["train", "--hidden", "0"],
     ["train", "--epochs", "0"],

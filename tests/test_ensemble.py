@@ -167,6 +167,15 @@ class TestEnsembleModel:
         b = loaded.predict(np.zeros(2), np.zeros(2))
         assert a == b
 
+    @pytest.mark.parametrize("line", ["d1 nan", "d1 inf", "d1 -0.25", "d2 1.5"])
+    def test_calibration_accuracy_outside_unit_interval(self, tmp_path, line):
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        lines = [line if ln.startswith(line[:3]) else ln for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="calibration accuracies"):
+            ensemble.load_ensemble(path)
+
     @pytest.mark.parametrize("load", [ensemble.load_ensemble, ensemble.load_any_model])
     def test_unreadable_file(self, tmp_path, load):
         path = tmp_path / "binary.glyph"

@@ -96,8 +96,8 @@ class TestCrossValidate:
         labels = labels_for({"a": 33, "b": 33, "c": 33})
         plan = ev.SplitPlan(mode="kfold", folds=3, seed=6)
 
-        def perfect(train_idx, test_idx):
-            return [[labels[i], "a", "b", "c"] for i in test_idx]
+        def perfect(splits):
+            return [[[labels[i], "a", "b", "c"] for i in test_idx] for _, test_idx in splits]
 
         rep = ev.cross_validate(labels, plan, perfect)
         assert [r.n_samples for r in rep.fold_reports] == [33, 33, 33]
@@ -111,17 +111,20 @@ class TestCrossValidate:
         plan = ev.SplitPlan(mode="kfold", folds=3, seed=7)
         seen = []
 
-        def spy(train_idx, test_idx):
-            assert not (set(train_idx) & set(test_idx))
-            seen.extend(test_idx)
-            return [[labels[i], "a", "b"] for i in test_idx]
+        def spy(splits):
+            rankings = []
+            for train_idx, test_idx in splits:
+                assert not (set(train_idx) & set(test_idx))
+                seen.extend(test_idx)
+                rankings.append([[labels[i], "a", "b"] for i in test_idx])
+            return rankings
 
         ev.cross_validate(labels, plan, spy)
         assert sorted(seen) == list(range(18))
 
     def test_requires_kfold_plan(self):
         with pytest.raises(ValueError):
-            ev.cross_validate(["a", "b"], ev.SplitPlan(mode="fraction"), lambda a, b: [])
+            ev.cross_validate(["a", "b"], ev.SplitPlan(mode="fraction"), lambda splits: [])
 
 
 class TestReportFormatting:

@@ -47,7 +47,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("hidden_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
-        ("momentum", -0.1), ("max_epochs", 0),
+        ("learning_rate", float("inf")), ("momentum", -0.1), ("max_epochs", 0),
+        ("target_mse", float("nan")), ("target_mse", -1.0), ("target_mse", float("inf")),
     ])
     def test_out_of_range_is_config_error(self, field, value):
         with pytest.raises(ConfigError):
@@ -273,6 +274,88 @@ class TestTrainBitIdentity:
         assert np.array_equal(scaled, rows)
         assert not scaled[:, 5].any()
         assert scaled[:, :5].min() == 0.0 and scaled[:, :5].max() == 1.0
+
+
+def assert_lanes_equal_separate_runs(make_model, datasets):
+    """train_lanes over fresh models equals one mlp.train per lane: weights, MSE traces and stop reasons."""
+    lanes = [make_model(k) for k in range(len(datasets))]
+    reports = mlp.train_lanes(lanes, datasets)
+    for k, (lane, report, dataset) in enumerate(zip(lanes, reports, datasets)):
+        alone = make_model(k)
+        want = mlp.train(alone, dataset)
+        assert (report.mse_trace, report.stop_reason) == (want.mse_trace, want.stop_reason), k
+        for name in ("w1", "b1", "w2", "b2", "feature_min", "feature_max"):
+            assert np.array_equal(getattr(lane, name), getattr(alone, name)), (k, name)
+    return reports
+
+
+class TestTrainLanes:
+    def test_lanes_stop_on_their_own(self):
+        def dataset(seed, n=12):
+            rng = np.random.default_rng(seed)
+            xs = rng.normal(size=(n, 6))
+            return [(x, int(x[1] > 0) + int(x[4] > 0)) for x in xs]
+
+        reports = assert_lanes_equal_separate_runs(
+            lambda k: small_model(6, 5, 3, seed=k + 1, max_epochs=80, target_mse=0.02),
+            [dataset(1), dataset(1), dataset(3), dataset(4)],
+        )
+        # lanes leave at different epochs; one runs on to the cap
+        assert [(r.epochs_run, r.stop_reason) for r in reports] == [
+            (34, "target"), (39, "target"), (66, "target"), (80, "capped"),
+        ]
+
+    def test_saturated_wide_range_lanes(self):
+        rng = np.random.default_rng(21)
+        datasets = []
+        for _ in range(3):
+            xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
+            datasets.append([(x, i % 3) for i, x in enumerate(xs)])
+
+        def make_model(k):
+            model = small_model(63, 45, 3, seed=6 + k, max_epochs=5)
+            model.feature_min, model.feature_max = np.zeros(63), np.full(63, 1e-4)
+            return model
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_lanes_equal_separate_runs(make_model, datasets)
+
+    def test_unequal_lengths_and_shapes_train_apart(self):
+        data = wide_range_dataset(30)
+        datasets = [data, data[:20], data[5:25], data[:20]]
+        hidden = [5, 5, 5, 4]  # lanes 1 and 2 share a group; 0 and 3 each train alone
+        assert_lanes_equal_separate_runs(
+            lambda k: small_model(6, hidden[k], 3, seed=k, max_epochs=6, target_mse=1e-12), datasets
+        )
+
+    def test_bad_lane_fails_before_training(self):
+        models = [small_model(seed=1, max_epochs=2), small_model(seed=2, max_epochs=2)]
+        before = models[0].w1.copy()
+        with pytest.raises(TrainError):
+            mlp.train_lanes(models, [[(np.ones(5), 0)], [(np.ones(5), 7)]])
+        assert np.array_equal(models[0].w1, before) and models[0].feature_min is None
+
+
+class TestBatchedForward:
+    def test_rows_equal_one_at_a_time(self):
+        model = small_model(6, 5, 3, seed=2)
+        data = wide_range_dataset(40)
+        mlp.train(model, data[:20])  # the other 20 rows fall outside the frozen range
+        xs = np.array([x for x, _ in data])
+        batch = mlp.forward(model, xs)
+        assert batch.shape == (40, 3)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, mlp.forward(model, x))
+            scaled = mlp.scale_input(model, x)
+            with np.errstate(over="ignore"):
+                hidden = mlp.sigmoid(model.w1 @ scaled + model.b1)
+                assert np.array_equal(row, mlp.sigmoid(model.w2 @ hidden + model.b2))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 5), ()])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(ShapeError):
+            mlp.forward(small_model(), np.ones(shape))
 
 
 class TestPredict:
