@@ -258,7 +258,7 @@ def cmd_predict(args) -> int:
     images = ((path, dataset_io.read_pgm_or_skip(path, strict)) for path in paths)
     samples = (dataset_io.LabeledSample(id=path, label="", image=img) for path, img in images if img is not None)
     for sample, vectors in pipeline.iter_features(samples, model.extractors, strict):
-        ranked = model.rank(vectors)[: args.k]
+        ranked = mlp.ranked(model.labels, model.scores([v[None] for v in vectors])[0])[: args.k]
         listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked)
         print(f"{sample.id}  {listing}")
     return 0

@@ -34,14 +34,19 @@ def compute_weights(d1: float, d2: float) -> FusionWeights:
     return FusionWeights(d1=d1, d2=d2, w1=d1 / total, w2=d2 / total)
 
 
-def fuse(weights: FusionWeights, o1: np.ndarray, o2: np.ndarray):
-    """Ranked (class_index, score), score descending, ties by class index."""
+def fused_scores(weights: FusionWeights, o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """w1 * o1 + w2 * o2 for the members' confidences: one sample's, or a (B, classes) matrix each."""
     o1 = np.asarray(o1, dtype=np.float64)
     o2 = np.asarray(o2, dtype=np.float64)
     if o1.shape != o2.shape:
         raise ShapeError(f"confidence lengths differ: {o1.shape} vs {o2.shape}")
-    scores = weights.w1 * o1 + weights.w2 * o2
-    return [(i, float(scores[i])) for i in mlp.rank_order(scores)]
+    return weights.w1 * o1 + weights.w2 * o2
+
+
+def fuse(weights: FusionWeights, o1: np.ndarray, o2: np.ndarray):
+    """Ranked (class_index, score) of one sample, score descending, ties by class index."""
+    scores = fused_scores(weights, o1, o2)
+    return mlp.ranked(range(len(scores)), scores)
 
 
 def calibrate(model1: mlp.MlpModel, model2: mlp.MlpModel, holdout) -> FusionWeights:
@@ -80,15 +85,10 @@ class EnsembleModel:
         """The members' (extractor_id, flags) pairs, model1 first."""
         return self.model1.extractors + self.model2.extractors
 
-    def rank(self, vectors):
-        """Ranked (label, fused score) for one vector per extractor."""
-        x1, x2 = vectors
-        return self.predict(x1, x2)
-
     def scores(self, matrices):
         """(B, classes) fused scores of B samples: one (B, dim) matrix per extractor."""
         x1, x2 = matrices
-        return self.weights.w1 * mlp.forward(self.model1, x1) + self.weights.w2 * mlp.forward(self.model2, x2)
+        return fused_scores(self.weights, mlp.forward(self.model1, x1), mlp.forward(self.model2, x2))
 
     def fusion_summary(self):
         """One line: the calibration accuracies and the fusion weights."""
@@ -100,11 +100,7 @@ class EnsembleModel:
 
     def predict(self, x1: np.ndarray, x2: np.ndarray):
         """Ranked (label, fused score) for one sample's two feature vectors."""
-        o1 = mlp.forward(self.model1, x1)
-        o2 = mlp.forward(self.model2, x2)
-        return [
-            (self.labels[i], score) for i, score in fuse(self.weights, o1, o2)
-        ]
+        return mlp.ranked(self.labels, self.scores([np.asarray(x1)[None], np.asarray(x2)[None]])[0])
 
 
 ENSEMBLE_MAGIC = "glyphforge-ensemble v1"

@@ -60,13 +60,8 @@ class MlpModel:
 
     @property
     def extractors(self):
-        """The (extractor_id, flags) pairs whose vectors rank() takes."""
+        """The (extractor_id, flags) pairs whose matrices scores() takes."""
         return [(self.extractor_id, self.extractor_flags)]
-
-    def rank(self, vectors):
-        """Ranked (label, confidence) for one vector per extractor."""
-        (x,) = vectors
-        return predict(self, x)
 
     def scores(self, matrices):
         """(B, classes) confidences of B samples: one (B, dim) matrix per extractor."""
@@ -255,11 +250,12 @@ def train_lanes(models, datasets) -> list:
     keeps its own seed + 1 permutation, momentum and target-MSE stop, and
     its weights, MSE trace and stop reason equal those of train on that lane
     alone bit for bit. A lane that stops leaves its group at that epoch's end.
+    Every lane's rows are checked before any group trains, so a bad lane
+    leaves all models untouched.
     """
     groups = {}
     for k, (model, dataset) in enumerate(zip(models, datasets, strict=True)):
-        if len(dataset) == 0:
-            raise TrainError("cannot train on an empty dataset")
+        _check_rows(model.config, dataset)
         groups.setdefault((len(dataset), *astuple(replace(model.config, seed=0))), []).append(k)
     reports = [None] * len(models)
     for lanes in groups.values():
@@ -268,22 +264,27 @@ def train_lanes(models, datasets) -> list:
     return reports
 
 
+def _check_rows(cfg: MlpConfig, dataset) -> None:
+    """A TrainError or ShapeError unless dataset is a nonempty sequence of (input_size vector, class index)."""
+    if len(dataset) == 0:
+        raise TrainError("cannot train on an empty dataset")
+    for x, _ in dataset:
+        if np.shape(x) != (cfg.input_size,):
+            raise ShapeError(f"feature dim {np.shape(x)} != input_size {cfg.input_size}")
+    if not all(0 <= int(c) < cfg.output_size for _, c in dataset):
+        raise TrainError("class index outside output layer range")
+
+
 def _train_group(models, datasets) -> list:
-    """train_lanes for models whose configs differ only in seed, on datasets of one length."""
+    """train_lanes for models whose configs differ only in seed, on checked datasets of one length."""
     cfg = models[0].config
     n_rows, n_lanes = len(datasets[0]), len(models)
     xs = np.empty((n_lanes, n_rows, cfg.input_size))
     targets = np.zeros((n_lanes, n_rows, cfg.output_size))
     for k, dataset in enumerate(datasets):
-        for j, (x, _) in enumerate(dataset):
-            x = np.asarray(x, dtype=np.float64)
-            if x.shape != (cfg.input_size,):
-                raise ShapeError(f"feature dim {x.shape} != input_size {cfg.input_size}")
+        for j, (x, c) in enumerate(dataset):
             xs[k, j] = x
-        idxs = [int(c) for _, c in dataset]
-        if max(idxs) >= cfg.output_size or min(idxs) < 0:
-            raise TrainError("class index outside output layer range")
-        targets[k, np.arange(n_rows), idxs] = 1.0
+            targets[k, j, int(c)] = 1.0
     for model, x in zip(models, xs):
         if model.feature_min is None:
             model.feature_min, model.feature_max = x.min(axis=0), x.max(axis=0)
@@ -346,8 +347,12 @@ def _train_group(models, datasets) -> list:
 
 def predict(model: MlpModel, x: np.ndarray):
     """Ranked (label, confidence), confidence descending, ties by class index."""
-    conf = forward(model, x)
-    return [(model.labels[i], float(conf[i])) for i in rank_order(conf)]
+    return ranked(model.labels, forward(model, x))
+
+
+def ranked(labels, scores):
+    """(label, score) for one sample's per-class scores, score descending, ties by class index."""
+    return [(labels[i], float(scores[i])) for i in rank_order(scores)]
 
 
 def rank_order(scores):

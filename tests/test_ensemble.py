@@ -155,6 +155,17 @@ class TestEnsembleModel:
         assert ranked[0][0] == "a"
         assert len(ranked) == 3
 
+    def test_scores_rows_are_the_fused_member_confidences(self):
+        m1, m2 = (mlp.init_model(mlp.MlpConfig(2, 4, 3, seed=seed), ["a", "b", "c"]) for seed in (1, 2))
+        ens = ensemble.EnsembleModel(m1, m2, ensemble.compute_weights(0.8, 0.4))
+        x1, x2 = np.arange(8.0).reshape(4, 2), np.arange(8.0, 0.0, -1.0).reshape(4, 2)
+        batch = ens.scores([x1, x2])
+        assert batch.shape == (4, 3)
+        for row, v1, v2 in zip(batch, x1, x2):
+            o1, o2 = mlp.forward(m1, v1), mlp.forward(m2, v2)
+            assert np.array_equal(row, ens.weights.w1 * o1 + ens.weights.w2 * o2)
+            assert ens.predict(v1, v2) == [(ens.labels[i], s) for i, s in ensemble.fuse(ens.weights, o1, o2)]
+
     def test_save_load_round_trip(self, tmp_path):
         ens = self.build()
         path = tmp_path / "ens.glyph"

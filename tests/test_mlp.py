@@ -329,11 +329,17 @@ class TestTrainLanes:
             lambda k: small_model(6, hidden[k], 3, seed=k, max_epochs=6, target_mse=1e-12), datasets
         )
 
-    def test_bad_lane_fails_before_training(self):
+    @pytest.mark.parametrize("datasets, error", [
+        ([[(np.ones(5), 0)], [(np.ones(5), 7)]], TrainError),
+        # lanes of unequal length train in groups of their own: the bad lane is in the second group
+        ([[(np.ones(5), 0)], [(np.ones(5), 1), (np.ones(5), 7)]], TrainError),
+        ([[(np.ones(5), 0)], [(np.ones(5), 1), (np.ones(4), 0)]], ShapeError),
+    ])
+    def test_bad_lane_fails_before_training(self, datasets, error):
         models = [small_model(seed=1, max_epochs=2), small_model(seed=2, max_epochs=2)]
         before = models[0].w1.copy()
-        with pytest.raises(TrainError):
-            mlp.train_lanes(models, [[(np.ones(5), 0)], [(np.ones(5), 7)]])
+        with pytest.raises(error):
+            mlp.train_lanes(models, datasets)
         assert np.array_equal(models[0].w1, before) and models[0].feature_min is None
 
 
