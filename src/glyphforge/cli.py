@@ -10,8 +10,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import dataset_io, ensemble, evaluation, mlp, pipeline
 from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 from .extractors import EXTRACTORS
@@ -105,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _extractors(extractor_ids, args):
-    """(extractor_id, flags) pairs; an extractor's flag is on when the option of that name is."""
+    """(extractor_id, flags) pairs, a flag on when its option is; another extractor's option is a ConfigError."""
+    for e in EXTRACTORS.values():
+        if getattr(args, e.flag) and e.id not in extractor_ids:
+            raise ConfigError(f"--{e.flag.replace('_', '-')} is an option of {e.id}, which this command does not run")
     return [(e, {EXTRACTORS[e].flag: True} if getattr(args, EXTRACTORS[e].flag) else {}) for e in extractor_ids]
 
 
@@ -120,13 +121,9 @@ def _train_kwargs(args):
     return dict({dest: getattr(args, dest) for dest in dests}, seed=args.seed)
 
 
-def _rankings(model, tables, idxs):
-    """Ranked labels for rows idxs, scored in one call on one (len(idxs), dim) matrix per table.
-
-    tables follow model.extractors.
-    """
-    scores = model.scores([np.array([t.rows[i][2] for i in idxs]).reshape(len(idxs), t.dim) for t in tables])
-    return [[model.labels[c] for c in mlp.rank_order(row)] for row in scores.tolist()]
+def _ranked(model, matrices):
+    """Yield mlp.ranked of each of B samples, scored in one call on a (B, dim) matrix or B vectors per extractor."""
+    return (mlp.ranked(model.labels, row) for row in model.scores(matrices).tolist())
 
 
 def cmd_synth(args) -> int:
@@ -144,14 +141,13 @@ def _dump_stages(directory, sample, stages) -> None:
 
 
 def cmd_extract(args) -> int:
+    ((extractor_id, flags),) = _extractors([args.extractor], args)
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
     on_stages = None
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
         on_stages = functools.partial(_dump_stages, args.dump_stages)
-    table = pipeline.extract_table(
-        samples, *_extractors([args.extractor], args)[0], strict=args.strict, on_stages=on_stages
-    )
+    table = pipeline.extract_table(samples, extractor_id, flags, strict=args.strict, on_stages=on_stages)
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -183,7 +179,9 @@ def _eval_tables(model, tables):
         if table.extractor_id != extractor_id:
             raise FormatError(f"model wants {extractor_id!r} features, table has {table.extractor_id!r}")
     dataset_io.check_same_samples(tables)
-    rankings = _rankings(model, tables, range(len(tables[0].rows)))
+    if not tables[0].rows:
+        raise CorpusError("feature table has no rows")
+    rankings = [[lab for lab, _ in r] for r in _ranked(model, [[v for _, _, v in t.rows] for t in tables])]
     truth = [lab for _, lab, _ in tables[0].rows]
     return evaluation.evaluate_rankings(rankings, truth, model.labels)
 
@@ -203,9 +201,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    extractor_ids = tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,)
+    extractors = _extractors(tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,), args)
     # the corpus images are not named here, so they are freed before the folds train
-    tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), _extractors(extractor_ids, args))
+    tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), extractors)
     labels = [lab for _, lab, _ in tables[0].rows]
     class_table = sorted(set(labels))
     plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
@@ -213,7 +211,8 @@ def cmd_crossval(args) -> int:
     def folds_fn(splits):
         table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
         trained = pipeline.train_models(table_sets, class_table, **_train_kwargs(args))
-        return [_rankings(model, tables, test_idx) for (model, _), (_, test_idx) in zip(trained, splits)]
+        tests = [[[t.rows[i][2] for i in test_idx] for t in tables] for _, test_idx in splits]
+        return [[[lab for lab, _ in r] for r in _ranked(model, x)] for (model, _), x in zip(trained, tests)]
 
     report = evaluation.cross_validate(labels, plan, folds_fn)
     lines = [f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}"]
@@ -257,10 +256,10 @@ def cmd_predict(args) -> int:
     strict = bool(args.image)
     images = ((path, dataset_io.read_pgm_or_skip(path, strict)) for path in paths)
     samples = (dataset_io.LabeledSample(id=path, label="", image=img) for path, img in images if img is not None)
-    for sample, vectors in pipeline.iter_features(samples, model.extractors, strict):
-        ranked = mlp.ranked(model.labels, model.scores([v[None] for v in vectors])[0])[: args.k]
-        listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked)
-        print(f"{sample.id}  {listing}")
+    for kept, matrices in pipeline.iter_features(samples, model.extractors, strict):
+        for sample, ranked in zip(kept, _ranked(model, matrices)):
+            listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked[: args.k])
+            print(f"{sample.id}  {listing}")
     return 0
 
 

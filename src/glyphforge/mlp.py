@@ -352,12 +352,7 @@ def predict(model: MlpModel, x: np.ndarray):
 
 def ranked(labels, scores):
     """(label, score) for one sample's per-class scores, score descending, ties by class index."""
-    return [(labels[i], float(scores[i])) for i in rank_order(scores)]
-
-
-def rank_order(scores):
-    """Class indices by score descending, ties by class index."""
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [(labels[i], float(scores[i])) for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i))]
 
 
 # --- model file format -------------------------------------------------------

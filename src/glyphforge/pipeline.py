@@ -17,7 +17,7 @@ CHUNK_SIZE = 32
 
 
 def _chunk_features(chunk, extractors, strict, on_stages):
-    """(sample, vectors) for each sample of one chunk that has foreground.
+    """(kept samples, one (len(kept), dim) matrix per extractor) for one chunk, or None if it keeps none.
 
     Binarize and normalize run per image; a sample without foreground is
     skipped with a warning that names it, or with strict is a CorpusError.
@@ -43,7 +43,7 @@ def _chunk_features(chunk, extractors, strict, on_stages):
         kept.append(sample)
         binaries.append(binary)
     if not kept:
-        return []
+        return None
     scaled = np.stack(scaled)
     needed = list(EXTRACTORS) if on_stages else [x for x, _ in extractors]
     makers = {EXTRACTORS[x].stage: EXTRACTORS[x].make_stage for x in needed}
@@ -52,15 +52,15 @@ def _chunk_features(chunk, extractors, strict, on_stages):
         stages = {"binary": binaries, "scaled": scaled, **stacks}
         for i, sample in enumerate(kept):
             on_stages(sample, {name: stack[i] for name, stack in stages.items()})
-    columns = []
+    matrices = []
     for extractor_id, flags in extractors:
         e = EXTRACTORS[extractor_id]
-        columns.append(e.features(stacks[e.stage], flags.get(e.flag, False)))
-    return list(zip(kept, zip(*columns)))
+        matrices.append(e.features(stacks[e.stage], flags.get(e.flag, False)))
+    return kept, matrices
 
 
 def iter_features(samples, extractors, strict: bool = False, on_stages=None):
-    """(sample, vectors) for each sample with foreground: one vector per (extractor_id, flags) pair.
+    """(kept samples, matrices) for each chunk that keeps a sample: one matrix per (extractor_id, flags) pair.
 
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
     for skipped samples, strict and on_stages); a chunk's stages are freed
@@ -71,7 +71,8 @@ def iter_features(samples, extractors, strict: bool = False, on_stages=None):
             raise FormatError(f"unknown extractor {extractor_id!r}")
     samples = iter(samples)
     while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
-        yield from _chunk_features(chunk, extractors, strict, on_stages)
+        if features := _chunk_features(chunk, extractors, strict, on_stages):
+            yield features
 
 
 def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
@@ -81,9 +82,9 @@ def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
     sees each kept sample's stages (see iter_features).
     """
     rows = [[] for _ in extractors]
-    for s, vectors in iter_features(samples, extractors, strict, on_stages):
-        for table_rows, vec in zip(rows, vectors):
-            table_rows.append((s.id, s.label, vec))
+    for kept, matrices in iter_features(samples, extractors, strict, on_stages):
+        for table_rows, matrix in zip(rows, matrices):
+            table_rows.extend((s.id, s.label, vec) for s, vec in zip(kept, matrix))
     return [
         dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, dict(flags))
         for (extractor_id, flags), table_rows in zip(extractors, rows)

@@ -374,6 +374,8 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     unknown_csv.write_text(chain.read_text().replace("extractor=chain200", "extractor=foo", 1))
     foreign_flag_csv = tmp_path / "foreign_flag.csv"  # the moment63 flag in a chain200 header
     foreign_flag_csv.write_text(chain.read_text().replace("dim=200\n", "dim=200 log_moments=1\n", 1))
+    header_only_csv = tmp_path / "header_only.csv"
+    header_only_csv.write_text(lines[0] + "\n")
     weight_lines = ensemble_file.read_text().splitlines()
     glyphs = {}
     for name, w1 in (("inf", "inf"), ("nan", "nan"), ("sum", "0.9")):
@@ -387,6 +389,7 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     assert cli.main(["predict", "--model", str(corpus), "--image", str(image)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(image)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(nan_csv)]) == 2
+    assert cli.main(["eval", "--model", str(member), "--features", str(header_only_csv)]) == 2
     for csv in (unknown_csv, foreign_flag_csv):
         assert cli.main(["train", "--features", str(csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
     assert not (tmp_path / "u.mlp").exists()
@@ -457,6 +460,9 @@ def test_crossval_unequal_folds_equal_per_fold_training(corpus, tmp_path, monkey
     ["train", "--features2", "MOMENT", "--calibration-fraction", "0"],
     ["crossval", "--folds", "1"],
     ["crossval", "--momentum", "-0.5"],
+    ["crossval", "--extractor", "chain200", "--log-moments"],
+    ["extract", "--extractor", "chain200", "--log-moments"],
+    ["extract", "--extractor", "moment63", "--normalize"],
     ["synth", "--classes", "1"],
     ["synth", "--per-class", "0"],
     ["predict", "-k", "0"],
@@ -468,6 +474,7 @@ def test_out_of_range_setting_exit_2(feature_files, ensemble_file, corpus, tmp_p
     required = {
         "train": ["--features", str(chain), "--out", str(tmp_path / "m")],
         "crossval": ["--corpus", str(corpus), "--epochs", "2"],
+        "extract": ["--corpus", str(corpus), "--out", str(tmp_path / "m")],
         "synth": ["--out", str(tmp_path / "m")],
         "predict": ["--model", str(ensemble_file), "--image", str(corpus / "c00" / "s000.pgm")],
     }

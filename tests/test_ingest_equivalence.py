@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from glyphforge import chain_features as cf
-from glyphforge import cli, dataset_io, pipeline
+from glyphforge import cli, dataset_io, ensemble, pipeline
 from glyphforge import image_prep as ip
 from glyphforge import moment_features as mf
 from glyphforge.errors import ExtractionError
@@ -368,7 +368,7 @@ def test_extract_golden_bytes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys):
+def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--classes", "3", "--per-class", "12", "--seed", "8", "--out", str(corpus)]) == 0
     tables = []
@@ -384,10 +384,20 @@ def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys):
     for path in sorted(corpus.glob("*/*.pgm")):
         shutil.copyfile(path, images / f"{path.parent.name}_{path.name}")
     paths = sorted(images.iterdir())
-    assert len(paths) > pipeline.CHUNK_SIZE
+    assert len(paths) == 36 and pipeline.CHUNK_SIZE == 32
+    # sorts before c01_s000.pgm, in the middle of the first chunk, which then keeps one row fewer than it read
+    blank = images / "c01_blank.pgm"
+    dataset_io.write_pgm(blank, np.full((64, 64), 255, dtype=np.uint8))
+    assert sorted(images.iterdir()).index(blank) == 12
+    scored = []
+    scores = ensemble.EnsembleModel.scores
+    monkeypatch.setattr(ensemble.EnsembleModel, "scores", lambda self, m: scored.append(len(m[0])) or scores(self, m))
     capsys.readouterr()
-    assert cli.main(["predict", "--model", str(model), "--dir", str(images), "-k", "3"]) == 0
+    with pytest.warns(UserWarning, match=re.escape(f"skipping {blank}: image has no foreground pixel")):
+        assert cli.main(["predict", "--model", str(model), "--dir", str(images), "-k", "3"]) == 0
     chunked = capsys.readouterr().out
+    # one scores call per chunk: 31 kept of the first 32 images read, then the last 5
+    assert scored == [31, 5]
     single = []
     for path in paths:
         assert cli.main(["predict", "--model", str(model), "--image", str(path), "-k", "3"]) == 0
