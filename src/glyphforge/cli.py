@@ -179,8 +179,6 @@ def _eval_tables(model, tables):
         if table.extractor_id != extractor_id:
             raise FormatError(f"model wants {extractor_id!r} features, table has {table.extractor_id!r}")
     dataset_io.check_same_samples(tables)
-    if not tables[0].rows:
-        raise CorpusError("feature table has no rows")
     rankings = [[lab for lab, _ in r] for r in _ranked(model, [[v for _, _, v in t.rows] for t in tables])]
     truth = [lab for _, lab, _ in tables[0].rows]
     return evaluation.evaluate_rankings(rankings, truth, model.labels)
@@ -202,7 +200,6 @@ def cmd_eval(args) -> int:
 
 def cmd_crossval(args) -> int:
     extractors = _extractors(tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,), args)
-    # the corpus images are not named here, so they are freed before the folds train
     tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), extractors)
     labels = [lab for _, lab, _ in tables[0].rows]
     class_table = sorted(set(labels))
@@ -254,8 +251,7 @@ def cmd_predict(args) -> int:
         )
     )
     strict = bool(args.image)
-    images = ((path, dataset_io.read_pgm_or_skip(path, strict)) for path in paths)
-    samples = (dataset_io.LabeledSample(id=path, label="", image=img) for path, img in images if img is not None)
+    samples = dataset_io.read_samples(((path, "", path) for path in paths), strict)
     for kept, matrices in pipeline.iter_features(samples, model.extractors, strict):
         for sample, ranked in zip(kept, _ranked(model, matrices)):
             listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked[: args.k])

@@ -116,17 +116,6 @@ def read_pgm(path) -> np.ndarray:
     return img.reshape(height, width)
 
 
-def read_pgm_or_skip(path, strict: bool = False):
-    """read_pgm(path); a malformed file is skipped (None) with a warning naming it, or with strict raises."""
-    try:
-        return read_pgm(path)
-    except IoError as exc:
-        if strict:
-            raise
-        warnings.warn(f"skipping malformed image: {exc}")
-        return None
-
-
 def write_pgm(path, img: np.ndarray) -> None:
     """Write a uint8 grayscale array as binary P5."""
     img = np.asarray(img, dtype=np.uint8)
@@ -150,11 +139,31 @@ class LabeledSample:
     image: np.ndarray
 
 
+def read_samples(files, strict: bool = False):
+    """Yield a LabeledSample per (id, label, path) of files, reading each image only when the iteration reaches it.
+
+    A malformed image is skipped with a warning naming it, or with strict raises its IoError.
+    """
+    for sample_id, label, path in files:
+        try:
+            image = read_pgm(path)
+        except IoError as exc:
+            if strict:
+                raise
+            warnings.warn(f"skipping malformed image: {exc}")
+            continue
+        yield LabeledSample(id=sample_id, label=label, image=image)
+
+
 def load_corpus(root, strict: bool = False):
-    """Load all <root>/<class>/*.pgm files in lexicographic order."""
+    """read_samples over all <root>/<class>/*.pgm files in lexicographic order.
+
+    The listing is checked before any image is read: a root that is not a
+    directory, a comma in a class or image name, or no .pgm file is a CorpusError.
+    """
     if not os.path.isdir(root):
         raise CorpusError(f"corpus root {root} is not a directory")
-    samples = []
+    files = []
     classes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
@@ -168,12 +177,10 @@ def load_corpus(root, strict: bool = False):
             path = os.path.join(root, cls, name)
             if "," in name:
                 raise CorpusError(f"image {path} has a comma in its name")
-            img = read_pgm_or_skip(path, strict)
-            if img is not None:
-                samples.append(LabeledSample(id=f"{cls}/{name}", label=cls, image=img))
-    if not samples:
+            files.append((f"{cls}/{name}", cls, path))
+    if not files:
         raise CorpusError(f"no samples found under {root}")
-    return samples
+    return read_samples(files, strict)
 
 
 def save_corpus(samples, root) -> None:
@@ -273,10 +280,12 @@ class FeatureTable:
 
 
 def check_same_samples(tables) -> None:
-    """FormatError unless every table lists the same sample ids in the same order."""
-    ids = [r[0] for r in tables[0].rows]
-    if any([r[0] for r in t.rows] != ids for t in tables[1:]):
-        raise FormatError("feature tables do not cover the same samples")
+    """FormatError unless the tables have rows and each lists the same (id, label) pairs in the same order."""
+    samples = [r[:2] for r in tables[0].rows]
+    if not samples:
+        raise FormatError("feature table has no rows")
+    if any([r[:2] for r in t.rows] != samples for t in tables[1:]):
+        raise FormatError("feature tables do not cover the same samples with the same labels")
 
 
 def save_features(table: FeatureTable, path) -> None:

@@ -141,7 +141,10 @@ def load_ensemble(path) -> EnsembleModel:
         model1, model2 = (mlp.load_model(os.path.join(directory, header[k])) for k in ("model1", "model2"))
     except KeyError as exc:
         raise FormatError(f"{path}: missing field ({exc})") from exc
-    return EnsembleModel(model1=model1, model2=model2, weights=weights)
+    try:
+        return EnsembleModel(model1=model1, model2=model2, weights=weights)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_any_model(path):

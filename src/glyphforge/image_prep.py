@@ -4,8 +4,6 @@ Images are numpy arrays indexed [row, col]: grayscale as uint8 in [0, 255],
 binary as bool with True = foreground (object).
 """
 
-import warnings
-
 import numpy as np
 
 from .errors import EmptyGlyph
@@ -32,13 +30,12 @@ def otsu_threshold(gray: np.ndarray) -> int:
 
 
 def binarize(gray: np.ndarray) -> np.ndarray:
-    """Otsu binarization; pixels at or below the threshold become foreground."""
+    """Otsu binarization; pixels at or below the threshold are foreground. A uniform image is an EmptyGlyph."""
     gray = np.asarray(gray, dtype=np.uint8)
     if gray.size == 0:
         raise EmptyGlyph("cannot binarize an empty image")
     if gray.min() == gray.max():
-        warnings.warn("uniform-intensity image: no foreground found")
-        return np.zeros(gray.shape, dtype=bool)
+        raise EmptyGlyph("image has no foreground pixel")
     return gray <= otsu_threshold(gray)
 
 

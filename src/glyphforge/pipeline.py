@@ -29,11 +29,7 @@ def _chunk_features(chunk, extractors, strict, on_stages):
     kept, binaries, scaled = [], [], []
     for sample in chunk:
         try:
-            gray = np.asarray(sample.image, dtype=np.uint8)
-            if gray.size and gray.min() == gray.max():
-                # binarize would warn without naming the image, and then find no foreground
-                raise EmptyGlyph("image has no foreground pixel")
-            binary = image_prep.binarize(gray)
+            binary = image_prep.binarize(sample.image)
             scaled.append(image_prep.normalize_size(binary))
         except EmptyGlyph as exc:
             if strict:
@@ -78,13 +74,16 @@ def iter_features(samples, extractors, strict: bool = False, on_stages=None):
 def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
     """One FeatureTable per (extractor_id, flags) pair, in one pass over the samples.
 
-    Samples without foreground are skipped, or fail with strict; on_stages
-    sees each kept sample's stages (see iter_features).
+    Samples without foreground are skipped, or fail with strict; a pass
+    that keeps no sample is a CorpusError. on_stages sees each kept
+    sample's stages (see iter_features).
     """
     rows = [[] for _ in extractors]
     for kept, matrices in iter_features(samples, extractors, strict, on_stages):
         for table_rows, matrix in zip(rows, matrices):
             table_rows.extend((s.id, s.label, vec) for s, vec in zip(kept, matrix))
+    if not rows[0]:
+        raise CorpusError("no usable image: every image was skipped")
     return [
         dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, dict(flags))
         for (extractor_id, flags), table_rows in zip(extractors, rows)
@@ -117,8 +116,6 @@ def train_models(
     for tables in table_sets:
         dataset_io.check_same_samples(tables)
         rows = tables[0].rows
-        if not rows:
-            raise TrainError("feature table has no rows")
         fit_idx, cal_idx = range(len(rows)), []
         if len(tables) > 1:
             order = np.random.default_rng(seed).permutation(len(rows))

@@ -65,7 +65,7 @@ def trainings(monkeypatch):
 
 
 def test_synth_writes_corpus(corpus):
-    samples = dio.load_corpus(corpus)
+    samples = list(dio.load_corpus(corpus))
     assert len(samples) == 24
     assert len({s.label for s in samples}) == 3
 
@@ -321,7 +321,7 @@ def test_dumped_stages_equal_each_image_alone(corpus, tmp_path, monkeypatch):
             "extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv"),
             "--dump-stages", str(stages),
         ]) == 0
-    samples = dio.load_corpus(corpus)
+    samples = list(dio.load_corpus(corpus))
     assert len(os.listdir(stages)) == 4 * len(samples)
     for sample in samples:
         binary = image_prep.binarize(sample.image)
@@ -330,6 +330,65 @@ def test_dumped_stages_equal_each_image_alone(corpus, tmp_path, monkeypatch):
         stem = sample.id.replace("/", "_").removesuffix(".pgm")
         for name, img in want.items():
             assert np.array_equal(dio.read_pgm(stages / f"{stem}.{name}.pgm") == 0, img), (sample.id, name)
+
+
+def test_extract_reads_images_chunk_by_chunk(corpus, tmp_path, monkeypatch):
+    """The first image is binarized before the images of a second chunk are read."""
+    monkeypatch.setattr(pipeline, "CHUNK_SIZE", 5)
+    reads, reads_at_binarize = [], []
+
+    def read_pgm(path, _read_pgm=dio.read_pgm):
+        reads.append(path)
+        return _read_pgm(path)
+
+    def binarize(gray, _binarize=image_prep.binarize):
+        reads_at_binarize.append(len(reads))
+        return _binarize(gray)
+
+    monkeypatch.setattr(dio, "read_pgm", read_pgm)
+    monkeypatch.setattr(image_prep, "binarize", binarize)
+    assert cli.main(["extract", "--corpus", str(corpus), "--extractor", "chain200", "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(reads) == len(reads_at_binarize) == 24
+    assert reads_at_binarize[0] <= 5
+
+
+@pytest.mark.parametrize("image", [b"P5\n2 2\n255\n\xff\xff\xff\xff", b"P5\nabc 64\n255\n"], ids=["blank", "malformed"])
+def test_corpus_without_usable_image_exit_2(tmp_path, capsys, image):
+    root = tmp_path / "corpus"
+    for cls in ("c00", "c01"):
+        (root / cls).mkdir(parents=True)
+        for j in range(3):
+            (root / cls / f"s{j}.pgm").write_bytes(image)
+    out = tmp_path / "f.csv"
+    for argv in (
+        ["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)],
+        ["crossval", "--corpus", str(root), "--folds", "2", "--epochs", "2"],
+    ):
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipping"):
+            assert cli.main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == "error: no usable image: every image was skipped\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["zz", "c02"], ids=["unknown", "another"])
+def test_relabelled_second_table_exit_2(feature_files, ensemble_file, tmp_path, capsys, label):
+    """A --features2 row whose label differs from the --features row of its sample fails train and eval."""
+    chain, moment = feature_files
+    lines = moment.read_text().splitlines()
+    sample_id, old_label, *values = lines[1].split(",")
+    assert old_label == "c00"
+    relabelled = tmp_path / "moment.csv"
+    relabelled.write_text("\n".join([lines[0], ",".join([sample_id, label, *values]), *lines[2:]]) + "\n")
+    glyph = tmp_path / "e.glyph"
+    for argv in (
+        ["train", "--features", chain, "--features2", relabelled, "--out", glyph, "--epochs", "2"],
+        ["eval", "--model", ensemble_file, "--features", chain, "--features2", relabelled],
+    ):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 2, argv[0]
+        assert "same samples with the same labels" in capsys.readouterr().err
+    assert not glyph.exists()
 
 
 def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
@@ -381,6 +440,11 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     for name, w1 in (("inf", "inf"), ("nan", "nan"), ("sum", "0.9")):
         glyphs[name] = tmp_path / f"{name}.glyph"
         glyphs[name].write_text("\n".join(f"w1 {w1}" if ln.startswith("w1 ") else ln for ln in weight_lines) + "\n")
+    # members that disagree on the class table
+    moment_member = (tmp_path / "ens.moment.mlp").read_text()
+    (tmp_path / "relabelled.mlp").write_text(moment_member.replace("\nlabels c00,c01,c02\n", "\nlabels c00,c01,zz\n"))
+    glyphs["classes"] = tmp_path / "classes.glyph"
+    glyphs["classes"].write_text(ensemble_file.read_text().replace("model2 ens.moment.mlp", "model2 relabelled.mlp"))
     image = sorted((corpus / "c00").iterdir())[0]
     assert cli.main(["eval", "--model", str(member), "--features", str(bad_csv)]) == 2
     assert cli.main(["eval", "--model", str(bad_mlp), "--features", str(chain)]) == 2
@@ -390,7 +454,7 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
     assert cli.main(["eval", "--model", str(member), "--features", str(image)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(nan_csv)]) == 2
     assert cli.main(["eval", "--model", str(member), "--features", str(header_only_csv)]) == 2
-    for csv in (unknown_csv, foreign_flag_csv):
+    for csv in (unknown_csv, foreign_flag_csv, header_only_csv):
         assert cli.main(["train", "--features", str(csv), "--out", str(tmp_path / "u.mlp"), "--epochs", "2"]) == 2
     assert not (tmp_path / "u.mlp").exists()
     for path in glyphs.values():

@@ -73,7 +73,7 @@ class TestLoadCorpus:
 
     def test_directory_contract(self, tmp_path):
         self.make_corpus(tmp_path)
-        samples = dio.load_corpus(tmp_path)
+        samples = list(dio.load_corpus(tmp_path))
         assert len(samples) == 6
         assert sorted({s.label for s in samples}) == ["ka", "kha"]
         assert samples[0].id == "ka/s0.pgm"
@@ -92,16 +92,16 @@ class TestLoadCorpus:
         self.make_corpus(tmp_path)
         (tmp_path / "ka" / "broken.pgm").write_bytes(b"P5\n9 9\n255\nxx")
         with pytest.warns(UserWarning):
-            samples = dio.load_corpus(tmp_path)
+            samples = list(dio.load_corpus(tmp_path))
         assert len(samples) == 6
         with pytest.raises(IoError, match="broken"):
-            dio.load_corpus(tmp_path, strict=True)
+            list(dio.load_corpus(tmp_path, strict=True))
 
     def test_save_round_trip(self, tmp_path):
         self.make_corpus(tmp_path / "src")
-        samples = dio.load_corpus(tmp_path / "src")
+        samples = list(dio.load_corpus(tmp_path / "src"))
         dio.save_corpus(samples, tmp_path / "dst")
-        again = dio.load_corpus(tmp_path / "dst")
+        again = list(dio.load_corpus(tmp_path / "dst"))
         assert [s.id for s in again] == [s.id for s in samples]
         assert all(np.array_equal(a.image, b.image) for a, b in zip(samples, again))
 

@@ -178,6 +178,13 @@ class TestEnsembleModel:
         b = loaded.predict(np.zeros(2), np.zeros(2))
         assert a == b
 
+    def test_members_disagreeing_on_class_table_is_format_error(self, tmp_path):
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        mlp.save_model(constant_model([0.2, 0.6, 0.4], ["a", "b", "x"]), tmp_path / "ens.moment.mlp")
+        with pytest.raises(FormatError, match=f"{path}: member models disagree on the class table"):
+            ensemble.load_ensemble(path)
+
     @pytest.mark.parametrize("line", ["d1 nan", "d1 inf", "d1 -0.25", "d2 1.5"])
     def test_calibration_accuracy_outside_unit_interval(self, tmp_path, line):
         path = tmp_path / "ens.glyph"

@@ -24,9 +24,8 @@ def brute_otsu(gray):
 
 class TestBinarize:
     def test_uniform_image_all_background(self):
-        with pytest.warns(UserWarning):
-            out = ip.binarize(np.full((5, 5), 255, np.uint8))
-        assert not out.any()
+        with pytest.raises(EmptyGlyph, match="no foreground pixel"):
+            ip.binarize(np.full((5, 5), 255, np.uint8))
 
     def test_two_level_image(self):
         gray = np.full((10, 10), 200, np.uint8)
