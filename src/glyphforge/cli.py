@@ -16,7 +16,11 @@ from .extractors import EXTRACTORS
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GLYPHFORGE_SEED", "0"))
+    seed = os.environ.get("GLYPHFORGE_SEED", "0")
+    try:
+        return int(seed)
+    except ValueError:
+        raise ConfigError(f"GLYPHFORGE_SEED must be an integer, not {seed!r}") from None
 
 
 def _add_seed(parser):
@@ -25,7 +29,7 @@ def _add_seed(parser):
     )
 
 
-# training option -> (the pipeline.train_model keyword it sets, type, help): an MlpConfig
+# training option -> (the pipeline.train_models keyword it sets, type, help): an MlpConfig
 # field or calibration_fraction; an option not given keeps that keyword's default
 _TRAIN_OPTIONS = {
     "--hidden": ("hidden_size", int, "hidden layer size (default: the extractor's own)"),
@@ -116,7 +120,7 @@ def _load_tables(args):
 
 
 def _train_kwargs(args):
-    """pipeline.train_model's keyword arguments: the seed and the training options given."""
+    """pipeline.train_models' keyword arguments: the seed and the training options given."""
     dests = [dest for dest, _, _ in _TRAIN_OPTIONS.values() if getattr(args, dest) is not None]
     return dict({dest: getattr(args, dest) for dest in dests}, seed=args.seed)
 
@@ -158,7 +162,7 @@ def cmd_train(args) -> int:
         raise CorpusError("--ensemble needs --features2")
     tables = _load_tables(args)
     labels = sorted({lab for _, lab, _ in tables[0].rows})
-    model, reports = pipeline.train_model(tables, labels, **_train_kwargs(args))
+    ((model, reports),) = pipeline.train_models([tables], labels, **_train_kwargs(args))
     model.save(args.out)
     for k, (table, report) in enumerate(zip(tables, reports), start=1):
         print(
@@ -171,13 +175,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_tables(model, tables):
-    extractor_ids = [e for e, _ in model.extractors]
-    if len(tables) != len(extractor_ids):
-        raise CorpusError(f"model needs {len(extractor_ids)} feature tables (--features, --features2)")
-    for table, extractor_id in zip(tables, extractor_ids):
-        if table.extractor_id != extractor_id:
-            raise FormatError(f"model wants {extractor_id!r} features, table has {table.extractor_id!r}")
+def _feature_names(pairs):
+    """(extractor_id, flags) pairs as the feature CSV headers name them: "chain200, moment63 log_moments=1"."""
+    return ", ".join(e + "".join(f" {f}=1" for f, on in sorted(flags.items()) if on) for e, flags in pairs)
+
+
+def _evaluate(model, tables):
+    """model's EvalReport on tables, one per member in member order; another extractor or option is a FormatError."""
+    wanted = _feature_names(model.extractors)
+    given = _feature_names((t.extractor_id, t.flags) for t in tables)
+    if given != wanted:
+        raise FormatError(f"model reads {wanted} features (--features, then --features2), given {given}")
     dataset_io.check_same_samples(tables)
     rankings = [[lab for lab, _ in r] for r in _ranked(model, [[v for _, _, v in t.rows] for t in tables])]
     truth = [lab for _, lab, _ in tables[0].rows]
@@ -186,7 +194,7 @@ def _eval_tables(model, tables):
 
 def cmd_eval(args) -> int:
     model = ensemble.load_any_model(args.model)
-    report = _eval_tables(model, _load_tables(args))
+    report = _evaluate(model, _load_tables(args))
     text = evaluation.format_report(report)
     print(text)
     if args.report:
@@ -198,31 +206,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _tops(accuracies):
+    """"top1=... top3=... top5=..." of a {k: accuracy} dict, each float as its repr."""
+    return " ".join(f"top{k}={accuracies[k]!r}" for k in evaluation.TOP_KS)
+
+
 def cmd_crossval(args) -> int:
     extractors = _extractors(tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,), args)
     tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), extractors)
     labels = [lab for _, lab, _ in tables[0].rows]
-    class_table = sorted(set(labels))
-    plan = evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed)
-
-    def folds_fn(splits):
-        table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
-        trained = pipeline.train_models(table_sets, class_table, **_train_kwargs(args))
-        tests = [[[t.rows[i][2] for i in test_idx] for t in tables] for _, test_idx in splits]
-        return [[[lab for lab, _ in r] for r in _ranked(model, x)] for (model, _), x in zip(trained, tests)]
-
-    report = evaluation.cross_validate(labels, plan, folds_fn)
-    lines = [f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}"]
-    for f, rep in enumerate(report.fold_reports):
-        accs = " ".join(
-            f"top{k}={rep.top_k_accuracy[k]!r}" for k in evaluation.TOP_KS
-        )
-        lines.append(f"fold {f}: n={rep.n_samples} {accs}")
-    mean = " ".join(f"top{k}={report.mean_top_k[k]!r}" for k in evaluation.TOP_KS)
-    std = " ".join(f"top{k}={report.std_top_k[k]!r}" for k in evaluation.TOP_KS)
-    lines.append(f"mean: {mean}")
-    lines.append(f"stddev: {std}")
-    text = "\n".join(lines)
+    splits = evaluation.kfold_splits(labels, evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed))
+    table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
+    trained = pipeline.train_models(table_sets, sorted(set(labels)), **_train_kwargs(args))
+    report = evaluation.CrossValReport([
+        _evaluate(model, [t.subset(test_idx) for t in tables]) for (model, _), (_, test_idx) in zip(trained, splits)
+    ])
+    text = "\n".join([
+        f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}",
+        *(f"fold {f}: n={rep.n_samples} {_tops(rep.top_k_accuracy)}" for f, rep in enumerate(report.fold_reports)),
+        f"mean: {_tops(report.mean_top_k)}",
+        f"stddev: {_tops(report.std_top_k)}",
+    ])
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
@@ -235,6 +239,7 @@ def cmd_predict(args) -> int:
 
     A malformed image, or one without foreground, is skipped with a warning
     naming it under --dir, and is an error naming it (exit 2) under --image.
+    A --dir that leaves no image to rank is a CorpusError.
     """
     if args.k < 1:
         raise ConfigError("-k must be >= 1")
@@ -252,10 +257,14 @@ def cmd_predict(args) -> int:
     )
     strict = bool(args.image)
     samples = dataset_io.read_samples(((path, "", path) for path in paths), strict)
+    ranked_any = False
     for kept, matrices in pipeline.iter_features(samples, model.extractors, strict):
+        ranked_any = True
         for sample, ranked in zip(kept, _ranked(model, matrices)):
             listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked[: args.k])
             print(f"{sample.id}  {listing}")
+    if not ranked_any:
+        raise CorpusError("no usable image: every image was skipped")
     return 0
 
 
@@ -270,8 +279,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, CorpusError, IoError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

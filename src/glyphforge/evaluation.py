@@ -1,4 +1,4 @@
-"""Scoring: top-k accuracy, confusion matrix, splits, k-fold cross-validation."""
+"""Scoring: top-k accuracy, confusion matrix, splits, k-fold splits and their report."""
 
 from dataclasses import dataclass, field
 
@@ -134,26 +134,18 @@ class CrossValReport:
         self.std_top_k = {k: float(np.std(v)) for k, v in accs.items()}
 
 
-def cross_validate(true_labels, plan: SplitPlan, folds_fn) -> CrossValReport:
-    """K-fold evaluation; folds_fn(splits) returns each fold's test rankings.
+def kfold_splits(true_labels, plan: SplitPlan):
+    """Each fold's (train_idx, test_idx) under a kfold plan: the fold tests, the other folds train.
 
-    splits lists every fold's (train_idx, test_idx), so folds_fn can train
-    all folds at once. Each fold's models are trained inside folds_fn on its
-    train_idx only, so a sample is never scored by a model that saw it.
+    A model trained on a fold's train_idx never scores a sample it saw.
     """
     if plan.mode != "kfold":
-        raise ValueError("cross_validate needs a kfold SplitPlan")
+        raise ValueError("kfold_splits needs a kfold SplitPlan")
     folds = split(true_labels, plan)
-    class_table = sorted(set(true_labels))
-    splits = [
+    return [
         (sorted(i for g, fold in enumerate(folds) if g != f for i in fold), test_idx)
         for f, test_idx in enumerate(folds)
     ]
-    reports = [
-        evaluate_rankings(rankings, [true_labels[i] for i in test_idx], class_table)
-        for rankings, (_, test_idx) in zip(folds_fn(splits), splits, strict=True)
-    ]
-    return CrossValReport(fold_reports=reports)
 
 
 def format_report(report: EvalReport, max_pairs: int = 10) -> str:

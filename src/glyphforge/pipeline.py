@@ -102,11 +102,21 @@ def train_models(
     table_sets, labels, calibration_fraction: float = CALIBRATION_FRACTION,
     hidden_size: int = None, seed: int = 0, **config,
 ):
-    """train_model for each set of tables, with every member MLP trained in one mlp.train_lanes call.
+    """Train one model per set of feature tables, every member MLP in one mlp.train_lanes call.
+
+    A set trains one MLP per table, fused by calibrated weights when there
+    are two. One table trains on all its rows. Two tables must list the same
+    samples in the same order: a seeded calibration_fraction of the rows is
+    held out (never the test set), each member trains on the rest, and the
+    members' top-1 accuracies on the holdout give the fusion weights. The
+    fraction is checked even for one table, which does not use it.
+    hidden_size None takes each extractor's own; config: the other MlpConfig
+    training fields, each left out keeps its MlpConfig default.
 
     Members of one extractor on equally many rows, such as the folds of a
     cross-validation, train as lanes in lockstep; each equals its training
-    alone bit for bit. Returns one (model, reports) pair per set.
+    alone bit for bit. Returns one (MlpModel or EnsembleModel, one
+    TrainingReport per member in table order) pair per set.
     """
     if not 0 < calibration_fraction < 1:
         raise ConfigError("calibration_fraction must be in (0, 1)")
@@ -140,23 +150,7 @@ def train_models(
     return results
 
 
-def train_model(tables, labels, **train_kwargs):
-    """Train one MLP per feature table, fused by calibrated weights when there are two.
-
-    One table trains on all its rows. Two tables must list the same samples
-    in the same order: a seeded calibration_fraction of the rows is held out
-    (never the test set), each member trains on the rest, and the members'
-    top-1 accuracies on the holdout give the fusion weights. The fraction is
-    checked even for one table, which does not use it. hidden_size None
-    takes each extractor's own; config: the other MlpConfig training fields,
-    each left out keeps its MlpConfig default. Returns (MlpModel or
-    EnsembleModel, one TrainingReport per member in table order).
-    """
-    (result,) = train_models([tables], labels, **train_kwargs)
-    return result
-
-
 def train_ensemble_on_tables(table1, table2, labels, **train_kwargs):
-    """train_model on two tables; returns (EnsembleModel, report1, report2)."""
-    model, reports = train_model([table1, table2], labels, **train_kwargs)
+    """train_models on one set of two tables; returns (EnsembleModel, report1, report2)."""
+    ((model, reports),) = train_models([[table1, table2]], labels, **train_kwargs)
     return (model, *reports)

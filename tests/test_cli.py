@@ -249,6 +249,33 @@ def test_eval_without_features2_for_ensemble_exit_2(feature_files, tmp_path):
     assert cli.main(["eval", "--model", str(ens_path), "--features", str(chain)]) == 2
 
 
+@pytest.mark.parametrize("extractor, flag, raw", [
+    ("moment63", "--log-moments", 1), ("chain200", "--normalize", 0),
+])
+def test_eval_of_a_model_on_a_table_without_its_option_exit_2(
+    feature_files, corpus, tmp_path, capsys, extractor, flag, raw
+):
+    features, model_path = tmp_path / "f.csv", tmp_path / "m.mlp"
+    assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, flag, "--out", str(features)]) == 0
+    assert cli.main(["train", "--features", str(features), "--out", str(model_path), "--epochs", "5"]) == 0
+    assert cli.main(["eval", "--model", str(model_path), "--features", str(features)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model_path), "--features", str(feature_files[raw])]) == 2
+    out, err = capsys.readouterr()
+    option = flag[2:].replace("-", "_")
+    assert out == ""
+    assert err == f"error: model reads {extractor} {option}=1 features (--features, then --features2), given {extractor}\n"
+
+
+def test_eval_reads_an_option_written_off_as_no_option(feature_files, tmp_path):
+    _, moment = feature_files
+    model_path, off = tmp_path / "m.mlp", tmp_path / "off.csv"
+    assert cli.main(["train", "--features", str(moment), "--out", str(model_path), "--epochs", "5"]) == 0
+    header, rest = moment.read_text().split("\n", 1)
+    off.write_text(f"{header} log_moments=0\n{rest}")
+    assert cli.main(["eval", "--model", str(model_path), "--features", str(off)]) == 0
+
+
 def test_crossval_single_extractor(corpus, tmp_path):
     out = tmp_path / "cv.txt"
     assert cli.main([
@@ -265,6 +292,13 @@ def test_seed_env_default(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["synth", "--out", "x"])
     assert args.seed == 123
+
+
+def test_non_integer_seed_env_exit_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("GLYPHFORGE_SEED", "abc")
+    assert cli.main(["synth", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: GLYPHFORGE_SEED must be an integer, not 'abc'\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("extractor, flag", [("moment63", "--log-moments"), ("chain200", "--normalize")])
@@ -502,7 +536,7 @@ def test_crossval_unequal_folds_equal_per_fold_training(corpus, tmp_path, monkey
     # 5 stratified folds of 24 rows train on 18 or 21, of which 14 or 17 fit and the rest calibrate;
     # each member's folds of one length train as lanes of one group
     assert sorted(n for _, n in trainings) == [14] * 6 + [17] * 4
-    # the folds trained one at a time, each by the call pipeline.train_model makes
+    # the folds trained one at a time, each by the one-set train_models call cmd_train makes
     train_models = pipeline.train_models
     monkeypatch.setattr(pipeline, "train_models", lambda table_sets, labels, **kwargs: [
         train_models([tables], labels, **kwargs)[0] for tables in table_sets
@@ -595,6 +629,23 @@ def test_predict_dir_skips_malformed_image_and_image_fails_on_it(ensemble_file, 
         assert cli.main(["predict", "--model", str(ensemble_file), "--image", str(bad)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {bad}: ")
+
+
+def test_predict_dir_without_a_usable_image_exit_2(ensemble_file, tmp_path, capsys):
+    empty, blank = tmp_path / "empty", tmp_path / "blank"
+    empty.mkdir()
+    blank.mkdir()
+    for name in ("a.pgm", "b.pgm"):
+        dio.write_pgm(blank / name, np.full((64, 64), 255, dtype=np.uint8))
+    for directory, skipped in ((empty, []), (blank, ["a.pgm", "b.pgm"])):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(directory)]) == 2
+        assert [str(w.message) for w in seen] == [
+            f"skipping {directory / name}: image has no foreground pixel" for name in skipped
+        ]
+        assert capsys.readouterr() == ("", "error: no usable image: every image was skipped\n")
 
 
 def test_blank_images_warn_once_each_naming_them(ensemble_file, corpus, tmp_path):

@@ -95,11 +95,12 @@ class TestCrossValidate:
     def test_fold_sizes_and_mean(self):
         labels = labels_for({"a": 33, "b": 33, "c": 33})
         plan = ev.SplitPlan(mode="kfold", folds=3, seed=6)
-
-        def perfect(splits):
-            return [[[labels[i], "a", "b", "c"] for i in test_idx] for _, test_idx in splits]
-
-        rep = ev.cross_validate(labels, plan, perfect)
+        rep = ev.CrossValReport([
+            ev.evaluate_rankings(
+                [[labels[i], "a", "b", "c"] for i in test_idx], [labels[i] for i in test_idx], ["a", "b", "c"]
+            )
+            for _, test_idx in ev.kfold_splits(labels, plan)
+        ])
         assert [r.n_samples for r in rep.fold_reports] == [33, 33, 33]
         assert rep.mean_top_k[1] == 1.0
         assert rep.mean_top_k[1] == pytest.approx(
@@ -110,21 +111,14 @@ class TestCrossValidate:
         labels = labels_for({"a": 9, "b": 9})
         plan = ev.SplitPlan(mode="kfold", folds=3, seed=7)
         seen = []
-
-        def spy(splits):
-            rankings = []
-            for train_idx, test_idx in splits:
-                assert not (set(train_idx) & set(test_idx))
-                seen.extend(test_idx)
-                rankings.append([[labels[i], "a", "b"] for i in test_idx])
-            return rankings
-
-        ev.cross_validate(labels, plan, spy)
+        for train_idx, test_idx in ev.kfold_splits(labels, plan):
+            assert not (set(train_idx) & set(test_idx))
+            seen.extend(test_idx)
         assert sorted(seen) == list(range(18))
 
     def test_requires_kfold_plan(self):
         with pytest.raises(ValueError):
-            ev.cross_validate(["a", "b"], ev.SplitPlan(mode="fraction"), lambda splits: [])
+            ev.kfold_splits(["a", "b"], ev.SplitPlan(mode="fraction"))
 
 
 class TestReportFormatting:

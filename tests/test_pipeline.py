@@ -81,7 +81,7 @@ def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, ca
     loaded = dio.load_features(features)
 
     labels = sorted({lab for _, lab, _ in loaded.rows})
-    model, _ = pipeline.train_model([loaded], labels, max_epochs=5, seed=1)
+    ((model, _),) = pipeline.train_models([[loaded]], labels, max_epochs=5, seed=1)
     assert (model.config.input_size, model.config.hidden_size) == (12, 7)
     path = tmp_path / "toy.mlp"
     model.save(path)
