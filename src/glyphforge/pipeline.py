@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 
 from . import dataset_io, ensemble, image_prep, mlp
-from .errors import ConfigError, CorpusError, EmptyGlyph, FormatError, TrainError
+from .errors import ConfigError, CorpusError, FormatError, TrainError
 from .extractors import EXTRACTORS
 
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
@@ -16,31 +16,53 @@ CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to cal
 CHUNK_SIZE = 32
 
 
+def _preprocess(chunk, strict):
+    """(kept samples, their binary images, their (len(kept), 60, 60) normalized stack), or None if none is kept.
+
+    The chunk's images of one shape are binarized and normalized as one
+    stack. A uniform image has no foreground: it is skipped with a warning
+    that names it, in sample order, or with strict the first one is a
+    CorpusError.
+    """
+    shapes = {}
+    for i, sample in enumerate(chunk):
+        shapes.setdefault(sample.image.shape, []).append(i)
+    groups = [(np.array(idx), np.stack([chunk[i].image for i in idx])) for idx in shapes.values()]
+    blank = np.zeros(len(chunk), bool)
+    for idx, gray in groups:
+        blank[idx] = image_prep.uniform(gray)
+    for i in np.flatnonzero(blank):
+        reason = f"{chunk[i].id}: {image_prep.NO_FOREGROUND}"
+        if strict:
+            raise CorpusError(reason)
+        warnings.warn(f"skipping {reason}")
+    kept, binaries, scaled = [], [], []
+    for idx, gray in groups:
+        keep = ~blank[idx]
+        if keep.any():
+            binary = image_prep.binarize(gray[keep])
+            kept.extend(idx[keep])
+            binaries.extend(binary)
+            scaled.append(image_prep.normalize_size(binary))
+    if not kept:
+        return None
+    order = np.argsort(kept)  # sample order, when the chunk holds more than one shape
+    return [chunk[kept[j]] for j in order], [binaries[j] for j in order], np.concatenate(scaled)[order]
+
+
 def _chunk_features(chunk, extractors, strict, on_stages):
     """(kept samples, one (len(kept), dim) matrix per extractor) for one chunk, or None if it keeps none.
 
-    Binarize and normalize run per image; a sample without foreground is
-    skipped with a warning that names it, or with strict is a CorpusError.
-    Each stage the extractors read is made once, as one (N, H, W) stack of
-    the kept images, and each extractor reads that stack. With on_stages,
-    every registered stage is made, and on_stages(sample, stages) sees each
-    kept sample's stages dict ("binary", "scaled" and each stage) first.
+    _preprocess binarizes and normalizes the chunk and skips, or with
+    strict fails on, each sample without foreground. Each stage the
+    extractors read is made once, as one (N, H, W) stack of the kept
+    images, and each extractor reads that stack. With on_stages, every
+    registered stage is made, and on_stages(sample, stages) sees each kept
+    sample's stages dict ("binary", "scaled" and each stage) first.
     """
-    kept, binaries, scaled = [], [], []
-    for sample in chunk:
-        try:
-            binary = image_prep.binarize(sample.image)
-            scaled.append(image_prep.normalize_size(binary))
-        except EmptyGlyph as exc:
-            if strict:
-                raise CorpusError(f"{sample.id}: {exc}") from exc
-            warnings.warn(f"skipping {sample.id}: {exc}")
-            continue
-        kept.append(sample)
-        binaries.append(binary)
-    if not kept:
+    if (preprocessed := _preprocess(chunk, strict)) is None:
         return None
-    scaled = np.stack(scaled)
+    kept, binaries, scaled = preprocessed
     needed = list(EXTRACTORS) if on_stages else [x for x, _ in extractors]
     makers = {EXTRACTORS[x].stage: EXTRACTORS[x].make_stage for x in needed}
     stacks = {name: make_stage(scaled) for name, make_stage in makers.items()}

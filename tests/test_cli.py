@@ -375,8 +375,8 @@ def test_extract_reads_images_chunk_by_chunk(corpus, tmp_path, monkeypatch):
         reads.append(path)
         return _read_pgm(path)
 
-    def binarize(gray, _binarize=image_prep.binarize):
-        reads_at_binarize.append(len(reads))
+    def binarize(gray, _binarize=image_prep.binarize):  # one image or a stack: one entry per image
+        reads_at_binarize.extend([len(reads)] * (gray.shape[0] if gray.ndim == 3 else 1))
         return _binarize(gray)
 
     monkeypatch.setattr(dio, "read_pgm", read_pgm)

@@ -1,9 +1,11 @@
 """The fast ingest stages against the straightforward implementations they replaced.
 
-thin, trace_contours and the moment features must give the same arrays,
-chains and float bits as the per-image numpy thinning pass, the tuple-set
-contour walk and the per-order np.sum moments below; the chain features of
-a stack, the same bytes as chain_histogram's per-move loop over each image.
+otsu_threshold, binarize and normalize_size on a stack must give the
+thresholds and arrays of the per-image functions below; thin,
+trace_contours and the moment features, the same arrays, chains and float
+bits as the per-image numpy thinning pass, the tuple-set contour walk and
+the per-order np.sum moments below; the chain features of a stack, the same
+bytes as chain_histogram's per-move loop over each image.
 """
 
 import hashlib
@@ -17,9 +19,45 @@ from glyphforge import chain_features as cf
 from glyphforge import cli, dataset_io, ensemble, pipeline
 from glyphforge import image_prep as ip
 from glyphforge import moment_features as mf
-from glyphforge.errors import ExtractionError
+from glyphforge.errors import EmptyGlyph, ExtractionError
+from glyphforge.extractors import EXTRACTORS
 
 # --- reference implementations ----------------------------------------------
+
+
+def reference_otsu_threshold(gray):
+    hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
+    total = hist.sum()
+    levels = np.arange(256, dtype=np.float64)
+    w0 = np.cumsum(hist)
+    sum0 = np.cumsum(hist * levels)
+    mean_total = sum0[-1]
+    w1 = total - w0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu0 = sum0 / w0
+        mu1 = (mean_total - sum0) / w1
+        var_b = w0 * w1 * (mu0 - mu1) ** 2
+    var_b = np.nan_to_num(var_b, nan=0.0, posinf=0.0, neginf=0.0)
+    return int(np.argmax(var_b))
+
+
+def reference_binarize(gray):
+    gray = np.asarray(gray, dtype=np.uint8)
+    if gray.min() == gray.max():
+        raise EmptyGlyph("image has no foreground pixel")
+    return gray <= reference_otsu_threshold(gray)
+
+
+def reference_normalize_size(binary, size=ip.CANONICAL_SIZE):
+    rows = np.flatnonzero(binary.any(axis=1))
+    cols = np.flatnonzero(binary.any(axis=0))
+    if rows.size == 0:
+        raise EmptyGlyph("image has no foreground pixel")
+    box = binary[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    h, w = box.shape
+    row_idx = (np.arange(size) * h) // size
+    col_idx = (np.arange(size) * w) // size
+    return box[np.ix_(row_idx, col_idx)]
 
 
 def _neighbors(img):
@@ -151,6 +189,105 @@ def random_images(shape, seed):
 
 SHAPES = [(60, 60), (17, 41), (41, 17), (1, 23), (23, 1), (1, 1), (2, 9), (5, 5)]
 ZONE_SHAPES = [(60, 60), (27, 45), (3, 30), (30, 3), (3, 3)]
+
+
+def gray_stacks(shape, seed):
+    """Named (N, H, W) uint8 stacks: random, narrow-range, two-level and near-tie histograms.
+
+    No image is uniform. In a near-tie image, three evenly spaced levels of
+    (almost) equal counts give two thresholds of (almost) equal
+    between-class variance.
+    """
+    rng = np.random.default_rng(seed)
+    n, size = 5, shape[0] * shape[1]
+    random = rng.integers(0, 256, size=(n, *shape), dtype=np.uint8)
+    narrow = rng.integers(100, 104, size=(n, *shape), dtype=np.uint8)
+    levels = rng.integers(0, 256, size=(n, 2))
+    two_level = np.where(rng.random((n, *shape)) < 0.4, levels[:, :1, None], levels[:, 1:, None]).astype(np.uint8)
+    near_tie = np.stack([
+        rng.permutation(np.resize(np.repeat([10, 20 + k, 30], -(-size // 3)), size)).reshape(shape) for k in range(n)
+    ]).astype(np.uint8)
+    stacks = {"random": random, "narrow": narrow, "two-level": two_level, "near-tie": near_tie}
+    for stack in stacks.values():  # a tiny image may come out uniform: move its last pixel by one level
+        flat = stack.reshape(n, -1)
+        flat[flat.min(axis=1) == flat.max(axis=1), -1] ^= 1
+    assert not ip.uniform(np.concatenate(list(stacks.values()))).any()
+    return stacks
+
+
+GRAY_SHAPES = [(64, 64), (17, 41), (41, 17), (1, 23), (23, 1), (1, 2), (3, 3)]
+
+
+def box_images(shape):
+    """Foreground boxes of one pixel, one row and one column, at the corners and in the middle."""
+    h, w = shape
+    images = []
+    for r, c in [(0, 0), (h - 1, w - 1), (h // 2, w // 3)]:
+        for box in ((slice(r, r + 1), slice(c, c + 1)), (slice(r, r + 1), slice(c, None)), (slice(r, None), slice(c, c + 1))):
+            img = np.zeros(shape, bool)
+            img[box] = True
+            images.append(img)
+    return images
+
+
+def glyph_grays():
+    return np.stack([s.image for s in dataset_io.synth_corpus(4, 10, seed=3)])
+
+
+# --- binarization and size normalization ----------------------------------------
+
+
+@pytest.mark.parametrize("shape", GRAY_SHAPES, ids=str)
+def test_otsu_and_binarize_stack_match_reference(shape):
+    for name, stack in gray_stacks(shape, seed=sum(shape)).items():
+        want = [reference_otsu_threshold(img) for img in stack]
+        assert ip.otsu_threshold(stack).tolist() == want, name
+        assert np.array_equal(ip.binarize(stack), np.stack([reference_binarize(img) for img in stack])), name
+        for img, t in zip(stack, want):  # a single image, and N=1
+            assert type(ip.otsu_threshold(img)) is int and ip.otsu_threshold(img) == t
+            assert ip.otsu_threshold(img[None]).tolist() == [t]
+            assert np.array_equal(ip.binarize(img), reference_binarize(img))
+            assert np.array_equal(ip.binarize(img[None]), reference_binarize(img)[None])
+
+
+def test_near_tie_histograms_tie():
+    # levels 10, 20, 30 in equal counts: thresholds 10..19 and 20..29 split 1:2 and 2:1, an exact tie
+    img = np.resize(np.repeat(np.array([10, 20, 30], np.uint8), 4), (3, 4))
+    assert reference_otsu_threshold(img) == 10 == ip.otsu_threshold(img) == ip.otsu_threshold(img[None])[0]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("size", [ip.CANONICAL_SIZE, 7])
+def test_normalize_size_stack_matches_reference(shape, size):
+    images = [img for img in random_images(shape, seed=19 * sum(shape)) + box_images(shape) if img.any()]
+    want = np.stack([reference_normalize_size(img, size) for img in images])
+    got = ip.normalize_size(np.stack(images), size)
+    assert got.shape == (len(images), size, size) and got.dtype == bool
+    assert np.array_equal(got, want)
+    for img, out in zip(images, want):  # a single image, and N=1
+        assert np.array_equal(ip.normalize_size(img, size), out)
+        assert np.array_equal(ip.normalize_size(img[None], size), out[None])
+
+
+def test_glyph_stack_preprocess_matches_reference():
+    grays = glyph_grays()
+    binary = ip.binarize(grays)
+    assert ip.otsu_threshold(grays).tolist() == [reference_otsu_threshold(img) for img in grays]
+    assert np.array_equal(binary, np.stack([reference_binarize(img) for img in grays]))
+    want = np.stack([reference_normalize_size(reference_binarize(img)) for img in grays])
+    assert np.array_equal(ip.normalize_size(binary), want)
+
+
+def test_stack_with_uniform_image_is_empty_glyph():
+    grays = glyph_grays()[:4].copy()
+    grays[2] = 255
+    assert ip.uniform(grays).tolist() == [False, False, True, False]
+    with pytest.raises(EmptyGlyph, match=ip.NO_FOREGROUND):
+        ip.binarize(grays)
+    binary = ip.binarize(glyph_grays()[:4])
+    binary[1] = False
+    with pytest.raises(EmptyGlyph, match=ip.NO_FOREGROUND):
+        ip.normalize_size(binary)
 
 
 # --- thinning ------------------------------------------------------------------
@@ -366,6 +503,68 @@ def test_extract_golden_bytes(tmp_path):
         out = tmp_path / f"{extractor}.csv"
         assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, "--out", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def mixed_shape_corpus(root):
+    """A 3x6 synth corpus of 64x64 glyphs, plus a 40x52 crop of a glyph, a 2x2 image and two blanks.
+
+    The 2x2 image has one foreground pixel. The blanks are 2x2 and 64x64, and
+    the 2x2 one comes first in sample order, though its shape's images are
+    stacked after the 64x64 ones. All 22 images fall in one chunk.
+    """
+    samples = list(dataset_io.synth_corpus(3, 6, seed=5))
+    crop = samples[0].image[5:45, 6:58]
+    assert crop.shape == (40, 52) and not ip.uniform(crop)
+    dataset_io.save_corpus(samples + [
+        dataset_io.LabeledSample("c00/s000_crop.pgm", "c00", crop),
+        dataset_io.LabeledSample("c01/blank.pgm", "c01", np.full((2, 2), 255, np.uint8)),
+        dataset_io.LabeledSample("c01/tiny.pgm", "c01", np.array([[255, 0], [255, 255]], np.uint8)),
+        dataset_io.LabeledSample("c02/blank.pgm", "c02", np.full((64, 64), 255, np.uint8)),
+    ], root)
+    assert len(list(root.glob("*/*.pgm"))) == 22 <= pipeline.CHUNK_SIZE
+
+
+def per_image_table(root, extractor_id):
+    """The table of each image preprocessed alone by the reference functions, blank ones left out."""
+    e = EXTRACTORS[extractor_id]
+    rows = []
+    for sample in dataset_io.load_corpus(root):
+        if sample.image.min() < sample.image.max():
+            scaled = reference_normalize_size(reference_binarize(sample.image))
+            rows.append((sample.id, sample.label, e.features(e.make_stage(scaled[None]), False)[0]))
+    return dataset_io.FeatureTable(extractor_id, e.dim, rows)
+
+
+@pytest.mark.parametrize("extractor_id", list(EXTRACTORS))
+def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extractor_id):
+    root = tmp_path / "corpus"
+    mixed_shape_corpus(root)
+    out, want = tmp_path / "chunk.csv", tmp_path / "per_image.csv"
+    argv = ["extract", "--corpus", str(root), "--extractor", extractor_id, "--out", str(out)]
+    with pytest.warns(UserWarning) as record:
+        assert cli.main(argv) == 0
+    # in sample order, not in the order the shapes are stacked
+    assert [str(w.message) for w in record if "skipping" in str(w.message)] == [
+        f"skipping c01/blank.pgm: {ip.NO_FOREGROUND}", f"skipping c02/blank.pgm: {ip.NO_FOREGROUND}",
+    ]
+    dataset_io.save_features(per_image_table(root, extractor_id), want)
+    assert out.read_bytes() == want.read_bytes()
+    assert len(want.read_text().splitlines()) == 1 + 20
+
+    # each kept image's binary stage keeps its own shape
+    binaries = {}
+    with pytest.warns(UserWarning, match="skipping"):
+        pipeline.extract_table(
+            dataset_io.load_corpus(root), extractor_id, on_stages=lambda s, st: binaries.setdefault(s.id, st["binary"])
+        )
+    kept = [s for s in dataset_io.load_corpus(root) if "blank" not in s.id]
+    assert list(binaries) == [s.id for s in kept]
+    assert all(np.array_equal(binaries[s.id], reference_binarize(s.image)) for s in kept)
+
+    # --strict fails on the first blank image in sample order, as the per-image loop did
+    capsys.readouterr()
+    assert cli.main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err == f"error: c01/blank.pgm: {ip.NO_FOREGROUND}\n"
 
 
 def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, monkeypatch):
