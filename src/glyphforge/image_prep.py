@@ -98,90 +98,85 @@ def normalize_size(binary: np.ndarray, size: int = CANONICAL_SIZE) -> np.ndarray
     return sampled.reshape(binary.shape[:-2] + (size, size))
 
 
-def _zhang_suen_lut(first_subiter: bool) -> np.ndarray:
-    """Deletable flag of an object pixel for each 8-neighbour code.
+def _deletable(centre, ring, first_subiter: bool):
+    """Zhang-Suen deletion mask of one sub-iteration, as bitwise logic on integer or bool arrays.
 
-    Bit i of the code is ring pixel P(i+2): N, NE, E, SE, S, SW, W, NW.
+    ring is the eight neighbours P2..P9 (N, NE, E, SE, S, SW, W, NW), each
+    array holding the same pixels' bits as centre. A bit is deletable when
+    its centre is set, the ring has exactly one 0->1 transition (A == 1),
+    some adjacent ring pair is both 1 and some is both 0 (with A == 1, that
+    is 2 <= B <= 6), and the sub-iteration's two products are 0. No
+    inversion is used, so bool arrays work as well as words.
     """
-    lut = np.zeros(256, dtype=np.uint8)
-    for code in range(256):
-        n, ne, e, se, s, sw, w, nw = ring = [(code >> i) & 1 for i in range(8)]
-        b = sum(ring)
-        # 0->1 transitions around the ring P2,P3,...,P9,P2
-        a = sum((not ring[i]) and ring[(i + 1) % 8] for i in range(8))
-        if first_subiter:
-            cond = not (n and e and s) and not (e and s and w)
+    n, ne, e, se, s, sw, w, nw = ring
+    rises = twice = no_zero_pair = one_pair = None
+    # each step takes the two adjacent ring pairs around q = NE, SE, SW or NW: every pair holds one such q
+    for i in (0, 2, 4, 6):
+        p, q, r = ring[i], ring[i + 1], ring[(i + 2) % 8]
+        pq, qr = p | q, q | r
+        step = (pq ^ p) | (qr ^ q)  # 0->1 transitions p->q, q->r: they never coincide, so | counts them
+        both = (p | r) & q  # a pair both 1
+        pq &= qr  # no pair both 0
+        if rises is None:
+            rises, twice, no_zero_pair, one_pair = step, np.zeros_like(step), pq, both
         else:
-            cond = not (n and e and w) and not (n and s and w)
-        lut[code] = 2 <= b <= 6 and a == 1 and cond
-    return lut
-
-
-def _code9_lut(ring_lut: np.ndarray) -> np.ndarray:
-    """Deletable flag for each 9-bit code of a 3x3 neighbourhood, centre included.
-
-    The code is t[p-1] | t[p] << 3 | t[p+1] << 6 over the column triples
-    t = up | mid << 1 | down << 2, so its bits are NW, W, SW, N, centre, S,
-    NE, E, SE. A background centre is never deletable; an object centre is
-    deletable when ring_lut (bit i = ring pixel P(i+2)) says so.
-    """
-    code = np.arange(512)
-    nw, w, sw, n, centre, s, ne, e, se = ((code >> i) & 1 for i in range(9))
-    ring = n | ne << 1 | e << 2 | se << 3 | s << 4 | sw << 5 | w << 6 | nw << 7
-    return (ring_lut[ring] & centre).astype(np.uint8)
-
-
-_THIN_LUTS = tuple(_code9_lut(_zhang_suen_lut(first)) for first in (True, False))
-
-
-def _thin_subiter(flat: np.ndarray, width: int, lut: np.ndarray) -> None:
-    """One Zhang-Suen sub-iteration, in place, on a flat stack of zero-padded images.
-
-    width is the padded row length. Every object pixel lies inside its own
-    image's padding, so the flat offsets below only ever reach its eight
-    neighbours; codes at padding positions have a background centre, which
-    the table never deletes.
-    """
-    lo, hi = width + 1, flat.size - width - 1
-    # column triples for positions lo - 1 .. hi, then the 9-bit code of lo .. hi - 1
-    a, b = lo - 1, hi + 1
-    triple = flat[a:b] << 1
-    triple |= flat[a - width : b - width]
-    triple |= flat[a + width : b + width] << 2
-    code = triple[2:].astype(np.uint16)
-    code <<= 3
-    code |= triple[1:-1]
-    code <<= 3
-    code |= triple[:-2]
-    # np.take: about half the time of lut[code] on a chunk of 32 images
-    flat[lo:hi] ^= np.take(lut, code)
+            twice |= rises & step
+            rises |= step
+            no_zero_pair &= pq
+            one_pair |= both
+    if first_subiter:
+        product = e & s & (n | w)  # P2*P4*P6 or P4*P6*P8
+    else:
+        product = n & w & (e | s)  # P2*P4*P8 or P2*P6*P8
+    keep = centre & rises
+    keep &= one_pair
+    veto = twice
+    veto |= no_zero_pair
+    veto |= product
+    veto &= keep
+    keep ^= veto
+    return keep
 
 
 def thin(binary: np.ndarray) -> np.ndarray:
     """Zhang-Suen iterative thinning to a one-pixel-wide skeleton.
 
-    binary is one (H, W) image or an (N, H, W) stack thinned image by image;
-    an image leaves the working stack once an iteration deletes nothing.
+    binary is one (H, W) image or an (N, H, W) stack, each image thinned on
+    its own. The zero-padded stack is packed along the image axis, bit i of
+    a pixel's bits holding image i, into one unsigned word per pixel of 8,
+    16, 32 or 64 bits, or into several 64-bit words beyond 64 images. Each
+    sub-iteration is then one pass of word-wide boolean logic over every
+    image at once, until an iteration deletes nothing in any image.
     """
     binary = np.asarray(binary, dtype=bool)
     if binary.size == 0:
         return binary.copy()
     stack = _stack(binary)
     n, h, w = stack.shape
-    padded = np.zeros((n, h + 2, w + 2), dtype=np.uint8)
-    padded[:, 1:-1, 1:-1] = stack
-    out = np.empty_like(stack)
-    active = np.arange(n)
-    while active.size:
-        before = padded.copy()
-        flat = padded.reshape(-1)
-        for lut in _THIN_LUTS:
-            _thin_subiter(flat, w + 2, lut)
-        changed = (padded != before).reshape(active.size, -1).any(axis=1)
-        done = ~changed
-        out[active[done]] = padded[done, 1:-1, 1:-1]
-        padded, active = padded[changed], active[changed]
-    return out.reshape(binary.shape)
+    # bytes per pixel: the narrowest word that holds n bits (a chunk of 32 runs ~30% faster on
+    # 32-bit words than on 64-bit ones), or whole 64-bit words
+    size = next((b for b in (1, 2, 4) if n <= 8 * b), 8 * -(-n // 64))
+    bits = np.zeros((h + 2, w + 2, 8 * size), dtype=bool)
+    bits[1:-1, 1:-1, :n] = stack.transpose(1, 2, 0)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = packed.view(f"u{min(size, 8)}")
+    flat = words.reshape(-1)
+    # every object bit lies inside its image's padding, so these flat offsets only ever reach its
+    # eight neighbours; at a padding position the centre is 0 and nothing is deleted
+    col, row = words.shape[-1], (w + 2) * words.shape[-1]
+    lo, hi = row + col, flat.size - row - col
+    mid = flat[lo:hi]
+    ring = [flat[lo + d : hi + d] for d in (-row, col - row, col, row + col, row, row - col, -col, -row - col)]
+    changed = True
+    while changed:
+        changed = False
+        for first_subiter in (True, False):
+            delete = _deletable(mid, ring, first_subiter)
+            if delete.any():
+                mid ^= delete
+                changed = True
+    unpacked = np.unpackbits(packed[1:-1, 1:-1].transpose(2, 0, 1), axis=0, count=n, bitorder="little")
+    return unpacked.view(bool).reshape(binary.shape)
 
 
 def find_contour(binary: np.ndarray) -> np.ndarray:

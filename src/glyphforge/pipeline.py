@@ -10,9 +10,10 @@ from .errors import ConfigError, CorpusError, FormatError, TrainError
 from .extractors import EXTRACTORS
 
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
-# images per thin call: thinning all 1500 images of the paper-scale corpus
-# as one stack took extract's peak RSS from 45 to 85 MB, and chunks of 8
-# ran ~9% slower than chunks of 32
+# images per chunk, each stage taking the chunk as one stack: over the
+# paper-scale corpus (extract chain200 then moment63 in one process),
+# chunks of 64 and 128 took peak RSS from 41.3 to 43.3 and 48.3 MB for
+# ~9% less time, and chunks of 8 took ~40% more time
 CHUNK_SIZE = 32
 
 

@@ -15,6 +15,11 @@ import shutil
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
 from glyphforge import chain_features as cf
 from glyphforge import cli, dataset_io, ensemble, pipeline
 from glyphforge import image_prep as ip
@@ -187,7 +192,7 @@ def random_images(shape, seed):
     return images + [np.zeros(shape, bool), np.ones(shape, bool), frame, blob]
 
 
-SHAPES = [(60, 60), (17, 41), (41, 17), (1, 23), (23, 1), (1, 1), (2, 9), (5, 5)]
+SHAPES = [(60, 60), (17, 41), (41, 17), (1, 23), (23, 1), (1, 1), (2, 9), (5, 5), (30, 130)]
 ZONE_SHAPES = [(60, 60), (27, 45), (3, 30), (30, 3), (3, 3)]
 
 
@@ -302,14 +307,17 @@ def test_thin_single_images_match_reference(shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_thin_stack_matches_reference_per_image(shape):
     # empty, full and one-pixel images converge after one iteration, blobs take several
-    stack = np.stack(random_images(shape, seed=7 * sum(shape)))
+    images = [img for seed in range(10) for img in random_images(shape, seed=7 * sum(shape) + seed)]
     single = np.zeros(shape, bool)
     single[shape[0] // 2, shape[1] // 2] = True
-    stack = np.concatenate([stack, single[None]])
-    thinned = ip.thin(stack)
-    assert thinned.shape == stack.shape and thinned.dtype == bool
-    for img, out in zip(stack, thinned):
-        assert np.array_equal(out, reference_thin(img))
+    stack = np.stack(images + [single])
+    want = np.stack([reference_thin(img) for img in stack])
+    # 71 images pack into two 64-bit words per pixel; the smaller stacks fill a word of 8, 16, 32 or 64
+    # bits partly or wholly; and a stack of none
+    for count in (len(stack), 64, 33, 32, 9, 8, 1, 0):
+        thinned = ip.thin(stack[:count])
+        assert thinned.shape == stack[:count].shape and thinned.dtype == bool
+        assert np.array_equal(thinned, want[:count]), count
 
 
 def test_thin_glyph_stack_matches_reference():
@@ -325,20 +333,28 @@ def test_thin_leaves_input_unchanged():
 
 
 @pytest.mark.parametrize("first_subiter", [True, False])
-def test_thin_table_matches_ring_definition(first_subiter):
-    """Every 9-bit code: bits NW, W, SW, N, centre, S, NE, E, SE."""
-    table = ip._THIN_LUTS[0 if first_subiter else 1]
-    assert table.shape == (512,)
+def test_thin_deletion_rule_matches_ring_definition(first_subiter):
+    """Every 3x3 neighbourhood: code bits NW, W, SW, N, centre, S, NE, E, SE."""
+    codes = np.arange(512)
+    nw, w, sw, n, centre, s, ne, e, se = [(codes >> i) & 1 == 1 for i in range(9)]
+    ring = [n, ne, e, se, s, sw, w, nw]  # P2..P9
+    got = ip._deletable(centre, ring, first_subiter)
+
+    def pack(b):  # bit i of word j holds code 64 j + i
+        return np.packbits(b, bitorder="little").view(np.uint64)
+
+    words = ip._deletable(pack(centre), [pack(p) for p in ring], first_subiter)
+    assert np.array_equal(np.unpackbits(words.view(np.uint8), bitorder="little").view(bool), got)
     for code in range(512):
-        nw, w, sw, n, centre, s, ne, e, se = [(code >> i) & 1 for i in range(9)]
-        ring = [n, ne, e, se, s, sw, w, nw]  # P2..P9
-        b = sum(ring)
-        a = sum(1 for i in range(8) if not ring[i] and ring[(i + 1) % 8])
+        p = [int(b[code]) for b in ring]
+        b = sum(p)
+        a = sum(1 for i in range(8) if not p[i] and p[(i + 1) % 8])
+        p2, p4, p6, p8 = p[0], p[2], p[4], p[6]
         if first_subiter:
-            cond = not (n and e and s) and not (e and s and w)
+            cond = not (p2 and p4 and p6) and not (p4 and p6 and p8)
         else:
-            cond = not (n and e and w) and not (n and s and w)
-        assert table[code] == bool(centre and 2 <= b <= 6 and a == 1 and cond), code
+            cond = not (p2 and p4 and p8) and not (p2 and p6 and p8)
+        assert got[code] == bool(centre[code] and 2 <= b <= 6 and a == 1 and cond), code
 
 
 # --- contour tracing -------------------------------------------------------------
@@ -487,12 +503,19 @@ def test_moment_zone_features_empty_stack():
 # SHA-256 of the feature CSVs of `synth --classes 4 --per-class 6 --seed 3`:
 # the unflagged ones taken from the per-image thinning, tuple-set tracing and
 # np.sum moments, the flagged ones from the per-move chain histogram loop and
-# the 8-neighbour thinning table
+# the 8-neighbour thinning table. The moment tables hold one digest per numpy
+# SIMD target: numpy's AVX-512 x**3 (in the moment power sums) and log1p (in
+# --log-moments) round some values differently from its other targets, whose
+# x**3 equals libm's. NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+# makes an AVX-512 host take the other digests.
+AVX512 = __cpu_features__.get("AVX512_SKX", False)
 GOLDEN_SHA256 = {
     ("chain200",): "42491b85e3c7bf2693922db42a22860e7553ae0db965e179aa71efe9b0151454",
-    ("moment63",): "998a98720ecf6e1643b9f30880ce847db1c16d6a6c6195b3caa0a69efd5e1de4",
+    ("moment63",): "998a98720ecf6e1643b9f30880ce847db1c16d6a6c6195b3caa0a69efd5e1de4" if AVX512
+    else "9919c0ce3d2a7a9b420756f0de22dfe613a7f0218a2774a0a08ce28b0f1444d1",
     ("chain200", "--normalize"): "913d3521880f7c65f0ad154310ee365da715d9d44c5dcc23230e0e44a8353118",
-    ("moment63", "--log-moments"): "60d542575ebe53ce3894419548605580e88900abfa444e4af6bb370b3f7dfd03",
+    ("moment63", "--log-moments"): "60d542575ebe53ce3894419548605580e88900abfa444e4af6bb370b3f7dfd03" if AVX512
+    else "a6ba0d764f12fa5c4c8a193c2736579b417e28a8b0b11f394be099e7a473f957",
 }
 
 
