@@ -11,9 +11,10 @@ from .extractors import EXTRACTORS
 
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
 # images per chunk, each stage taking the chunk as one stack: over the
-# paper-scale corpus (extract chain200 then moment63 in one process),
-# chunks of 64 and 128 took peak RSS from 41.3 to 43.3 and 48.3 MB for
-# ~9% less time, and chunks of 8 took ~40% more time
+# paper-scale corpus (extract chain200 then moment63 in one process, two
+# sets of 12 and 16 alternating runs), chunks of 64 and 128 took peak RSS
+# from ~35.5 to ~37.5 and ~42.2 MB, and their median time moved by -9% and
+# +5% (64) and by -11% and -4% (128); chunks of 8 took 33-40% more time
 CHUNK_SIZE = 32
 
 

@@ -470,14 +470,31 @@ def shared_count_stack(shape, seed):
     return np.concatenate([np.stack(random_images(shape, seed)), sparse, shuffled])
 
 
-@pytest.mark.parametrize("shape", ZONE_SHAPES, ids=str)
-@pytest.mark.parametrize("log_scale", [False, True])
-def test_moment_zone_features_stack_bytes_match_reference(shape, log_scale):
-    stack = shared_count_stack(shape, seed=13 * sum(shape))
+# np.add.reduce sums fewer than 8 values in a plain loop, 8 to 128 in 8
+# accumulators and a tail, and splits a longer row in two recursively
+PAIRWISE_COUNTS = [1, 7, 8, 9, 16, 17, 128, 129, 136, 137, 256, 257, 400]
+
+
+def pairwise_boundary_stack(seed):
+    """Five 60x60 images whose 45 zones hold PAIRWISE_COUNTS pixels three times over, then six empty ones.
+
+    The zones run row-major through the images, so the zones of one count
+    are 13 apart and fall in two or three images; each zone's pixels are at
+    random places in it.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = PAIRWISE_COUNTS * 3 + [0] * 6
+    zones = np.zeros((len(sizes), 400), bool)
+    for zone, n in zip(zones, sizes):
+        zone[rng.choice(400, n, replace=False)] = True
+    return zones.reshape(-1, 3, 3, 20, 20).swapaxes(2, 3).reshape(-1, 60, 60)
+
+
+def assert_stack_matches_reference(stack, log_scale):
+    """A stack's zone moments, and each image's alone, have the bytes of reference_moment_zone_features."""
     counts = zone_counts(stack)
-    assert (counts == 0).any() and (counts == shape[0] * shape[1] // 9).any()  # empty and full zones
     per_image = [set(c) - {0} for c in counts]
-    assert any(a & b for i, a in enumerate(per_image) for b in per_image[i + 1 :])
+    assert any(a & b for i, a in enumerate(per_image) for b in per_image[i + 1 :])  # counts shared across images
     want = np.stack([reference_moment_zone_features(img, log_scale) for img in stack])
     got = mf.moment_zone_features(stack, log_scale=log_scale)
     assert got.shape == (len(stack), 63)
@@ -485,6 +502,24 @@ def test_moment_zone_features_stack_bytes_match_reference(shape, log_scale):
     for img, row in zip(stack, want):  # N=1 and a single image
         assert mf.moment_zone_features(img[None], log_scale=log_scale).tobytes() == row.tobytes()
         assert mf.moment_zone_features(img, log_scale=log_scale).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("shape", ZONE_SHAPES, ids=str)
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_moment_zone_features_stack_bytes_match_reference(shape, log_scale):
+    stack = shared_count_stack(shape, seed=13 * sum(shape))
+    counts = zone_counts(stack)
+    assert (counts == 0).any() and (counts == shape[0] * shape[1] // 9).any()  # empty and full zones
+    assert_stack_matches_reference(stack, log_scale)
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+def test_moment_zone_features_pairwise_boundaries_match_reference(log_scale):
+    stack = pairwise_boundary_stack(seed=17)
+    counts = zone_counts(stack)
+    assert sorted(counts.ravel().tolist()) == sorted(PAIRWISE_COUNTS * 3 + [0] * 6)
+    assert all(len(set(np.flatnonzero(counts == n) // 9)) > 1 for n in PAIRWISE_COUNTS)  # spread over images
+    assert_stack_matches_reference(stack, log_scale)
 
 
 def test_moment_zone_features_glyph_stack_matches_reference():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glyphforge import moment_features as mf
-from glyphforge.errors import EmptyGlyph
+from glyphforge.errors import EmptyGlyph, ExtractionError
 
 
 def brute_central_moment(img, p, q):
@@ -165,3 +165,16 @@ class TestMomentZoneFeatures:
         raw = mf.moment_zone_features(img)
         logged = mf.moment_zone_features(img, log_scale=True)
         assert np.allclose(logged, np.sign(raw) * np.log1p(np.abs(raw)))
+
+    @pytest.mark.parametrize("shape", [(61, 60), (60, 58), (2, 61, 60), (1, 1)], ids=str)
+    def test_shape_not_divisible_into_zones_raises(self, shape):
+        with pytest.raises(ExtractionError, match="not divisible into 3x3 zones"):
+            mf.moment_zone_features(np.ones(shape, bool))
+
+    def test_square_each_is_python_pow_bit_for_bit(self):
+        # np.square (v * v) and libm pow(v, 2.0), which Python's v ** 2 calls,
+        # round some values differently; the draw must hold such values
+        values = np.random.default_rng(41).standard_normal(100_000)
+        want = np.array([v**2 for v in values.tolist()])
+        assert (np.square(values) != want).any()
+        assert mf._square_each(values).tobytes() == want.tobytes()
