@@ -1,8 +1,7 @@
 """Command-line entry point: extract / train / eval / crossval / predict / synth.
 
 Exit codes: 0 success, 1 domain error (training/evaluation), 2 usage,
-out-of-range setting, malformed file or IO error. GLYPHFORGE_SEED sets the
-default --seed for every subcommand.
+out-of-range setting, malformed file or IO error.
 """
 
 import argparse
@@ -11,22 +10,12 @@ import os
 import sys
 
 from . import dataset_io, ensemble, evaluation, mlp, pipeline
-from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
+from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError, LabelError, SplitError
 from .extractors import EXTRACTORS
 
 
-def _default_seed() -> int:
-    seed = os.environ.get("GLYPHFORGE_SEED", "0")
-    try:
-        return int(seed)
-    except ValueError:
-        raise ConfigError(f"GLYPHFORGE_SEED must be an integer, not {seed!r}") from None
-
-
 def _add_seed(parser):
-    parser.add_argument(
-        "--seed", type=int, default=_default_seed(), help="RNG seed (default: $GLYPHFORGE_SEED or 0)"
-    )
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 # training option -> (the pipeline.train_models keyword it sets, type, help): an MlpConfig
@@ -282,7 +271,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, CorpusError, IoError, FormatError, OSError) as exc:
+    except (ConfigError, CorpusError, IoError, FormatError, SplitError, LabelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GlyphforgeError as exc:

@@ -264,12 +264,9 @@ class FeatureTable:
     flags: dict = field(default_factory=dict)  # extractor options, e.g. {"log_moments": True}
 
     def __post_init__(self):
-        extractor = EXTRACTORS.get(self.extractor_id)
-        if extractor is None:
+        if self.extractor_id not in EXTRACTORS:
             raise FormatError(f"unknown extractor {self.extractor_id!r}")
-        if extractor.dim != self.dim:
-            raise FormatError(f"extractor {self.extractor_id} implies dim {extractor.dim}, got {self.dim}")
-        check_flags(self.extractor_id, self.flags)
+        check_flags(self.extractor_id, self.flags, self.dim)
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")

@@ -5,7 +5,6 @@ w_k = d_k / (d_1 + d_2). The fused score for class i is the convex
 combination w1 * o1[i] + w2 * o2[i].
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -129,13 +128,15 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 
 
 def load_ensemble(path) -> EnsembleModel:
-    """The ensemble and its member files; d1 and d2 must be in [0, 1], the weights finite and summing to 1."""
+    """The ensemble and its member files: d1, d2 in [0, 1] and not both 0, w1 and w2 what compute_weights makes them."""
     header = dict(ln.partition(" ")[::2] for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln)
-    weights = from_fields(FusionWeights, header, path)
-    if not (0 <= weights.d1 <= 1 and 0 <= weights.d2 <= 1):  # also false for nan
-        raise FormatError(f"{path}: calibration accuracies d1={weights.d1!r} d2={weights.d2!r} are not in [0, 1]")
-    if not math.isclose(weights.w1 + weights.w2, 1.0):  # also false for inf or nan
-        raise FormatError(f"{path}: fusion weights w1={weights.w1!r} w2={weights.w2!r} do not sum to 1")
+    written = from_fields(FusionWeights, header, path)
+    d1, d2 = written.d1, written.d2
+    if not (0 <= d1 <= 1 and 0 <= d2 <= 1 and d1 + d2 > 0):  # also false for nan
+        raise FormatError(f"{path}: calibration accuracies d1={d1!r} d2={d2!r} are not in [0, 1] or are both 0")
+    weights = compute_weights(d1, d2)
+    if written != weights:  # also true for an inf or nan weight
+        raise FormatError(f"{path}: fusion weights w1={written.w1!r} w2={written.w2!r} are not d_k / (d1 + d2)")
     directory = os.path.dirname(os.path.abspath(path))
     try:
         model1, model2 = (mlp.load_model(os.path.join(directory, header[k])) for k in ("model1", "model2"))

@@ -41,8 +41,11 @@ EXTRACTORS = {e.id: e for e in (
 )}
 
 
-def check_flags(extractor_id: str, flags) -> None:
-    """FormatError unless each flag is the extractor's own option; an unknown extractor has none."""
-    own = {EXTRACTORS[extractor_id].flag} if extractor_id in EXTRACTORS else set()
+def check_flags(extractor_id: str, flags, dim: int) -> None:
+    """FormatError unless each flag is the extractor's own option and dim its dim; an unknown id has none, any dim."""
+    extractor = EXTRACTORS.get(extractor_id)
+    own = {extractor.flag} if extractor else set()
     if not set(flags) <= own:
         raise FormatError(f"flags {sorted(flags)}: extractor {extractor_id!r} has only {sorted(own)}")
+    if extractor and extractor.dim != dim:
+        raise FormatError(f"extractor {extractor_id} implies dim {extractor.dim}, got {dim}")

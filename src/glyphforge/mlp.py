@@ -397,9 +397,9 @@ def load_model(path) -> MlpModel:
     try:
         items = [item.partition("=") for item in header.get("flags", "").split(",") if item]
         flags = {k: bool(int(v)) for k, _, v in items}
-        check_flags(extractor_id, flags)
+        check_flags(extractor_id, flags, cfg.input_size)
     except (ValueError, FormatError) as exc:
-        raise FormatError(f"{path}: bad flags ({exc})") from exc
+        raise FormatError(f"{path}: bad flags or input_size ({exc})") from exc
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
     blocks = []
     for name, rows, cols in (("w1", h, n), ("b1", 1, h), ("w2", o, h), ("b2", 1, o)):

@@ -287,18 +287,14 @@ def test_crossval_single_extractor(corpus, tmp_path):
     assert "mean:" in text and "stddev:" in text
 
 
-def test_seed_env_default(monkeypatch):
-    monkeypatch.setenv("GLYPHFORGE_SEED", "123")
-    parser = cli.build_parser()
-    args = parser.parse_args(["synth", "--out", "x"])
-    assert args.seed == 123
-
-
-def test_non_integer_seed_env_exit_2(monkeypatch, tmp_path, capsys):
+def test_seed_defaults_to_0_whatever_the_environment(monkeypatch, tmp_path):
+    """Only --seed sets the seed: with GLYPHFORGE_SEED=abc set, synth without --seed writes the seed-0 corpus."""
+    assert cli.main(["synth", "--out", str(tmp_path / "seed0"), "--seed", "0"]) == 0
     monkeypatch.setenv("GLYPHFORGE_SEED", "abc")
-    assert cli.main(["synth", "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == "error: GLYPHFORGE_SEED must be an integer, not 'abc'\n"
-    assert not (tmp_path / "x").exists()
+    assert cli.main(["synth", "--out", str(tmp_path / "x")]) == 0
+    written = sorted(p.relative_to(tmp_path / "x") for p in (tmp_path / "x").rglob("*.pgm"))
+    assert written == sorted(p.relative_to(tmp_path / "seed0") for p in (tmp_path / "seed0").rglob("*.pgm"))
+    assert all((tmp_path / "x" / p).read_bytes() == (tmp_path / "seed0" / p).read_bytes() for p in written)
 
 
 @pytest.mark.parametrize("extractor, flag", [("moment63", "--log-moments"), ("chain200", "--normalize")])
@@ -504,6 +500,45 @@ def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, 
         assert cli.main(["predict", "--model", str(non_finite), "--image", str(image)]) == 2
 
 
+def test_eval_table_with_a_label_the_model_lacks_exit_2(feature_files, ensemble_file, tmp_path, capsys):
+    header, first, *rest = feature_files[0].read_text().splitlines()
+    sample_id, _, values = first.split(",", 2)
+    relabelled = tmp_path / "relabelled.csv"
+    relabelled.write_text("\n".join([header, f"{sample_id},zz,{values}", *rest]) + "\n")
+    capsys.readouterr()
+    member = ensemble_file.with_name("ens.chain.mlp")
+    assert cli.main(["eval", "--model", str(member), "--features", str(relabelled)]) == 2
+    assert capsys.readouterr().err == "error: label 'zz' not in the model's class table\n"
+
+
+def test_mlp_input_size_other_than_its_extractors_dim_exit_2(corpus, tmp_path, capsys):
+    model = mlp.init_model(mlp.MlpConfig(input_size=5, hidden_size=4, output_size=3), ["c00", "c01", "c02"], "chain200")
+    path = tmp_path / "m.mlp"
+    mlp.save_model(model, path)
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(path), "--image", str(corpus / "c00" / "s000.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "implies dim 200, got 5" in err
+
+
+def test_eval_glyph_weights_other_than_d_over_d1_plus_d2_exit_2(feature_files, ensemble_file, tmp_path, capsys):
+    chain, moment = feature_files
+    for name in ("ens.chain.mlp", "ens.moment.mlp"):
+        shutil.copyfile(ensemble_file.with_name(name), tmp_path / name)
+    weights = {"d1": "0.5", "d2": "0.5", "w1": "0.9", "w2": "0.1"}  # sum to 1, yet d_k / (d1 + d2) is 0.5
+    glyph = tmp_path / "ens.glyph"
+    glyph.write_text("".join(
+        f"{key} {weights[key]}\n" if (key := ln.partition(" ")[0]) in weights else f"{ln}\n"
+        for ln in ensemble_file.read_text().splitlines()
+    ))
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(glyph), "--features", str(chain), "--features2", str(moment)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "fusion weights w1=0.9 w2=0.1 are not d_k / (d1 + d2)" in err
+
+
 # every training option away from its default, and the MlpConfig fields they set
 NON_DEFAULT_OPTIONS = [
     "--hidden", "17", "--lr", "0.35", "--momentum", "0.25", "--epochs", "3",
@@ -557,6 +592,7 @@ def test_crossval_unequal_folds_equal_per_fold_training(corpus, tmp_path, monkey
     ["train", "--calibration-fraction", "1.5"],
     ["train", "--features2", "MOMENT", "--calibration-fraction", "0"],
     ["crossval", "--folds", "1"],
+    ["crossval", "--folds", "9"],  # each class of the corpus has 8 images
     ["crossval", "--momentum", "-0.5"],
     ["crossval", "--extractor", "chain200", "--log-moments"],
     ["extract", "--extractor", "chain200", "--log-moments"],

@@ -282,9 +282,9 @@ def test_mutated_files_raise_only_glyphforge_errors(tmp_path):
     rows = [(f"c{i}/s{i}.pgm", f"c{i}", rng.normal(size=63)) for i in range(2)]
     dio.save_features(dio.FeatureTable("moment63", 63, rows, {"log_moments": True}), tmp_path / "f.csv")
     members = []
-    for extractor_id in ("chain200", "moment63"):
-        model = mlp.init_model(mlp.MlpConfig(input_size=3, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id)
-        model.feature_min, model.feature_max = np.zeros(3), np.ones(3)
+    for extractor_id, dim in (("chain200", 200), ("moment63", 63)):
+        model = mlp.init_model(mlp.MlpConfig(input_size=dim, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id)
+        model.feature_min, model.feature_max = np.zeros(dim), np.ones(dim)
         members.append(model)
     members[1].extractor_flags = {"log_moments": True}
     mlp.save_model(members[0], tmp_path / "m.mlp")

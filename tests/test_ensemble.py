@@ -194,6 +194,24 @@ class TestEnsembleModel:
         with pytest.raises(FormatError, match="calibration accuracies"):
             ensemble.load_ensemble(path)
 
+    @pytest.mark.parametrize("d1, d2", [(0.8819, 0.6567), (1 / 3, 2 / 3), (0.1, 0.7), (1.0, 0.0)])
+    def test_loaded_weights_are_compute_weights_of_the_written_d(self, tmp_path, d1, d2):
+        ens = self.build()
+        ens.weights = ensemble.compute_weights(d1, d2)
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(ens, path)
+        assert ensemble.load_ensemble(path).weights == ensemble.compute_weights(d1, d2)
+
+    def test_weights_other_than_d_over_d1_plus_d2_are_format_error(self, tmp_path):
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        weights = {"d1": "0.5", "d2": "0.5", "w1": "0.9", "w2": "0.1"}  # sum to 1, yet d_k / (d1 + d2) is 0.5
+        lines = [f"{k} {weights[k]}" if (k := ln.partition(" ")[0]) in weights else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"fusion weights w1=0.9 w2=0.1 are not d_k / \(d1 \+ d2\)"):
+            ensemble.load_ensemble(path)
+
     @pytest.mark.parametrize("load", [ensemble.load_ensemble, ensemble.load_any_model])
     def test_unreadable_file(self, tmp_path, load):
         path = tmp_path / "binary.glyph"

@@ -400,11 +400,11 @@ def _swap_blocks(lines, first, second):
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         model = small_model(
-            7, 4, 3, seed=21, learning_rate=0.35, momentum=0.25, max_epochs=17, target_mse=2.5e-4
+            200, 4, 3, seed=21, learning_rate=0.35, momentum=0.25, max_epochs=17, target_mse=2.5e-4
         )
         model.extractor_id = "chain200"
         model.extractor_flags = {"normalize": True}
-        model.feature_min = np.random.default_rng(1).normal(size=7)
+        model.feature_min = np.random.default_rng(1).normal(size=200)
         model.feature_max = model.feature_min + 1.5
         path = tmp_path / "m.mlp"
         mlp.save_model(model, path)
@@ -418,7 +418,7 @@ class TestSerialization:
         assert loaded.extractor_flags == {"normalize": True}
         assert loaded.config == model.config
         assert path.read_text().splitlines()[2:10] == [
-            "input_size 7", "hidden_size 4", "output_size 3", "learning_rate 0.35",
+            "input_size 200", "hidden_size 4", "output_size 3", "learning_rate 0.35",
             "momentum 0.25", "max_epochs 17", "target_mse 0.00025", "seed 21",
         ]
 
@@ -434,6 +434,7 @@ class TestSerialization:
                        for ln in lines],  # another extractor's flag
         lambda lines: _swap_blocks(lines, "@b1", "@w2"),  # every block well formed, b1 and w2 out of order
         lambda lines: lines + ["@x 1 1", "0.5"],  # a well-formed block after @b2
+        lambda lines: [ln.replace("extractor ", "extractor chain200") for ln in lines],  # input_size 7, not 200
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(7, 4, 3, seed=21)
