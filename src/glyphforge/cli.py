@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractor", choices=tuple(EXTRACTORS), required=True)
     p.add_argument("--out", required=True, help="feature CSV path")
     _add_extractor_flags(p)
-    p.add_argument("--strict", action="store_true", help="fail on malformed images instead of skipping")
+    p.add_argument("--strict", action="store_true", help="fail on malformed or blank images instead of skipping")
     p.add_argument("--dump-stages", metavar="DIR", help="write intermediate binary images as PGM")
 
     p = sub.add_parser("train", help="train an MLP, or with two feature tables the fused pair")
@@ -140,7 +140,7 @@ def cmd_extract(args) -> int:
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
         on_stages = functools.partial(_dump_stages, args.dump_stages)
-    table = pipeline.extract_table(samples, extractor_id, flags, strict=args.strict, on_stages=on_stages)
+    table = pipeline.extract_table(samples, extractor_id, flags, on_stages=on_stages)
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -244,12 +244,11 @@ def cmd_predict(args) -> int:
             if n.endswith(".pgm")
         )
     )
-    strict = bool(args.image)
-    samples = dataset_io.read_samples(((path, "", path) for path in paths), strict)
+    samples = dataset_io.read_samples(((path, "", path) for path in paths), strict=bool(args.image))
     ranked_any = False
-    for kept, matrices in pipeline.iter_features(samples, model.extractors, strict):
+    for chunk, matrices in pipeline.iter_features(samples, model.extractors):
         ranked_any = True
-        for sample, ranked in zip(kept, _ranked(model, matrices)):
+        for sample, ranked in zip(chunk, _ranked(model, matrices)):
             listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked[: args.k])
             print(f"{sample.id}  {listing}")
     if not ranked_any:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import image_prep
 from .errors import ConfigError, CorpusError, FormatError, IoError
 from .extractors import EXTRACTORS, check_flags
 
@@ -30,6 +31,25 @@ def read_lines(path, magic=None) -> list:
     if magic is not None and lines[:1] != [magic]:
         raise FormatError(f"{path}: not a {magic} file")
     return lines
+
+
+def header_dict(items, sep, where) -> dict:
+    """{key: value} of "<key><sep><value>" items, split at the first sep; a repeated key is a FormatError naming where."""
+    header = {}
+    for item in items:
+        key, _, value = item.partition(sep)
+        if key in header:
+            raise FormatError(f"{where}: repeated key {key!r}")
+        header[key] = value
+    return header
+
+
+def flag_values(options, where) -> dict:
+    """{flag: on} of a header's {flag: "1" or "0"} extractor options; another value is a FormatError naming where."""
+    for key, value in options.items():
+        if value not in ("0", "1"):
+            raise FormatError(f"{where}: option {key}={value} is not 0 or 1")
+    return {key: value == "1" for key, value in options.items()}
 
 
 def floats(tokens, where) -> np.ndarray:
@@ -142,7 +162,8 @@ class LabeledSample:
 def read_samples(files, strict: bool = False):
     """Yield a LabeledSample per (id, label, path) of files, reading each image only when the iteration reaches it.
 
-    A malformed image is skipped with a warning naming it, or with strict raises its IoError.
+    The one place an image is skipped, in sample order, with a warning naming it: a malformed one (with strict,
+    its IoError) or a uniform one, which has no foreground (with strict, a CorpusError).
     """
     for sample_id, label, path in files:
         try:
@@ -151,6 +172,12 @@ def read_samples(files, strict: bool = False):
             if strict:
                 raise
             warnings.warn(f"skipping malformed image: {exc}")
+            continue
+        if image_prep.uniform(image)[0]:
+            reason = f"{sample_id}: {image_prep.NO_FOREGROUND}"
+            if strict:
+                raise CorpusError(reason)
+            warnings.warn(f"skipping {reason}")
             continue
         yield LabeledSample(id=sample_id, label=label, image=image)
 
@@ -299,13 +326,13 @@ def load_features(path) -> FeatureTable:
     lines = read_lines(path)
     if not lines or not lines[0].startswith("# extractor="):
         raise FormatError(f"{path}: missing feature header")
+    head = header_dict(lines[0][2:].split(), "=", path)
     try:
-        head = dict(kv.split("=") for kv in lines[0][2:].split())
         extractor_id = head.pop("extractor")
         dim = int(head.pop("dim"))
-        flags = {k: bool(int(v)) for k, v in head.items()}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad feature header") from exc
+    flags = flag_values(head, path)
     rows = []
     for n, ln in enumerate(lines[1:], start=2):
         if not ln:

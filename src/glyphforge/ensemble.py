@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlp
-from .dataset_io import field_lines, from_fields, read_lines
+from .dataset_io import field_lines, from_fields, header_dict, read_lines
 from .errors import DegenerateWeights, FormatError, ShapeError
 from .extractors import EXTRACTORS
 
@@ -129,7 +129,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 
 def load_ensemble(path) -> EnsembleModel:
     """The ensemble and its member files: d1, d2 in [0, 1] and not both 0, w1 and w2 what compute_weights makes them."""
-    header = dict(ln.partition(" ")[::2] for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln)
+    header = header_dict([ln for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln], " ", path)
     written = from_fields(FusionWeights, header, path)
     d1, d2 = written.d1, written.d2
     if not (0 <= d1 <= 1 and 0 <= d2 <= 1 and d1 + d2 > 0):  # also false for nan

@@ -10,7 +10,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .dataset_io import field_lines, floats, from_fields, read_lines
+from .dataset_io import field_lines, flag_values, floats, from_fields, header_dict, read_lines
 from .errors import ConfigError, FormatError, ShapeError, TrainError
 from .extractors import check_flags
 
@@ -391,14 +391,14 @@ def load_model(path) -> MlpModel:
     """The model in a .mlp file: the header, then exactly the blocks save_model writes, in its order."""
     lines = read_lines(path, MAGIC)
     i = next((k for k, ln in enumerate(lines) if ln.startswith("@")), len(lines))
-    header = dict(ln.partition(" ")[::2] for ln in lines[1:i])
+    header = header_dict(lines[1:i], " ", path)
     cfg = from_fields(MlpConfig, header, path)
     extractor_id = header.get("extractor", "")
+    items = [item for item in header.get("flags", "").split(",") if item]
+    flags = flag_values(header_dict(items, "=", f"{path}: flags"), f"{path}: flags")
     try:
-        items = [item.partition("=") for item in header.get("flags", "").split(",") if item]
-        flags = {k: bool(int(v)) for k, _, v in items}
         check_flags(extractor_id, flags, cfg.input_size)
-    except (ValueError, FormatError) as exc:
+    except FormatError as exc:
         raise FormatError(f"{path}: bad flags or input_size ({exc})") from exc
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
     blocks = []

@@ -1,7 +1,6 @@
 """End-to-end glue: raw image -> features -> trained models -> rankings."""
 
 import itertools
-import warnings
 
 import numpy as np
 
@@ -18,94 +17,67 @@ CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to cal
 CHUNK_SIZE = 32
 
 
-def _preprocess(chunk, strict):
-    """(kept samples, their binary images, their (len(kept), 60, 60) normalized stack), or None if none is kept.
+def _chunk_features(chunk, extractors, on_stages):
+    """One (len(chunk), dim) matrix per extractor for one chunk of samples, each with foreground.
 
     The chunk's images of one shape are binarized and normalized as one
-    stack. A uniform image has no foreground: it is skipped with a warning
-    that names it, in sample order, or with strict the first one is a
-    CorpusError.
+    stack, then put back in sample order. Each stage the extractors read is
+    made once, as one (N, H, W) stack, and each extractor reads that stack.
+    With on_stages, every registered stage is made, and on_stages(sample,
+    stages) sees each sample's stages dict ("binary", "scaled" and each
+    stage) first.
     """
     shapes = {}
     for i, sample in enumerate(chunk):
         shapes.setdefault(sample.image.shape, []).append(i)
-    groups = [(np.array(idx), np.stack([chunk[i].image for i in idx])) for idx in shapes.values()]
-    blank = np.zeros(len(chunk), bool)
-    for idx, gray in groups:
-        blank[idx] = image_prep.uniform(gray)
-    for i in np.flatnonzero(blank):
-        reason = f"{chunk[i].id}: {image_prep.NO_FOREGROUND}"
-        if strict:
-            raise CorpusError(reason)
-        warnings.warn(f"skipping {reason}")
-    kept, binaries, scaled = [], [], []
-    for idx, gray in groups:
-        keep = ~blank[idx]
-        if keep.any():
-            binary = image_prep.binarize(gray[keep])
-            kept.extend(idx[keep])
-            binaries.extend(binary)
-            scaled.append(image_prep.normalize_size(binary))
-    if not kept:
-        return None
-    order = np.argsort(kept)  # sample order, when the chunk holds more than one shape
-    return [chunk[kept[j]] for j in order], [binaries[j] for j in order], np.concatenate(scaled)[order]
-
-
-def _chunk_features(chunk, extractors, strict, on_stages):
-    """(kept samples, one (len(kept), dim) matrix per extractor) for one chunk, or None if it keeps none.
-
-    _preprocess binarizes and normalizes the chunk and skips, or with
-    strict fails on, each sample without foreground. Each stage the
-    extractors read is made once, as one (N, H, W) stack of the kept
-    images, and each extractor reads that stack. With on_stages, every
-    registered stage is made, and on_stages(sample, stages) sees each kept
-    sample's stages dict ("binary", "scaled" and each stage) first.
-    """
-    if (preprocessed := _preprocess(chunk, strict)) is None:
-        return None
-    kept, binaries, scaled = preprocessed
+    stacked, binaries, scaled = [], [], []
+    for idx in shapes.values():
+        binary = image_prep.binarize(np.stack([chunk[i].image for i in idx]))
+        stacked.extend(idx)
+        binaries.extend(binary)
+        scaled.append(image_prep.normalize_size(binary))
+    order = np.argsort(stacked)  # sample order, when the chunk holds more than one shape
+    binaries, scaled = [binaries[j] for j in order], np.concatenate(scaled)[order]
     needed = list(EXTRACTORS) if on_stages else [x for x, _ in extractors]
     makers = {EXTRACTORS[x].stage: EXTRACTORS[x].make_stage for x in needed}
     stacks = {name: make_stage(scaled) for name, make_stage in makers.items()}
     if on_stages:
         stages = {"binary": binaries, "scaled": scaled, **stacks}
-        for i, sample in enumerate(kept):
+        for i, sample in enumerate(chunk):
             on_stages(sample, {name: stack[i] for name, stack in stages.items()})
     matrices = []
     for extractor_id, flags in extractors:
         e = EXTRACTORS[extractor_id]
         matrices.append(e.features(stacks[e.stage], flags.get(e.flag, False)))
-    return kept, matrices
+    return matrices
 
 
-def iter_features(samples, extractors, strict: bool = False, on_stages=None):
-    """(kept samples, matrices) for each chunk that keeps a sample: one matrix per (extractor_id, flags) pair.
+def iter_features(samples, extractors, on_stages=None):
+    """(chunk, matrices) for each chunk of samples: one matrix per (extractor_id, flags) pair.
 
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
-    for skipped samples, strict and on_stages); a chunk's stages are freed
-    before the next chunk is read. An unknown extractor id is a FormatError.
+    for on_stages); a chunk's stages are freed before the next chunk is read.
+    Each sample must have foreground: dataset_io.read_samples skips the
+    others. An unknown extractor id is a FormatError.
     """
     for extractor_id, _ in extractors:
         if extractor_id not in EXTRACTORS:
             raise FormatError(f"unknown extractor {extractor_id!r}")
     samples = iter(samples)
     while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
-        if features := _chunk_features(chunk, extractors, strict, on_stages):
-            yield features
+        yield chunk, _chunk_features(chunk, extractors, on_stages)
 
 
-def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
+def extract_tables(samples, extractors, on_stages=None):
     """One FeatureTable per (extractor_id, flags) pair, in one pass over the samples.
 
-    Samples without foreground are skipped, or fail with strict; a pass
-    that keeps no sample is a CorpusError. on_stages sees each kept
-    sample's stages (see iter_features).
+    A pass over no sample is a CorpusError. on_stages sees each sample's
+    stages (see iter_features).
     """
     rows = [[] for _ in extractors]
-    for kept, matrices in iter_features(samples, extractors, strict, on_stages):
+    for chunk, matrices in iter_features(samples, extractors, on_stages):
         for table_rows, matrix in zip(rows, matrices):
-            table_rows.extend((s.id, s.label, vec) for s, vec in zip(kept, matrix))
+            table_rows.extend((s.id, s.label, vec) for s, vec in zip(chunk, matrix))
     if not rows[0]:
         raise CorpusError("no usable image: every image was skipped")
     return [
@@ -114,11 +86,9 @@ def extract_tables(samples, extractors, strict: bool = False, on_stages=None):
     ]
 
 
-def extract_table(
-    samples, extractor_id: str, flags=None, strict: bool = False, on_stages=None
-) -> dataset_io.FeatureTable:
+def extract_table(samples, extractor_id: str, flags=None, on_stages=None) -> dataset_io.FeatureTable:
     """extract_tables for one extractor: its FeatureTable."""
-    (table,) = extract_tables(samples, [(extractor_id, flags or {})], strict, on_stages)
+    (table,) = extract_tables(samples, [(extractor_id, flags or {})], on_stages)
     return table
 
 

@@ -444,6 +444,27 @@ def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
     assert capsys.readouterr().out == report
 
 
+def test_skips_and_strict_follow_sample_order(corpus, tmp_path, capsys):
+    """In one chunk, a blank image read before a malformed one is warned about, and with --strict fails, first."""
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus, root)
+    dio.write_pgm(root / "c00" / "blank.pgm", np.full((64, 64), 255, dtype=np.uint8))
+    bad = root / "c01" / "bad.pgm"
+    bad.write_bytes(b"P5\nabc 64\n255\n")
+    assert len(list(root.glob("*/*.pgm"))) <= pipeline.CHUNK_SIZE
+    argv = ["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(tmp_path / "f.csv")]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert [str(w.message) for w in seen] == [
+        f"skipping c00/blank.pgm: {image_prep.NO_FOREGROUND}",
+        f"skipping malformed image: {bad}: non-integer PGM width, height or maxval",
+    ]
+    capsys.readouterr()
+    assert cli.main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err == f"error: c00/blank.pgm: {image_prep.NO_FOREGROUND}\n"
+
+
 def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, corpus, tmp_path):
     chain, _ = feature_files
     bad_csv = tmp_path / "bad.csv"

@@ -1,8 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from glyphforge import dataset_io as dio
-from glyphforge import ensemble, mlp, pipeline
+from glyphforge import ensemble, image_prep, mlp, pipeline
 from glyphforge.errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 
 
@@ -95,6 +98,25 @@ class TestLoadCorpus:
             samples = list(dio.load_corpus(tmp_path))
         assert len(samples) == 6
         with pytest.raises(IoError, match="broken"):
+            list(dio.load_corpus(tmp_path, strict=True))
+
+    def test_blank_skipped_unless_strict(self, tmp_path):
+        """A uniform image is skipped with a warning naming it, in sample order with malformed ones."""
+        self.make_corpus(tmp_path)
+        for name, level in (("a_blank.pgm", 255), ("dark.pgm", 0)):
+            dio.write_pgm(tmp_path / "ka" / name, np.full((10, 10), level, np.uint8))
+        broken = tmp_path / "ka" / "broken.pgm"  # sorts between the two
+        broken.write_bytes(b"P5\n9 9\n255\nxx")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            samples = list(dio.load_corpus(tmp_path))
+        assert [str(w.message) for w in seen] == [
+            f"skipping ka/a_blank.pgm: {image_prep.NO_FOREGROUND}",
+            f"skipping malformed image: {broken}: truncated PGM raster",
+            f"skipping ka/dark.pgm: {image_prep.NO_FOREGROUND}",
+        ]
+        assert [s.id for s in samples] == [f"{c}/s{j}.pgm" for c in ("ka", "kha") for j in range(3)]
+        with pytest.raises(CorpusError, match=re.escape(f"ka/a_blank.pgm: {image_prep.NO_FOREGROUND}")):
             list(dio.load_corpus(tmp_path, strict=True))
 
     def test_save_round_trip(self, tmp_path):
@@ -200,6 +222,25 @@ class TestFeatureTable:
         assert path.read_text().split("\n", 1)[0] == "# extractor=moment63 dim=63 log_moments=1"
         assert dio.load_features(path).flags == {"log_moments": True}
         assert table.subset([2, 0]).flags == {"log_moments": True}
+
+    @pytest.mark.parametrize("value", ["7", "-3", "01", "true", ""])
+    def test_option_other_than_0_or_1_is_format_error(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        dio.save_features(self.make_table(), path)
+        path.write_text(path.read_text().replace("dim=63", f"dim=63 log_moments={value}", 1))
+        with pytest.raises(FormatError, match=f"log_moments={value} is not 0 or 1"):
+            dio.load_features(path)
+
+    @pytest.mark.parametrize("header, key", [
+        ("extractor=chain200 dim=5 dim=200", "dim"),
+        ("extractor=moment63 dim=200 extractor=chain200", "extractor"),
+        ("extractor=moment63 dim=63 log_moments=1 log_moments=0", "log_moments"),
+    ])
+    def test_repeated_header_key_is_format_error(self, tmp_path, header, key):
+        path = tmp_path / "f.csv"
+        path.write_text(f"# {header}\nc/s0.pgm,c,{','.join(['0.5'] * 200)}\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: repeated key '{key}'"):
+            dio.load_features(path)
 
     @pytest.mark.parametrize("text", [
         "# extractor=x dim=2\nid,lab,1.0,abc\n",

@@ -212,6 +212,14 @@ class TestEnsembleModel:
         with pytest.raises(FormatError, match=r"fusion weights w1=0.9 w2=0.1 are not d_k / \(d1 \+ d2\)"):
             ensemble.load_ensemble(path)
 
+    @pytest.mark.parametrize("line, key", [("model1 ens.moment.mlp", "model1"), ("d1 0.8", "d1")])
+    def test_repeated_header_key_is_format_error(self, tmp_path, line, key):
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(FormatError, match=f"repeated key '{key}'"):
+            ensemble.load_ensemble(path)
+
     @pytest.mark.parametrize("load", [ensemble.load_ensemble, ensemble.load_any_model])
     def test_unreadable_file(self, tmp_path, load):
         path = tmp_path / "binary.glyph"

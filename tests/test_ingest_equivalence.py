@@ -642,7 +642,8 @@ def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, m
         shutil.copyfile(path, images / f"{path.parent.name}_{path.name}")
     paths = sorted(images.iterdir())
     assert len(paths) == 36 and pipeline.CHUNK_SIZE == 32
-    # sorts before c01_s000.pgm, in the middle of the first chunk, which then keeps one row fewer than it read
+    # sorts before c01_s000.pgm, in the middle of the first 32 images read; read_samples skips it, so a chunk
+    # holds the next image in its place
     blank = images / "c01_blank.pgm"
     dataset_io.write_pgm(blank, np.full((64, 64), 255, dtype=np.uint8))
     assert sorted(images.iterdir()).index(blank) == 12
@@ -653,8 +654,8 @@ def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, m
     with pytest.warns(UserWarning, match=re.escape(f"skipping {blank}: image has no foreground pixel")):
         assert cli.main(["predict", "--model", str(model), "--dir", str(images), "-k", "3"]) == 0
     chunked = capsys.readouterr().out
-    # one scores call per chunk: 31 kept of the first 32 images read, then the last 5
-    assert scored == [31, 5]
+    # one scores call per chunk: the first 32 kept of the 33 images read, then the last 4
+    assert scored == [32, 4]
     single = []
     for path in paths:
         assert cli.main(["predict", "--model", str(model), "--image", str(path), "-k", "3"]) == 0

@@ -446,6 +446,31 @@ class TestSerialization:
         with pytest.raises(FormatError):
             mlp.load_model(path)
 
+    @pytest.mark.parametrize("value", ["2", "-1", "01", ""])
+    def test_flag_other_than_0_or_1_is_format_error(self, tmp_path, value):
+        model = small_model(63, 4, 3, seed=21)
+        model.extractor_id, model.extractor_flags = "moment63", {"log_moments": True}
+        path = tmp_path / "m.mlp"
+        mlp.save_model(model, path)
+        path.write_text(path.read_text().replace("flags log_moments=1\n", f"flags log_moments={value}\n"))
+        with pytest.raises(FormatError, match=f"log_moments={value} is not 0 or 1"):
+            mlp.load_model(path)
+
+    @pytest.mark.parametrize("line, key", [
+        ("labels x,y,z", "labels"), ("seed 5", "seed"), ("flags log_moments=1,log_moments=0", "log_moments"),
+    ])
+    def test_repeated_header_key_is_format_error(self, tmp_path, line, key):
+        model = small_model(63, 4, 3, seed=21)
+        model.extractor_id = "moment63"
+        path = tmp_path / "m.mlp"
+        mlp.save_model(model, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("flags ")
+        lines[at : at + 1] = [line] if line.startswith("flags") else [lines[at], line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"repeated key '{key}'"):
+            mlp.load_model(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mlp"
         path.write_text("not a model\n")
