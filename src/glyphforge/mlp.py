@@ -142,68 +142,75 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _layers(buf: np.ndarray, cfg: MlpConfig):
-    """Views (w1, b1, w2, b2) of a (S, P) buffer, each row laid out in that order.
+    """Views (w1, b1, w2, b2) of a flat buffer of S lanes laid out layer by layer.
 
-    Their shapes are (S, h, n), (S, h), (S, o, h) and (S, o); writes to them
-    write to buf.
+    buf holds [w1 of every lane | b1 of every lane | w2 ... | b2 ...], so
+    each view is one contiguous block of shape (S, h, n), (S, h), (S, o, h)
+    or (S, o); writes to them write to buf.
     """
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
-    ends = np.cumsum([h * n, h, o * h, o])
     shapes = ((h, n), (h,), (o, h), (o,))
-    return [buf[:, a:b].reshape(len(buf), *shape) for a, b, shape in zip([0, *ends[:-1]], ends, shapes)]
+    s = buf.size // (h * n + h + o * h + o)
+    ends = np.cumsum([s * math.prod(shape) for shape in shapes])
+    return [buf[a:b].reshape(s, *shape) for a, b, shape in zip([0, *ends[:-1]], ends, shapes)]
 
 
-def _flat(models) -> np.ndarray:
-    """The (S, P) weight buffer of models of one shape, one row per model (see _layers)."""
-    return np.stack([np.concatenate([m.w1.ravel(), m.b1, m.w2.ravel(), m.b2]) for m in models])
+def _flat(layers) -> np.ndarray:
+    """The flat buffer (see _layers) of lanes whose w1, b1, w2 and b2 are layers, each one array per lane."""
+    return np.concatenate([lane.ravel() for layer in layers for lane in layer])
 
 
-def _sigmoid_inplace(t: np.ndarray) -> None:
-    """t = sigmoid(t) by the four float operations of sigmoid()."""
-    np.negative(t, out=t)
+def _sigmoid_of_negated(t: np.ndarray) -> None:
+    """t = sigmoid(-t) by the float operations of sigmoid() after its negation: exp, + 1, 1 /."""
     np.exp(t, out=t)
     t += 1.0
     np.divide(1.0, t, out=t)
 
 
 def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
-    """step(x_col, x_row, target, sq): one online backprop pass of every lane (row) of weights.
+    """step(x_col, x_row, target, err): one online backprop pass of every lane of negated weights.
 
-    x_col (S, n, 1) and x_row (S, 1, n) view each lane's scaled input and
-    target (S, o, 1) its target. step writes each lane's gradients of
-    loss = 0.5 * sum((target - output)^2) into its row of grad and
-    sum((target - output)^2) into sq (S, 1, 1). The layers are stacked
-    matmuls and the outer products broadcast multiplies, so each lane runs
-    the BLAS calls and float operations of one model alone, whatever S is.
-    All intermediate arrays are allocated once here.
+    weights is a flat buffer (see _layers) of each lane's w1, b1, w2 and b2,
+    all negated, so that each layer's matmul plus bias comes out negated and
+    its sigmoid needs no negation. x_col (S, n, 1) and x_row (S, 1, n) view
+    each lane's scaled input and target (S, o, 1) its target. step writes
+    output - target into err (S, o, 1) and each lane's gradients of loss =
+    0.5 * sum((target - output)^2) with respect to the true weights into
+    grad, laid out as weights. Backprop through the negated w2 negates the
+    hidden layer's gradient, and the factor hidden - 1 in place of
+    1 - hidden negates it back. Rounding to nearest is sign-symmetric, so
+    every value equals that of the true weights' pass, negated or not, bit
+    for bit; only the sign of an exact zero may differ. The layers are
+    stacked matmuls and the outer products broadcast multiplies, so each
+    lane runs the BLAS calls and float operations of one model alone,
+    whatever S is. All intermediate arrays are allocated once here.
     """
-    s, h, o = len(weights), cfg.hidden_size, cfg.output_size
+    h, o = cfg.hidden_size, cfg.output_size
     w1, b1, w2, b2 = _layers(weights, cfg)
     gw1, gb1, gw2, gb2 = _layers(grad, cfg)
+    s = len(w1)
     b1, b2, gb1, gb2 = b1[..., None], b2[..., None], gb1[..., None], gb2[..., None]
     w2t = w2.mT
-    hidden, one_minus_h = np.empty((s, h, 1)), np.empty((s, h, 1))
+    hidden, h_minus_1 = np.empty((s, h, 1)), np.empty((s, h, 1))
     hidden_row = hidden.reshape(s, 1, h)
-    out, err, one_minus_o = np.empty((s, o, 1)), np.empty((s, o, 1)), np.empty((s, o, 1))
-    err_row = err.reshape(s, 1, o)
+    out, one_minus_o = np.empty((s, o, 1)), np.empty((s, o, 1))
 
-    def step(x_col, x_row, target, sq):
+    def step(x_col, x_row, target, err):
         np.matmul(w1, x_col, out=hidden)
         np.add(hidden, b1, out=hidden)
-        _sigmoid_inplace(hidden)
+        _sigmoid_of_negated(hidden)
         np.matmul(w2, hidden, out=out)
         np.add(out, b2, out=out)
-        _sigmoid_inplace(out)
+        _sigmoid_of_negated(out)
         np.subtract(out, target, out=err)
-        np.matmul(err_row, err, out=sq)
         np.multiply(err, out, out=gb2)
         np.subtract(1.0, out, out=one_minus_o)
         np.multiply(gb2, one_minus_o, out=gb2)
         np.multiply(gb2, hidden_row, out=gw2)
         np.matmul(w2t, gb2, out=gb1)
         np.multiply(gb1, hidden, out=gb1)
-        np.subtract(1.0, hidden, out=one_minus_h)
-        np.multiply(gb1, one_minus_h, out=gb1)
+        np.subtract(hidden, 1.0, out=h_minus_1)
+        np.multiply(gb1, h_minus_1, out=gb1)
         np.multiply(gb1, x_row, out=gw1)
 
     return step
@@ -218,10 +225,10 @@ def gradients(model: MlpModel, x: np.ndarray, target: np.ndarray):
     """
     x = scale_input(model, x)
     target = np.asarray(target, dtype=np.float64)
-    weights = _flat([model])
-    grad, sq = np.empty_like(weights), np.empty((1, 1, 1))
-    _backprop_step(weights, grad, model.config)(x[None, :, None], x[None, None, :], target[None, :, None], sq)
-    return (*(g[0] for g in _layers(grad, model.config)), 0.5 * float(sq[0, 0, 0]))
+    weights = np.negative(_flat([[model.w1], [model.b1], [model.w2], [model.b2]]))
+    grad, err = np.empty_like(weights), np.empty((1, model.config.output_size, 1))
+    _backprop_step(weights, grad, model.config)(x[None, :, None], x[None, None, :], target[None, :, None], err)
+    return (*(g[0] for g in _layers(grad, model.config)), 0.5 * float(np.matmul(err.mT, err)[0, 0, 0]))
 
 
 def train(model: MlpModel, dataset) -> TrainingReport:
@@ -231,7 +238,7 @@ def train(model: MlpModel, dataset) -> TrainingReport:
     min-max scaling statistics from the dataset before the first epoch.
     Stops at max_epochs or when the epoch MSE (mean squared output error
     over all samples and output units) drops to target_mse. Afterwards the
-    model's w1, b1, w2 and b2 are views into one flat weight buffer.
+    model's w1, b1, w2 and b2 are new arrays.
     """
     (report,) = train_lanes([model], [dataset])
     return report
@@ -276,7 +283,11 @@ def _check_rows(cfg: MlpConfig, dataset) -> None:
 
 
 def _train_group(models, datasets) -> list:
-    """train_lanes for models whose configs differ only in seed, on checked datasets of one length."""
+    """train_lanes for models whose configs differ only in seed, on checked datasets of one length.
+
+    The lanes train on negated weights (see _backprop_step), and so does
+    the velocity: each step's update is lr * grad + momentum * vel.
+    """
     cfg = models[0].config
     n_rows, n_lanes = len(datasets[0]), len(models)
     xs = np.empty((n_lanes, n_rows, cfg.input_size))
@@ -294,17 +305,18 @@ def _train_group(models, datasets) -> list:
 
     rngs = [np.random.default_rng(m.config.seed + 1) for m in models]
     traces = [[] for _ in models]
-    active = list(range(n_lanes))  # the lanes still training, one per row of weights and vel
-    weights = _flat(models)
+    active = list(range(n_lanes))  # the lanes still training, in lane order of weights and vel
+    weights = _flat(zip(*((m.w1, m.b1, m.w2, m.b2) for m in models)))
+    np.negative(weights, out=weights)
     vel = np.zeros_like(weights)
-    neg_lr, mom = -cfg.learning_rate, cfg.momentum
+    lr, mom = cfg.learning_rate, cfg.momentum
     while active:
         grad = np.empty_like(weights)
         step = _backprop_step(weights, grad, cfg)
         x_buf = np.empty((GATHER_ROWS, len(active), cfg.input_size))
-        x_cols, x_rows = x_buf[..., None], x_buf[:, :, None, :]
         t_buf = np.empty((GATHER_ROWS, len(active), cfg.output_size))
-        t_cols = t_buf[..., None]
+        errs = np.empty((GATHER_ROWS, len(active), cfg.output_size, 1))
+        slots = list(zip(x_buf[..., None], x_buf[:, :, None, :], t_buf[..., None], errs))
         sq = np.empty((n_rows, len(active)))
         sq_cells = sq[..., None, None]
         first_row = np.array(active) * n_rows
@@ -319,14 +331,16 @@ def _train_group(models, datasets) -> list:
                     # every index is in range; under the default mode="raise", take buffers its out
                     np.take(xs, chunk, axis=0, out=x_buf[: len(chunk)], mode="clip")
                     np.take(targets, chunk, axis=0, out=t_buf[: len(chunk)], mode="clip")
-                    for j in range(len(chunk)):
-                        step(x_cols[j], x_rows[j], t_cols[j], sq_cells[start + j])
-                        # per element the same float operations as -lr * grad + mom * vel,
-                        # so the weights match the per-array update bit for bit
-                        grad *= neg_lr
+                    for x_col, x_row, t_col, err in slots[: len(chunk)]:
+                        step(x_col, x_row, t_col, err)
+                        # per element the float operations of -lr * grad + mom * vel on the true
+                        # weights, negated, so the weights match the per-array update bit for bit
+                        grad *= lr
                         vel *= mom
                         vel += grad
                         weights += vel
+                    # a stacked matmul runs each step's BLAS dot of err with itself
+                    np.matmul(errs[: len(chunk)].mT, errs[: len(chunk)], out=sq_cells[start : start + len(chunk)])
                 for r, k in enumerate(active):
                     sq_err = 0.0  # in step order, by the float operations of training one model alone
                     for d in sq[:, r].tolist():
@@ -335,10 +349,14 @@ def _train_group(models, datasets) -> list:
                     if traces[k][-1] <= cfg.target_mse or len(traces[k]) == cfg.max_epochs:
                         done.append(r)
         for r in done:
+            # 0.0 - w, not -w: a stored zero may carry either sign, but a weight updated once is never
+            # -0.0 (x + y is -0.0 only when both are, and the first velocity 0.0 + g is not), so it is +0.0
             m = models[active[r]]
-            m.w1, m.b1, m.w2, m.b2 = (v[0] for v in _layers(weights[r : r + 1].copy(), cfg))
+            m.w1, m.b1, m.w2, m.b2 = (np.subtract(0.0, layer[r]) for layer in _layers(weights, cfg))
         keep = [r for r in range(len(active)) if r not in done]
-        weights, vel, active = weights[keep], vel[keep], [active[r] for r in keep]
+        active = [active[r] for r in keep]
+        if active:
+            weights, vel = (_flat([layer[r] for r in keep] for layer in _layers(buf, cfg)) for buf in (weights, vel))
     return [
         TrainingReport(len(trace), trace, "target" if trace[-1] <= cfg.target_mse else "capped")
         for trace in traces

@@ -181,15 +181,27 @@ class TestTrain:
         assert report.epochs_run == len(report.mse_trace) <= 15
 
 
+def seed_gradients(model, x, target):
+    """The reference loop's step at scaled input x: np.outer gradients (gw1, gb1, gw2, gb2) and output - target."""
+    hidden = mlp.sigmoid(model.w1 @ x + model.b1)
+    out = mlp.sigmoid(model.w2 @ hidden + model.b2)
+    err = out - target
+    delta_o = err * out * (1.0 - out)
+    delta_h = (model.w2.T @ delta_o) * hidden * (1.0 - hidden)
+    return np.outer(delta_h, x), delta_h, np.outer(delta_o, hidden), delta_o, err
+
+
 def seed_train(model, dataset):
     """Reference: the original per-sample, per-array online backprop loop.
 
-    Scales each sample on every step and takes np.outer gradients, then
-    updates each of w1, b1, w2, b2 by delta = -lr * g + momentum * v.
+    Scales each sample on every step, by the dataset's min-max statistics
+    unless the model has its own, and takes seed_gradients, then updates
+    each of w1, b1, w2, b2 by delta = -lr * g + momentum * v.
     """
     cfg = model.config
     xs = np.array([x for x, _ in dataset], dtype=np.float64)
-    model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+    if model.feature_min is None:
+        model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
     span = model.feature_max - model.feature_min
     safe = np.where(span > 0, span, 1.0)
     targets = np.zeros((len(dataset), cfg.output_size))
@@ -202,13 +214,8 @@ def seed_train(model, dataset):
         sq_err = 0.0
         for i in rng.permutation(len(dataset)):
             x = np.where(span > 0, (xs[i] - model.feature_min) / safe, 0.0)
-            hidden = mlp.sigmoid(model.w1 @ x + model.b1)
-            out = mlp.sigmoid(model.w2 @ hidden + model.b2)
-            err = out - targets[i]
+            *grads, err = seed_gradients(model, x, targets[i])
             sq_err += 2.0 * (0.5 * float(np.dot(err, err)))
-            delta_o = err * out * (1.0 - out)
-            delta_h = (model.w2.T @ delta_o) * hidden * (1.0 - hidden)
-            grads = (np.outer(delta_h, x), delta_h, np.outer(delta_o, hidden), delta_o)
             for mat, g, v in zip(params, grads, vel):
                 delta = -cfg.learning_rate * g + cfg.momentum * v
                 mat += delta
@@ -239,7 +246,19 @@ class TestTrainBitIdentity:
         assert report.epochs_run == 4
         assert report.mse_trace == ref_trace
         for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_gradients_match_seed_loop_step(self):
+        data = wide_range_dataset()
+        model = small_model(6, 5, 3, seed=17)
+        xs = np.array([x for x, _ in data])
+        model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+        for x, c in data:
+            target = np.eye(3)[c]
+            *want, err = seed_gradients(model, mlp.scale_input(model, x), target)
+            got = mlp.gradients(model, x, target)
+            assert [g.tobytes() for g in got[:4]] == [g.tobytes() for g in want]
+            assert got[4] == 0.5 * float(np.dot(err, err))
 
     def test_saturated_units_train_without_overflow_warning(self, monkeypatch):
         # raw Hu invariants span ~1e-12..1e1; against a frozen range of [0, 1e-4]
@@ -248,9 +267,13 @@ class TestTrainBitIdentity:
         xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
         data = [(x, i % 3) for i, x in enumerate(xs)]
 
-        def trained():
+        def untrained():
             model = small_model(63, 45, 3, seed=6, max_epochs=5)
             model.feature_min, model.feature_max = np.zeros(63), np.full(63, 1e-4)
+            return model
+
+        def trained():
+            model = untrained()
             mlp.train(model, data)
             return model, mlp.forward(model, xs[0])
 
@@ -261,9 +284,14 @@ class TestTrainBitIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             silenced, silenced_out = trained()
+        ref = untrained()
+        with np.errstate(over="ignore"):
+            seed_train(ref, data)
+        # hidden units saturated at exactly 0.0 or 1.0 on every row get zero gradients: their biases stay 0.0
+        assert not ref.b1.all()
         for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(silenced, name), getattr(allowed, name)), name
-        assert np.array_equal(silenced_out, allowed_out)
+            assert getattr(silenced, name).tobytes() == getattr(allowed, name).tobytes() == getattr(ref, name).tobytes()
+        assert silenced_out.tobytes() == allowed_out.tobytes()
 
     def test_scale_matrix_equals_rows(self):
         model = small_model(6, 3, 3)
@@ -285,7 +313,7 @@ def assert_lanes_equal_separate_runs(make_model, datasets):
         want = mlp.train(alone, dataset)
         assert (report.mse_trace, report.stop_reason) == (want.mse_trace, want.stop_reason), k
         for name in ("w1", "b1", "w2", "b2", "feature_min", "feature_max"):
-            assert np.array_equal(getattr(lane, name), getattr(alone, name)), (k, name)
+            assert getattr(lane, name).tobytes() == getattr(alone, name).tobytes(), (k, name)
     return reports
 
 
