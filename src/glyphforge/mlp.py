@@ -285,8 +285,8 @@ def _check_rows(cfg: MlpConfig, dataset) -> None:
 def _train_group(models, datasets) -> list:
     """train_lanes for models whose configs differ only in seed, on checked datasets of one length.
 
-    The lanes train on negated weights (see _backprop_step), and so does
-    the velocity: each step's update is lr * grad + momentum * vel.
+    Weights and velocities are held negated (see _backprop_step), so each
+    step adds lr * grad + momentum * vel.
     """
     cfg = models[0].config
     n_rows, n_lanes = len(datasets[0]), len(models)
@@ -306,8 +306,7 @@ def _train_group(models, datasets) -> list:
     rngs = [np.random.default_rng(m.config.seed + 1) for m in models]
     traces = [[] for _ in models]
     active = list(range(n_lanes))  # the lanes still training, in lane order of weights and vel
-    weights = _flat(zip(*((m.w1, m.b1, m.w2, m.b2) for m in models)))
-    np.negative(weights, out=weights)
+    weights = np.negative(_flat(zip(*((m.w1, m.b1, m.w2, m.b2) for m in models))))
     vel = np.zeros_like(weights)
     lr, mom = cfg.learning_rate, cfg.momentum
     while active:
@@ -316,6 +315,7 @@ def _train_group(models, datasets) -> list:
         x_buf = np.empty((GATHER_ROWS, len(active), cfg.input_size))
         t_buf = np.empty((GATHER_ROWS, len(active), cfg.output_size))
         errs = np.empty((GATHER_ROWS, len(active), cfg.output_size, 1))
+        # each step's views of its gathered rows and its error slot, made once so that a step indexes nothing
         slots = list(zip(x_buf[..., None], x_buf[:, :, None, :], t_buf[..., None], errs))
         sq = np.empty((n_rows, len(active)))
         sq_cells = sq[..., None, None]

@@ -17,33 +17,38 @@ from glyphforge import cli
 
 NAMES = ("ens.chain.mlp", "ens.moment.mlp", "ens.glyph", "cv.txt", "predict")
 GOLDEN = {
-    ("SkylakeX", True): ("2757696dc5d5b464", "662430c072c85a77", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
-    ("SkylakeX", False): ("a1cc77f4d9e1f7de", "b3f3608e0dc4ba87", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
-    ("Haswell", True): ("f83a513150aec73d", "8e6a8e469e044b27", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
-    ("Haswell", False): ("ae0af0f0f7a1f39f", "b9bbcf75665a3c89", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
-    ("Nehalem", True): ("88cd2b95bb950210", "4ebb2cc230a01155", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
-    ("Nehalem", False): ("5699666e7441a494", "c43c5d8f97df090a", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("SkylakeX", True):
+        ("2757696dc5d5b464", "662430c072c85a77", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("SkylakeX", False):
+        ("a1cc77f4d9e1f7de", "b3f3608e0dc4ba87", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("Haswell", True):
+        ("f83a513150aec73d", "8e6a8e469e044b27", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("Haswell", False):
+        ("ae0af0f0f7a1f39f", "b9bbcf75665a3c89", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("Nehalem", True):
+        ("88cd2b95bb950210", "4ebb2cc230a01155", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+    ("Nehalem", False):
+        ("5699666e7441a494", "c43c5d8f97df090a", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
 }
 
 
-def digests(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # predict prints each image's path as given: keep it relative
-    run = lambda *argv: cli.main(list(argv)) == 0  # noqa: E731
-    assert run("synth", "--classes", "5", "--per-class", "12", "--seed", "4", "--out", "corpus")
-    for extractor in ("chain200", "moment63"):
-        assert run("extract", "--corpus", "corpus", "--extractor", extractor, "--out", f"{extractor}.csv")
-    assert run("train", "--features", "chain200.csv", "--features2", "moment63.csv", "--epochs", "6",
-               "--seed", "3", "--out", "ens.glyph")
-    capsys.readouterr()
-    assert run("predict", "--model", "ens.glyph", "--dir", "corpus/c01", "-k", "3")
-    predicted = capsys.readouterr().out.encode()
-    assert run("crossval", "--corpus", "corpus", "--folds", "2", "--epochs", "4", "--seed", "3", "--out", "cv.txt")
-    data = [(tmp_path / name).read_bytes() for name in NAMES[:-1]] + [predicted]
-    return {name: hashlib.sha256(d).hexdigest()[:16] for name, d in zip(NAMES, data)}
-
-
 def test_trained_bytes_match_kernel_golden(tmp_path, monkeypatch, capsys):
-    got, key = digests(tmp_path, monkeypatch, capsys), kernel_key()
+    monkeypatch.chdir(tmp_path)  # predict prints each image's path as given: keep it relative
+    assert cli.main(["synth", "--classes", "5", "--per-class", "12", "--seed", "4", "--out", "corpus"]) == 0
+    for extractor in ("chain200", "moment63"):
+        assert cli.main(["extract", "--corpus", "corpus", "--extractor", extractor, "--out", f"{extractor}.csv"]) == 0
+    assert cli.main([
+        "train", "--features", "chain200.csv", "--features2", "moment63.csv", "--epochs", "6", "--seed", "3",
+        "--out", "ens.glyph",
+    ]) == 0
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", "ens.glyph", "--dir", "corpus/c01", "-k", "3"]) == 0
+    predicted = capsys.readouterr().out.encode()
+    argv = ["crossval", "--corpus", "corpus", "--folds", "2", "--epochs", "4", "--seed", "3", "--out", "cv.txt"]
+    assert cli.main(argv) == 0
+    data = [(tmp_path / name).read_bytes() for name in NAMES[:-1]] + [predicted]
+    got = {name: hashlib.sha256(d).hexdigest()[:16] for name, d in zip(NAMES, data)}
+    key = kernel_key()
     if key not in GOLDEN:
         with capsys.disabled():
             print(f"\nno trained-bytes golden for {key}: {got}")
