@@ -120,6 +120,9 @@ def _ranked(model, matrices):
 
 
 def cmd_synth(args) -> int:
+    # a second corpus written into a used directory would mix with what is there, and extract would read both
+    if os.path.exists(args.out) and not (os.path.isdir(args.out) and not os.listdir(args.out)):
+        raise CorpusError(f"--out {args.out} exists and is not an empty directory")
     samples = dataset_io.synth_corpus(args.classes, args.per_class, seed=args.seed)
     dataset_io.save_corpus(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")

@@ -211,9 +211,14 @@ def load_corpus(root, strict: bool = False):
 
 
 def save_corpus(samples, root) -> None:
+    """Write each sample as <root>/<id>, making each directory once."""
+    made = set()
     for s in samples:
         path = os.path.join(root, s.id)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        directory = os.path.dirname(path)
+        if directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
         write_pgm(path, s.image)
 
 
@@ -230,33 +235,41 @@ def _class_template(class_index: int):
     return rng.uniform(12, SYNTH_CANVAS - 12, size=(n_vertices, 2))
 
 
-def _draw_line(canvas: np.ndarray, p0, p1) -> None:
-    """Bresenham segment, stamping a 3x3 block per pixel (stroke width 3)."""
-    x0, y0 = int(round(p0[0])), int(round(p0[1]))
-    x1, y1 = int(round(p1[0])), int(round(p1[1]))
-    steps = max(abs(x1 - x0), abs(y1 - y0), 1)
-    for t in range(steps + 1):
-        x = int(round(x0 + (x1 - x0) * t / steps))
-        y = int(round(y0 + (y1 - y0) * t / steps))
-        r0, r1 = max(y - 1, 0), min(y + 2, canvas.shape[0])
-        c0, c1 = max(x - 1, 0), min(x + 2, canvas.shape[1])
-        canvas[r0:r1, c0:c1] = True
-
-
 def render_polyline(vertices) -> np.ndarray:
-    """Render a polyline as dark strokes (0) on a white (255) canvas."""
-    canvas = np.zeros((SYNTH_CANVAS, SYNTH_CANVAS), dtype=bool)
-    vertices = np.clip(vertices, 1, SYNTH_CANVAS - 2)
-    for p0, p1 in zip(vertices[:-1], vertices[1:]):
-        _draw_line(canvas, p0, p1)
-    return np.where(canvas, 0, 255).astype(np.uint8)
+    """Dark strokes (0) of width 3 on a white (255) canvas: a (V, 2) polyline gives (64, 64), an (N, V, 2) stack (N, 64, 64).
+
+    Every segment of every polyline is rasterised at once. The vertices are clipped to [1, 62] and rounded half to
+    even; a segment of steps = max(|dx|, |dy|, 1) has the steps + 1 points x0 + (dx * t) / steps, rounded half to
+    even, and each point stamps a 3x3 block, which the clip keeps inside the canvas.
+    """
+    vertices = np.asarray(vertices)
+    stack = vertices if vertices.ndim == 3 else vertices[None]
+    n, v = stack.shape[:2]
+    pts = np.rint(np.clip(stack, 1, SYNTH_CANVAS - 2)).astype(np.int64)
+    start = pts[:, :-1].reshape(-1, 2)
+    delta = (pts[:, 1:] - pts[:, :-1]).reshape(-1, 2)
+    steps = np.maximum(np.abs(delta).max(axis=1), 1)
+    counts = steps + 1
+    seg = np.repeat(np.arange(len(steps)), counts)
+    t = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    x, y = np.rint(start[seg] + (delta[seg] * t[:, None]) / steps[seg, None]).astype(np.int64).T
+    # a point's flat index in the (N, 64, 64) canvas; segment seg belongs to polyline seg // (V - 1)
+    centre = (seg // max(v - 1, 1) * SYNTH_CANVAS + y) * SYNTH_CANVAS + x
+    canvas = np.zeros((n, SYNTH_CANVAS, SYNTH_CANVAS), dtype=bool)
+    flat = canvas.reshape(-1)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            flat[centre + (dy * SYNTH_CANVAS + dx)] = True
+    images = np.where(canvas, 0, 255).astype(np.uint8)
+    return images if vertices.ndim == 3 else images[0]
 
 
 def synth_corpus(classes: int, per_class: int, seed: int = 0):
     """Perturbed instances of `classes` fixed polyline templates.
 
     Each instance gets seeded random scaling (+-15%), per-vertex jitter
-    (+-2 px) and translation (+-4 px) before rendering.
+    (+-2 px) and translation (+-4 px) before rendering; a class's instances
+    render as one stack.
     """
     if classes < 2 or per_class < 1:
         raise ConfigError(f"need at least 2 classes and 1 sample per class, got {classes} and {per_class}")
@@ -266,18 +279,16 @@ def synth_corpus(classes: int, per_class: int, seed: int = 0):
     for c, template in enumerate(templates):
         label = f"c{c:02d}"
         center = template.mean(axis=0)
-        for j in range(per_class):
+        verts = []
+        for _ in range(per_class):
             scale = rng.uniform(0.85, 1.15)
             jitter = rng.uniform(-2, 2, size=template.shape)
             shift = rng.uniform(-4, 4, size=2)
-            verts = (template - center) * scale + center + jitter + shift
-            samples.append(
-                LabeledSample(
-                    id=f"{label}/s{j:03d}.pgm",
-                    label=label,
-                    image=render_polyline(verts),
-                )
-            )
+            verts.append((template - center) * scale + center + jitter + shift)
+        samples.extend(
+            LabeledSample(id=f"{label}/s{j:03d}.pgm", label=label, image=image)
+            for j, image in enumerate(render_polyline(np.stack(verts)))
+        )
     return samples
 
 

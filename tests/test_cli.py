@@ -287,6 +287,21 @@ def test_crossval_single_extractor(corpus, tmp_path):
     assert "mean:" in text and "stddev:" in text
 
 
+def test_synth_refuses_used_out(tmp_path, capsys):
+    """An --out that exists and is not an empty directory is a CorpusError before anything is written."""
+    out, notes = tmp_path / "d", tmp_path / "notes.txt"
+    assert cli.main(["synth", "--classes", "3", "--per-class", "6", "--seed", "1", "--out", str(out)]) == 0
+    notes.write_text("notes\n")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    for used in (out, notes):
+        assert cli.main(["synth", "--classes", "2", "--per-class", "2", "--seed", "2", "--out", str(used)]) == 2
+        assert capsys.readouterr().err == f"error: --out {used} exists and is not an empty directory\n"
+    assert len(before) == 18
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert notes.read_text() == "notes\n"
+
+
 def test_seed_defaults_to_0_whatever_the_environment(monkeypatch, tmp_path):
     """Only --seed sets the seed: with GLYPHFORGE_SEED=abc set, synth without --seed writes the seed-0 corpus."""
     assert cli.main(["synth", "--out", str(tmp_path / "seed0"), "--seed", "0"]) == 0

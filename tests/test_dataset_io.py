@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from glyphforge import dataset_io as dio
-from glyphforge import ensemble, image_prep, mlp, pipeline
+from glyphforge import cli, ensemble, image_prep, mlp, pipeline
 from glyphforge.errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoError
 
 
@@ -128,11 +129,94 @@ class TestLoadCorpus:
         assert all(np.array_equal(a.image, b.image) for a, b in zip(samples, again))
 
 
+def _reference_draw_line(canvas: np.ndarray, p0, p1) -> None:
+    """Bresenham segment, stamping a 3x3 block per pixel (stroke width 3)."""
+    x0, y0 = int(round(p0[0])), int(round(p0[1]))
+    x1, y1 = int(round(p1[0])), int(round(p1[1]))
+    steps = max(abs(x1 - x0), abs(y1 - y0), 1)
+    for t in range(steps + 1):
+        x = int(round(x0 + (x1 - x0) * t / steps))
+        y = int(round(y0 + (y1 - y0) * t / steps))
+        r0, r1 = max(y - 1, 0), min(y + 2, canvas.shape[0])
+        c0, c1 = max(x - 1, 0), min(x + 2, canvas.shape[1])
+        canvas[r0:r1, c0:c1] = True
+
+
+def reference_render_polyline(vertices) -> np.ndarray:
+    """The per-pixel renderer: one (V, 2) polyline, segment by segment, point by point."""
+    canvas = np.zeros((dio.SYNTH_CANVAS, dio.SYNTH_CANVAS), dtype=bool)
+    vertices = np.clip(vertices, 1, dio.SYNTH_CANVAS - 2)
+    for p0, p1 in zip(vertices[:-1], vertices[1:]):
+        _reference_draw_line(canvas, p0, p1)
+    return np.where(canvas, 0, 255).astype(np.uint8)
+
+
+def random_polylines(count, seed=64):
+    """count polylines of 1-8 vertices in [-5, 70]: some vertices at k + 0.5 (ties), some repeated (zero-length segments)."""
+    rng = np.random.default_rng(seed)
+    polylines = []
+    for _ in range(count):
+        verts = rng.uniform(-5, 70, size=(int(rng.integers(1, 9)), 2))
+        ties = rng.random(verts.shape) < 0.3
+        verts[ties] = np.floor(verts[ties]) + 0.5
+        for k in np.flatnonzero(rng.random(len(verts) - 1) < 0.2):
+            verts[k + 1] = verts[k]
+        polylines.append(verts)
+    return polylines
+
+
+def assert_same_image(image, want):
+    assert image.shape == want.shape and image.dtype == want.dtype
+    assert image.tobytes() == want.tobytes()
+
+
+class TestRenderPolyline:
+    def test_class_templates_match_reference(self):
+        for c in range(20):
+            template = dio._class_template(c)
+            assert_same_image(dio.render_polyline(template), reference_render_polyline(template))
+
+    def test_random_polylines_match_reference_singly_and_stacked(self):
+        polylines = random_polylines(1200)
+        assert any((p % 1 == 0.5).any() for p in polylines)
+        assert any((p[1:] == p[:-1]).all(axis=1).any() for p in polylines)
+        by_count = {}
+        for verts in polylines:
+            want = reference_render_polyline(verts)
+            assert_same_image(dio.render_polyline(verts), want)
+            by_count.setdefault(len(verts), []).append((verts, want))
+        for pairs in by_count.values():
+            stack, wants = zip(*pairs)
+            assert_same_image(dio.render_polyline(np.stack(stack)), np.stack(wants))
+
+    def test_one_polyline_stack(self):
+        verts = np.array([[3.5, 60.2], [40.0, 2.5], [62.5, 33.0]])
+        assert_same_image(dio.render_polyline(verts[None]), reference_render_polyline(verts)[None])
+
+    def test_one_vertex_is_blank(self):
+        blank = np.full((dio.SYNTH_CANVAS, dio.SYNTH_CANVAS), 255, np.uint8)
+        assert_same_image(dio.render_polyline([[30.0, 30.0]]), blank)
+        assert_same_image(dio.render_polyline(np.full((2, 1, 2), 30.0)), np.stack([blank, blank]))
+
+
+# sha256 of the per-file sha256 hex digests of `synth --classes 20 --per-class 75 --seed 7`, in sorted path
+# order, as perfbench hashes its set-up corpus; every golden digest downstream rests on these bytes
+PAPER_CORPUS_SHA256 = "8bb1c4b37e94727bdcdb0a39bf5400ca64140b027dd826ff49f6b1d5db91fbbf"
+
+
 class TestSynthCorpus:
     def test_paper_scale_counts(self):
         samples = dio.synth_corpus(20, 75, seed=1)
         assert len(samples) == 1500
         assert len({s.label for s in samples}) == 20
+
+    def test_paper_scale_corpus_bytes(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--classes", "20", "--per-class", "75", "--seed", "7", "--out", str(corpus)]) == 0
+        paths = sorted(corpus.rglob("*.pgm"))
+        assert len(paths) == 1500
+        digests = b"".join(hashlib.sha256(p.read_bytes()).hexdigest().encode() for p in paths)
+        assert hashlib.sha256(digests).hexdigest() == PAPER_CORPUS_SHA256
 
     def test_same_seed_identical(self):
         a = dio.synth_corpus(3, 4, seed=5)
