@@ -35,7 +35,7 @@ def _add_train_flags(parser):
         parser.add_argument(option, dest=dest, type=type_, help=help_)
 
 
-def _add_extractor_flags(parser):
+def _add_extractor_options(parser):
     """Each extractor's option: --normalize for flag normalize, on or off."""
     for e in EXTRACTORS.values():
         parser.add_argument("--" + e.flag.replace("_", "-"), dest=e.flag, action="store_true", help=e.flag_help)
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--extractor", choices=tuple(EXTRACTORS), required=True)
     p.add_argument("--out", required=True, help="feature CSV path")
-    _add_extractor_flags(p)
+    _add_extractor_options(p)
     p.add_argument("--strict", action="store_true", help="fail on malformed or blank images instead of skipping")
     p.add_argument("--dump-stages", metavar="DIR", help="write intermediate binary images as PGM")
 
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--extractor", choices=(*EXTRACTORS, "ensemble"), default="ensemble")
     p.add_argument("--folds", type=int, default=3)
-    _add_extractor_flags(p)
+    _add_extractor_options(p)
     p.add_argument("--out", help="write the structured report to this path")
     _add_train_flags(p)
     _add_seed(p)
@@ -96,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _extractors(extractor_ids, args):
-    """(extractor_id, flags) pairs, a flag on when its option is; another extractor's option is a ConfigError."""
+    """(extractor_id, option) pairs, each option on when given; another extractor's option is a ConfigError."""
     for e in EXTRACTORS.values():
         if getattr(args, e.flag) and e.id not in extractor_ids:
             raise ConfigError(f"--{e.flag.replace('_', '-')} is an option of {e.id}, which this command does not run")
-    return [(e, {EXTRACTORS[e].flag: True} if getattr(args, EXTRACTORS[e].flag) else {}) for e in extractor_ids]
+    return [(e, getattr(args, EXTRACTORS[e].flag)) for e in extractor_ids]
 
 
 def _load_tables(args):
@@ -137,13 +137,13 @@ def _dump_stages(directory, sample, stages) -> None:
 
 
 def cmd_extract(args) -> int:
-    ((extractor_id, flags),) = _extractors([args.extractor], args)
+    ((extractor_id, option),) = _extractors([args.extractor], args)
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
     on_stages = None
     if args.dump_stages:
         os.makedirs(args.dump_stages, exist_ok=True)
         on_stages = functools.partial(_dump_stages, args.dump_stages)
-    table = pipeline.extract_table(samples, extractor_id, flags, on_stages=on_stages)
+    table = pipeline.extract_table(samples, extractor_id, option, on_stages=on_stages)
     dataset_io.save_features(table, args.out)
     print(f"extracted {len(table.rows)} x {table.dim} features to {args.out}")
     return 0
@@ -168,15 +168,15 @@ def cmd_train(args) -> int:
 
 
 def _feature_names(pairs):
-    """(extractor_id, flags) pairs as the feature CSV headers name them: "chain200, moment63 log_moments=1"."""
-    return ", ".join(e + "".join(f" {f}=1" for f, on in sorted(flags.items()) if on) for e, flags in pairs)
+    """(extractor_id, option) pairs as the feature CSV headers name them: "chain200, moment63 log_moments=1"."""
+    return ", ".join(e + (f" {EXTRACTORS[e].flag}=1" if on else "") for e, on in pairs)
 
 
 def _evaluate(model, tables):
     """model's EvalReport on tables, one per member in member order; another extractor or option is a FormatError."""
-    wanted = _feature_names(model.extractors)
-    given = _feature_names((t.extractor_id, t.flags) for t in tables)
-    if given != wanted:
+    given = [(t.extractor_id, t.option) for t in tables]
+    if given != model.extractors:
+        wanted, given = _feature_names(model.extractors), _feature_names(given)
         raise FormatError(f"model reads {wanted} features (--features, then --features2), given {given}")
     dataset_io.check_same_samples(tables)
     rankings = [[lab for lab, _ in r] for r in _ranked(model, [[v for _, _, v in t.rows] for t in tables])]

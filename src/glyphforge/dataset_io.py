@@ -7,13 +7,13 @@ maxval up to 255).
 
 import os
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import image_prep
 from .errors import ConfigError, CorpusError, FormatError, IoError
-from .extractors import EXTRACTORS, check_flags
+from .extractors import EXTRACTORS, read_option
 
 
 def read_lines(path, magic=None) -> list:
@@ -42,14 +42,6 @@ def header_dict(items, sep, where) -> dict:
             raise FormatError(f"{where}: repeated key {key!r}")
         header[key] = value
     return header
-
-
-def flag_values(options, where) -> dict:
-    """{flag: on} of a header's {flag: "1" or "0"} extractor options; another value is a FormatError naming where."""
-    for key, value in options.items():
-        if value not in ("0", "1"):
-            raise FormatError(f"{where}: option {key}={value} is not 0 or 1")
-    return {key: value == "1" for key, value in options.items()}
 
 
 def floats(tokens, where) -> np.ndarray:
@@ -299,19 +291,19 @@ class FeatureTable:
     extractor_id: str
     dim: int
     rows: list  # (id, label, np.ndarray)
-    flags: dict = field(default_factory=dict)  # extractor options, e.g. {"log_moments": True}
+    option: bool = False  # the extractor's option, on or off (log_moments for moment63)
 
     def __post_init__(self):
         if self.extractor_id not in EXTRACTORS:
             raise FormatError(f"unknown extractor {self.extractor_id!r}")
-        check_flags(self.extractor_id, self.flags, self.dim)
+        read_option(self.extractor_id, {}, self.dim)  # no option to read: its dim check alone
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")
 
     def subset(self, idxs) -> "FeatureTable":
         """The rows at idxs, in that order, under the same header."""
-        return FeatureTable(self.extractor_id, self.dim, [self.rows[i] for i in idxs], self.flags)
+        return FeatureTable(self.extractor_id, self.dim, [self.rows[i] for i in idxs], self.option)
 
 
 def check_same_samples(tables) -> None:
@@ -324,10 +316,10 @@ def check_same_samples(tables) -> None:
 
 
 def save_features(table: FeatureTable, path) -> None:
-    """Write the CSV; the header names the extractor options that are on."""
-    flags = "".join(f" {k}=1" for k, v in sorted(table.flags.items()) if v)
+    """Write the CSV; the header names the extractor's option when it is on."""
+    option = f" {EXTRACTORS[table.extractor_id].flag}=1" if table.option else ""
     with open(path, "w") as fh:
-        fh.write(f"# extractor={table.extractor_id} dim={table.dim}{flags}\n")
+        fh.write(f"# extractor={table.extractor_id} dim={table.dim}{option}\n")
         for sample_id, label, vec in table.rows:
             values = ",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
             fh.write(f"{sample_id},{label},{values}\n")
@@ -343,7 +335,6 @@ def load_features(path) -> FeatureTable:
         dim = int(head.pop("dim"))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad feature header") from exc
-    flags = flag_values(head, path)
     rows = []
     for n, ln in enumerate(lines[1:], start=2):
         if not ln:
@@ -353,6 +344,6 @@ def load_features(path) -> FeatureTable:
             raise FormatError(f"{path}: row has {len(parts) - 2} values, want {dim}")
         rows.append((parts[0], parts[1], floats(parts[2:], f"{path}: line {n}")))
     try:
-        return FeatureTable(extractor_id=extractor_id, dim=dim, rows=rows, flags=flags)
+        return FeatureTable(extractor_id, dim, rows, read_option(extractor_id, head, dim))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc

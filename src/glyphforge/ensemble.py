@@ -81,7 +81,7 @@ class EnsembleModel:
 
     @property
     def extractors(self):
-        """The members' (extractor_id, flags) pairs, model1 first."""
+        """The members' (extractor_id, option) pairs, model1 first."""
         return self.model1.extractors + self.model2.extractors
 
     def scores(self, matrices):

@@ -20,8 +20,8 @@ class Extractor:
     dim: int
     stage: str  # the stage it reads: its key in the stages dict and its --dump-stages file suffix
     make_stage: Callable  # (N, H, W) normalized binary stack -> (N, H, W) stack of the stage
-    features: Callable  # features(stage stack, flag on) -> (N, dim) vectors
-    flag: str  # its one option: the flags key, as in the CSV header and the .mlp file, and the CLI dest
+    features: Callable  # features(stage stack, option on) -> (N, dim) vectors
+    flag: str  # its one on/off option's name: the key in the CSV header and the .mlp flags line, and the CLI dest
     flag_help: str
     hidden_size: int  # default hidden layer size of its MLP
     member_part: str  # its ensemble member file is <stem>.<member_part>.mlp
@@ -41,11 +41,18 @@ EXTRACTORS = {e.id: e for e in (
 )}
 
 
-def check_flags(extractor_id: str, flags, dim: int) -> None:
-    """FormatError unless each flag is the extractor's own option and dim its dim; an unknown id has none, any dim."""
+def read_option(extractor_id: str, options, dim: int) -> bool:
+    """Whether the {key: value} options of a CSV header or .mlp flags line turn the extractor's option on.
+
+    Each value must be 0 or 1, each key the extractor's flag and dim its
+    dim, or it is a FormatError; an unregistered id has no option, any dim.
+    """
     extractor = EXTRACTORS.get(extractor_id)
-    own = {extractor.flag} if extractor else set()
-    if not set(flags) <= own:
-        raise FormatError(f"flags {sorted(flags)}: extractor {extractor_id!r} has only {sorted(own)}")
+    for key, value in options.items():
+        if value not in ("0", "1"):
+            raise FormatError(f"option {key}={value} is not 0 or 1")
+        if not extractor or key != extractor.flag:
+            raise FormatError(f"{key} is not an option of extractor {extractor_id!r}")
     if extractor and extractor.dim != dim:
         raise FormatError(f"extractor {extractor_id} implies dim {extractor.dim}, got {dim}")
+    return "1" in options.values()

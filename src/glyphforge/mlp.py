@@ -6,13 +6,13 @@ the training set and stored in the model file.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .dataset_io import field_lines, flag_values, floats, from_fields, header_dict, read_lines
+from .dataset_io import field_lines, floats, from_fields, header_dict, read_lines
 from .errors import ConfigError, FormatError, ShapeError, TrainError
-from .extractors import check_flags
+from .extractors import EXTRACTORS, read_option
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -56,12 +56,12 @@ class MlpModel:
     extractor_id: str = ""
     feature_min: np.ndarray = None
     feature_max: np.ndarray = None
-    extractor_flags: dict = field(default_factory=dict)
+    option: bool = False  # its extractor's option, on or off
 
     @property
     def extractors(self):
-        """The (extractor_id, flags) pairs whose matrices scores() takes."""
-        return [(self.extractor_id, self.extractor_flags)]
+        """The (extractor_id, option) pairs whose matrices scores() takes."""
+        return [(self.extractor_id, self.option)]
 
     def scores(self, matrices):
         """(B, classes) confidences of B samples: one (B, dim) matrix per extractor."""
@@ -341,11 +341,11 @@ def _train_group(models, datasets) -> list:
                         weights += vel
                     # a stacked matmul runs each step's BLAS dot of err with itself
                     np.matmul(errs[: len(chunk)].mT, errs[: len(chunk)], out=sq_cells[start : start + len(chunk)])
+                # each lane's squared errors summed strictly in step order, as training it alone adds them:
+                # accumulate never reorders its adds, where np.sum's pairwise sum would change the bits
+                sq_errs = np.add.accumulate(2.0 * (0.5 * sq), axis=0)[-1].tolist()
                 for r, k in enumerate(active):
-                    sq_err = 0.0  # in step order, by the float operations of training one model alone
-                    for d in sq[:, r].tolist():
-                        sq_err += 2.0 * (0.5 * d)
-                    traces[k].append(sq_err / (n_rows * cfg.output_size))
+                    traces[k].append(sq_errs[r] / (n_rows * cfg.output_size))
                     if traces[k][-1] <= cfg.target_mse or len(traces[k]) == cfg.max_epochs:
                         done.append(r)
         for r in done:
@@ -391,8 +391,7 @@ def _fmt_vec(v: np.ndarray) -> str:
 def save_model(model: MlpModel, path) -> None:
     lines = [MAGIC, f"extractor {model.extractor_id}", *field_lines(model.config)]
     lines.append("labels " + ",".join(model.labels))
-    flags = ",".join(f"{k}={int(bool(v))}" for k, v in sorted(model.extractor_flags.items()))
-    lines.append(f"flags {flags}")
+    lines.append(f"flags {EXTRACTORS[model.extractor_id].flag}=1" if model.option else "flags ")
     if model.feature_min is not None:
         lines.append("feature_min " + _fmt_vec(model.feature_min))
         lines.append("feature_max " + _fmt_vec(model.feature_max))
@@ -413,9 +412,8 @@ def load_model(path) -> MlpModel:
     cfg = from_fields(MlpConfig, header, path)
     extractor_id = header.get("extractor", "")
     items = [item for item in header.get("flags", "").split(",") if item]
-    flags = flag_values(header_dict(items, "=", f"{path}: flags"), f"{path}: flags")
     try:
-        check_flags(extractor_id, flags, cfg.input_size)
+        option = read_option(extractor_id, header_dict(items, "=", "flags"), cfg.input_size)
     except FormatError as exc:
         raise FormatError(f"{path}: bad flags or input_size ({exc})") from exc
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
@@ -440,4 +438,4 @@ def load_model(path) -> MlpModel:
         raise FormatError(f"{path}: label table length != output_size")
     w1, b1, w2, b2 = blocks
     return MlpModel(config=cfg, w1=w1, b1=b1.ravel(), w2=w2, b2=b2.ravel(), labels=labels,
-                    extractor_id=extractor_id, feature_min=fmin, feature_max=fmax, extractor_flags=flags)
+                    extractor_id=extractor_id, feature_min=fmin, feature_max=fmax, option=option)

@@ -46,14 +46,14 @@ def _chunk_features(chunk, extractors, on_stages):
         for i, sample in enumerate(chunk):
             on_stages(sample, {name: stack[i] for name, stack in stages.items()})
     matrices = []
-    for extractor_id, flags in extractors:
+    for extractor_id, option in extractors:
         e = EXTRACTORS[extractor_id]
-        matrices.append(e.features(stacks[e.stage], flags.get(e.flag, False)))
+        matrices.append(e.features(stacks[e.stage], option))
     return matrices
 
 
 def iter_features(samples, extractors, on_stages=None):
-    """(chunk, matrices) for each chunk of samples: one matrix per (extractor_id, flags) pair.
+    """(chunk, matrices) for each chunk of samples: one matrix per (extractor_id, option) pair.
 
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
     for on_stages); a chunk's stages are freed before the next chunk is read.
@@ -69,7 +69,7 @@ def iter_features(samples, extractors, on_stages=None):
 
 
 def extract_tables(samples, extractors, on_stages=None):
-    """One FeatureTable per (extractor_id, flags) pair, in one pass over the samples.
+    """One FeatureTable per (extractor_id, option) pair, in one pass over the samples.
 
     A pass over no sample is a CorpusError. on_stages sees each sample's
     stages (see iter_features).
@@ -81,14 +81,14 @@ def extract_tables(samples, extractors, on_stages=None):
     if not rows[0]:
         raise CorpusError("no usable image: every image was skipped")
     return [
-        dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, dict(flags))
-        for (extractor_id, flags), table_rows in zip(extractors, rows)
+        dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, option)
+        for (extractor_id, option), table_rows in zip(extractors, rows)
     ]
 
 
-def extract_table(samples, extractor_id: str, flags=None, on_stages=None) -> dataset_io.FeatureTable:
+def extract_table(samples, extractor_id: str, option=False, on_stages=None) -> dataset_io.FeatureTable:
     """extract_tables for one extractor: its FeatureTable."""
-    (table,) = extract_tables(samples, [(extractor_id, flags or {})], on_stages)
+    (table,) = extract_tables(samples, [(extractor_id, option)], on_stages)
     return table
 
 
@@ -99,7 +99,8 @@ def train_models(
     """Train one model per set of feature tables, every member MLP in one mlp.train_lanes call.
 
     A set trains one MLP per table, fused by calibrated weights when there
-    are two. One table trains on all its rows. Two tables must list the same
+    are two. One table trains on all its rows. Two tables must be of two
+    extractors (a ConfigError before any member trains) and list the same
     samples in the same order: a seeded calibration_fraction of the rows is
     held out (never the test set), each member trains on the rest, and the
     members' top-1 accuracies on the holdout give the fusion weights. The
@@ -118,6 +119,8 @@ def train_models(
     label_pos = {lab: i for i, lab in enumerate(labels)}
     members, datasets, holdouts = [], [], []
     for tables in table_sets:
+        if len({t.extractor_id for t in tables}) < len(tables):  # its members would train alike on the same rows
+            raise ConfigError(f"two feature tables of {tables[-1].extractor_id}: an ensemble needs two extractors")
         dataset_io.check_same_samples(tables)
         rows = tables[0].rows
         fit_idx, cal_idx = range(len(rows)), []
@@ -132,7 +135,7 @@ def train_models(
             size = EXTRACTORS[table.extractor_id].hidden_size if hidden_size is None else hidden_size
             cfg = mlp.MlpConfig(input_size=table.dim, hidden_size=size, output_size=len(labels), seed=seed, **config)
             model = mlp.init_model(cfg, labels, extractor_id=table.extractor_id)
-            model.extractor_flags = dict(table.flags)
+            model.option = table.option
             members.append(model)
             datasets.append([(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx])
     reports, members = iter(mlp.train_lanes(members, datasets)), iter(members)

@@ -227,6 +227,21 @@ def test_ensemble_flag_without_features2_exit_2(feature_files, tmp_path):
     assert cli.main(["train", "--features", str(chain), "--ensemble", "--out", str(tmp_path / "e.glyph")]) == 2
 
 
+@pytest.mark.parametrize("extractor, table", [("chain200", 0), ("moment63", 1)])
+def test_train_two_tables_of_one_extractor_exit_2(feature_files, tmp_path, capsys, extractor, table):
+    """Two tables of one extractor would train two identical members: exit 2 before any trains, no file written."""
+    features = str(feature_files[table])
+    capsys.readouterr()
+    assert cli.main([
+        "train", "--features", features, "--features2", features, "--out", str(tmp_path / "same.glyph"),
+        "--epochs", "2",
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: two feature tables of {extractor}: an ensemble needs two extractors\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_reordered_features2_exit_2(feature_files, tmp_path, capsys):
     chain, moment = feature_files
     lines = moment.read_text().splitlines()
@@ -268,12 +283,17 @@ def test_eval_of_a_model_on_a_table_without_its_option_exit_2(
 
 
 def test_eval_reads_an_option_written_off_as_no_option(feature_files, tmp_path):
+    """A log_moments=0 table is read as one without the option, and a model trained on it writes "flags "."""
     _, moment = feature_files
-    model_path, off = tmp_path / "m.mlp", tmp_path / "off.csv"
+    model_path, off, off_model = tmp_path / "m.mlp", tmp_path / "off.csv", tmp_path / "off.mlp"
     assert cli.main(["train", "--features", str(moment), "--out", str(model_path), "--epochs", "5"]) == 0
     header, rest = moment.read_text().split("\n", 1)
     off.write_text(f"{header} log_moments=0\n{rest}")
     assert cli.main(["eval", "--model", str(model_path), "--features", str(off)]) == 0
+    assert cli.main(["train", "--features", str(off), "--out", str(off_model), "--epochs", "5"]) == 0
+    assert "flags " in off_model.read_text().splitlines()
+    assert off_model.read_bytes() == model_path.read_bytes()
+    assert cli.main(["eval", "--model", str(off_model), "--features", str(moment)]) == 0
 
 
 def test_crossval_single_extractor(corpus, tmp_path):
@@ -319,7 +339,7 @@ def test_extractor_flags_reach_predict(corpus, tmp_path, capsys, extractor, flag
     assert cli.main(["extract", "--corpus", str(corpus), "--extractor", extractor, flag, "--out", str(features)]) == 0
     assert cli.main(["train", "--features", str(features), "--out", str(model_path), "--epochs", "20", "--seed", "1"]) == 0
     model = mlp.load_model(model_path)
-    assert model.extractor_flags == {flag[2:].replace("-", "_"): True}
+    assert model.extractors == [(extractor, True)]
     sample_id, _, vec = dio.load_features(features).rows[0]
     capsys.readouterr()
     assert cli.main(["predict", "--model", str(model_path), "--image", str(corpus / sample_id), "-k", "1"]) == 0

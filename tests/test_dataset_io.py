@@ -295,17 +295,27 @@ class TestFeatureTable:
         with pytest.raises(FormatError):
             dio.load_features(path)
 
-    def test_flags_in_header(self, tmp_path):
-        table = self.make_table()
+    @pytest.mark.parametrize("extractor_id, dim, option, header, flags_line", [
+        ("moment63", 63, False, "# extractor=moment63 dim=63", "flags "),
+        ("moment63", 63, True, "# extractor=moment63 dim=63 log_moments=1", "flags log_moments=1"),
+        ("chain200", 200, False, "# extractor=chain200 dim=200", "flags "),
+        ("chain200", 200, True, "# extractor=chain200 dim=200 normalize=1", "flags normalize=1"),
+    ], ids=["moment63-off", "moment63-on", "chain200-off", "chain200-on"])
+    def test_flags_in_header(self, tmp_path, extractor_id, dim, option, header, flags_line):
+        """The option reaches the CSV header, the table read back, a subset, the .mlp flags line and the model."""
+        rng = np.random.default_rng(dim)
+        rows = [(f"c{i % 2}/s{i}.pgm", f"c{i % 2}", rng.normal(size=dim)) for i in range(4)]
+        table = dio.FeatureTable(extractor_id, dim, rows, option)
         path = tmp_path / "f.csv"
         dio.save_features(table, path)
-        assert path.read_text().split("\n", 1)[0] == "# extractor=moment63 dim=63"
-        assert dio.load_features(path).flags == {}
-        table.flags = {"log_moments": True}
-        dio.save_features(table, path)
-        assert path.read_text().split("\n", 1)[0] == "# extractor=moment63 dim=63 log_moments=1"
-        assert dio.load_features(path).flags == {"log_moments": True}
-        assert table.subset([2, 0]).flags == {"log_moments": True}
+        assert path.read_text().split("\n", 1)[0] == header
+        loaded = dio.load_features(path)
+        assert loaded.option is option
+        assert table.subset([2, 0]).option is option
+        ((model, _),) = pipeline.train_models([[loaded]], ["c0", "c1"], hidden_size=2, max_epochs=1)
+        model.save(tmp_path / "m.mlp")
+        assert flags_line in (tmp_path / "m.mlp").read_text().splitlines()
+        assert mlp.load_model(tmp_path / "m.mlp").extractors == [(extractor_id, option)]
 
     @pytest.mark.parametrize("value", ["7", "-3", "01", "true", ""])
     def test_option_other_than_0_or_1_is_format_error(self, tmp_path, value):
@@ -405,13 +415,13 @@ def test_mutated_files_raise_only_glyphforge_errors(tmp_path):
     dio.write_pgm(tmp_path / "p5.pgm", rng.integers(0, 256, size=(3, 4), dtype=np.uint8))
     (tmp_path / "p2.pgm").write_bytes(b"P2\n# glyph\n4 3\n255\n0 255 128 7\n200 31 99 255\n12 0 250 64\n")
     rows = [(f"c{i}/s{i}.pgm", f"c{i}", rng.normal(size=63)) for i in range(2)]
-    dio.save_features(dio.FeatureTable("moment63", 63, rows, {"log_moments": True}), tmp_path / "f.csv")
+    dio.save_features(dio.FeatureTable("moment63", 63, rows, True), tmp_path / "f.csv")
     members = []
     for extractor_id, dim in (("chain200", 200), ("moment63", 63)):
         model = mlp.init_model(mlp.MlpConfig(input_size=dim, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id)
         model.feature_min, model.feature_max = np.zeros(dim), np.ones(dim)
         members.append(model)
-    members[1].extractor_flags = {"log_moments": True}
+    members[1].option = True
     mlp.save_model(members[0], tmp_path / "m.mlp")
     ensemble.save_ensemble(ensemble.EnsembleModel(*members, ensemble.compute_weights(0.75, 0.5)), tmp_path / "e.glyph")
     loaders = {

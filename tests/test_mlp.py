@@ -431,7 +431,7 @@ class TestSerialization:
             200, 4, 3, seed=21, learning_rate=0.35, momentum=0.25, max_epochs=17, target_mse=2.5e-4
         )
         model.extractor_id = "chain200"
-        model.extractor_flags = {"normalize": True}
+        model.option = True
         model.feature_min = np.random.default_rng(1).normal(size=200)
         model.feature_max = model.feature_min + 1.5
         path = tmp_path / "m.mlp"
@@ -443,7 +443,7 @@ class TestSerialization:
         assert np.array_equal(loaded.feature_min, model.feature_min)
         assert loaded.labels == model.labels
         assert loaded.extractor_id == "chain200"
-        assert loaded.extractor_flags == {"normalize": True}
+        assert loaded.option is True
         assert loaded.config == model.config
         assert path.read_text().splitlines()[2:10] == [
             "input_size 200", "hidden_size 4", "output_size 3", "learning_rate 0.35",
@@ -477,7 +477,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value", ["2", "-1", "01", ""])
     def test_flag_other_than_0_or_1_is_format_error(self, tmp_path, value):
         model = small_model(63, 4, 3, seed=21)
-        model.extractor_id, model.extractor_flags = "moment63", {"log_moments": True}
+        model.extractor_id, model.option = "moment63", True
         path = tmp_path / "m.mlp"
         mlp.save_model(model, path)
         path.write_text(path.read_text().replace("flags log_moments=1\n", f"flags log_moments={value}\n"))

@@ -13,11 +13,11 @@ def samples():
 
 
 def test_extract_tables_matches_single_extractor_tables(samples):
-    extractors = [("chain200", {"normalize": True}), ("moment63", {"log_moments": True})]
+    extractors = [("chain200", True), ("moment63", True)]
     tables = pipeline.extract_tables(samples, extractors)
-    for table, (extractor_id, flags) in zip(tables, extractors):
-        single = pipeline.extract_table(samples, extractor_id, flags)
-        assert (table.extractor_id, table.dim, table.flags) == (extractor_id, single.dim, flags)
+    for table, (extractor_id, option) in zip(tables, extractors):
+        single = pipeline.extract_table(samples, extractor_id, option)
+        assert (table.extractor_id, table.dim, table.option) == (extractor_id, single.dim, option)
         assert [r[:2] for r in table.rows] == [r[:2] for r in single.rows]
         assert all(np.array_equal(a[2], b[2]) for a, b in zip(table.rows, single.rows))
 
@@ -35,14 +35,14 @@ def test_extract_tables_runs_only_needed_stages(samples, monkeypatch):
         (["chain200", "moment63"], ["find_contour", "thin"]),
     ):
         made.clear()
-        pipeline.extract_tables(samples, [(e, {}) for e in extractor_ids])
+        pipeline.extract_tables(samples, [(e, False) for e in extractor_ids])
         assert made == stages  # the 12 samples are one chunk
 
 
 @pytest.mark.parametrize("extractor_id", ["", "chain100"])
 def test_unknown_extractor_is_format_error(samples, extractor_id):
     with pytest.raises(FormatError, match="unknown extractor"):
-        pipeline.extract_tables(samples, [(extractor_id, {})])
+        pipeline.extract_tables(samples, [(extractor_id, False)])
 
 
 def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, capsys):
@@ -61,7 +61,7 @@ def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, ca
     monkeypatch.setitem(EXTRACTORS, toy.id, toy)
     seen = []
     (table,) = pipeline.extract_tables(
-        samples, [("toy12", {"toy_double": True})], on_stages=lambda s, stages: seen.append(stages)
+        samples, [("toy12", True)], on_stages=lambda s, stages: seen.append(stages)
     )
     assert [list(st) for st in seen] == [["binary", "scaled", "contour", "thinned", "inverted"]] * len(samples)
     assert all(np.array_equal(st["inverted"], ~st["scaled"]) for st in seen)
@@ -86,7 +86,7 @@ def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, ca
     path = tmp_path / "toy.mlp"
     model.save(path)
     model = mlp.load_model(path)
-    assert model.extractors == [("toy12", {"toy_double": True})]
+    assert model.extractors == [("toy12", True)]
 
     capsys.readouterr()
     assert cli.main(["predict", "--model", str(path), "--image", str(corpus / samples[0].id), "-k", "1"]) == 0
