@@ -295,27 +295,28 @@ class TestFeatureTable:
         with pytest.raises(FormatError):
             dio.load_features(path)
 
-    @pytest.mark.parametrize("extractor_id, dim, option, header, flags_line", [
-        ("moment63", 63, False, "# extractor=moment63 dim=63", "flags "),
-        ("moment63", 63, True, "# extractor=moment63 dim=63 log_moments=1", "flags log_moments=1"),
-        ("chain200", 200, False, "# extractor=chain200 dim=200", "flags "),
-        ("chain200", 200, True, "# extractor=chain200 dim=200 normalize=1", "flags normalize=1"),
-    ], ids=["moment63-off", "moment63-on", "chain200-off", "chain200-on"])
-    def test_flags_in_header(self, tmp_path, extractor_id, dim, option, header, flags_line):
+    def test_flags_in_header(self, tmp_path):
         """The option reaches the CSV header, the table read back, a subset, the .mlp flags line and the model."""
-        rng = np.random.default_rng(dim)
-        rows = [(f"c{i % 2}/s{i}.pgm", f"c{i % 2}", rng.normal(size=dim)) for i in range(4)]
-        table = dio.FeatureTable(extractor_id, dim, rows, option)
-        path = tmp_path / "f.csv"
-        dio.save_features(table, path)
-        assert path.read_text().split("\n", 1)[0] == header
-        loaded = dio.load_features(path)
-        assert loaded.option is option
-        assert table.subset([2, 0]).option is option
-        ((model, _),) = pipeline.train_models([[loaded]], ["c0", "c1"], hidden_size=2, max_epochs=1)
-        model.save(tmp_path / "m.mlp")
-        assert flags_line in (tmp_path / "m.mlp").read_text().splitlines()
-        assert mlp.load_model(tmp_path / "m.mlp").extractors == [(extractor_id, option)]
+        for extractor_id, dim, option, header, flags_line in [
+            ("moment63", 63, False, "# extractor=moment63 dim=63", "flags "),
+            ("moment63", 63, True, "# extractor=moment63 dim=63 log_moments=1", "flags log_moments=1"),
+            ("chain200", 200, False, "# extractor=chain200 dim=200", "flags "),
+            ("chain200", 200, True, "# extractor=chain200 dim=200 normalize=1", "flags normalize=1"),
+        ]:
+            case = f"{extractor_id}-{'on' if option else 'off'}"
+            rng = np.random.default_rng(dim)
+            rows = [(f"c{i % 2}/s{i}.pgm", f"c{i % 2}", rng.normal(size=dim)) for i in range(4)]
+            table = dio.FeatureTable(extractor_id, dim, rows, option)
+            path = tmp_path / f"{case}.csv"
+            dio.save_features(table, path)
+            assert path.read_text().split("\n", 1)[0] == header, case
+            loaded = dio.load_features(path)
+            assert loaded.option is option, case
+            assert table.subset([2, 0]).option is option, case
+            ((model, _),) = pipeline.train_models([[loaded]], ["c0", "c1"], hidden_size=2, max_epochs=1)
+            model.save(tmp_path / f"{case}.mlp")
+            assert flags_line in (tmp_path / f"{case}.mlp").read_text().splitlines(), case
+            assert mlp.load_model(tmp_path / f"{case}.mlp").extractors == [(extractor_id, option)], case
 
     @pytest.mark.parametrize("value", ["7", "-3", "01", "true", ""])
     def test_option_other_than_0_or_1_is_format_error(self, tmp_path, value):
