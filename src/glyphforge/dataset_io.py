@@ -44,10 +44,17 @@ def header_dict(items, sep, where) -> dict:
     return header
 
 
-def floats(tokens, where) -> np.ndarray:
-    """The tokens as float64 values; a token that is not a finite number is a FormatError naming where."""
+def floats(text, where, sep=None) -> np.ndarray:
+    """The values of text, split at sep (at whitespace when None), as float64.
+
+    A value that is not a finite number in ASCII without underscores, as the
+    writers write it, is a FormatError naming where: float() alone would also
+    read 1_0 as 10.0 and take non-ASCII digits.
+    """
+    if "_" in text or not text.isascii():
+        raise FormatError(f"{where}: a value holds '_' or a non-ASCII character")
     try:
-        values = np.array([float(t) for t in tokens])
+        values = np.array([float(t) for t in text.split(sep)])
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     if not np.isfinite(values).all():
@@ -100,10 +107,13 @@ def read_pgm(path) -> np.ndarray:
     magic = next_token()
     if magic not in (b"P2", b"P5"):
         raise IoError(f"{path}: unsupported PGM magic {magic!r}")
-    try:
-        width, height, maxval = (int(next_token()) for _ in range(3))
-    except ValueError as exc:
-        raise IoError(f"{path}: non-integer PGM width, height or maxval") from exc
+    header = []
+    for _ in range(3):
+        token = next_token()
+        if not token.isdigit():  # ASCII digits only, as write_pgm writes them: int() also takes a sign or a _
+            raise IoError(f"{path}: non-integer PGM width, height or maxval")
+        header.append(int(token))
+    width, height, maxval = header
     if width < 1 or height < 1 or not 0 < maxval <= 255:
         raise IoError(f"{path}: bad PGM dimensions or maxval")
     if magic == b"P5":
@@ -339,10 +349,13 @@ def load_features(path) -> FeatureTable:
     for n, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        parts = ln.split(",")
-        if len(parts) != dim + 2:
-            raise FormatError(f"{path}: row has {len(parts) - 2} values, want {dim}")
-        rows.append((parts[0], parts[1], floats(parts[2:], f"{path}: line {n}")))
+        # the values are read apart from the sample id and label, which may hold '_' or non-ASCII characters
+        sample_id, _, rest = ln.partition(",")
+        label, _, values = rest.partition(",")
+        values = floats(values, f"{path}: line {n}", ",")
+        if len(values) != dim:
+            raise FormatError(f"{path}: row has {len(values)} values, want {dim}")
+        rows.append((sample_id, label, values))
     try:
         return FeatureTable(extractor_id, dim, rows, read_option(extractor_id, head, dim))
     except FormatError as exc:

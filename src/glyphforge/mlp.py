@@ -160,13 +160,6 @@ def _flat(layers) -> np.ndarray:
     return np.concatenate([lane.ravel() for layer in layers for lane in layer])
 
 
-def _sigmoid_of_negated(t: np.ndarray) -> None:
-    """t = sigmoid(-t) by the float operations of sigmoid() after its negation: exp, + 1, 1 /."""
-    np.exp(t, out=t)
-    t += 1.0
-    np.divide(1.0, t, out=t)
-
-
 def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
     """step(x_col, x_row, target, err): one online backprop pass of every lane of negated weights.
 
@@ -183,7 +176,9 @@ def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
     for bit; only the sign of an exact zero may differ. The layers are
     stacked matmuls and the outer products broadcast multiplies, so each
     lane runs the BLAS calls and float operations of one model alone,
-    whatever S is. All intermediate arrays are allocated once here.
+    whatever S is. All intermediate arrays, and the ones blocks that stand
+    for the constant 1.0, are allocated once here, so that each call passes
+    arrays only, its output positionally, and converts no Python float.
     """
     h, o = cfg.hidden_size, cfg.output_size
     w1, b1, w2, b2 = _layers(weights, cfg)
@@ -191,27 +186,33 @@ def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
     s = len(w1)
     b1, b2, gb1, gb2 = b1[..., None], b2[..., None], gb1[..., None], gb2[..., None]
     w2t = w2.mT
-    hidden, h_minus_1 = np.empty((s, h, 1)), np.empty((s, h, 1))
+    hidden, h_minus_1, ones_h = np.empty((s, h, 1)), np.empty((s, h, 1)), np.ones((s, h, 1))
     hidden_row = hidden.reshape(s, 1, h)
-    out, one_minus_o = np.empty((s, o, 1)), np.empty((s, o, 1))
+    out, one_minus_o, ones_o = np.empty((s, o, 1)), np.empty((s, o, 1)), np.ones((s, o, 1))
+    add, subtract, multiply, matmul, exp, reciprocal = np.add, np.subtract, np.multiply, np.matmul, np.exp, np.reciprocal
 
     def step(x_col, x_row, target, err):
-        np.matmul(w1, x_col, out=hidden)
-        np.add(hidden, b1, out=hidden)
-        _sigmoid_of_negated(hidden)
-        np.matmul(w2, hidden, out=out)
-        np.add(out, b2, out=out)
-        _sigmoid_of_negated(out)
-        np.subtract(out, target, out=err)
-        np.multiply(err, out, out=gb2)
-        np.subtract(1.0, out, out=one_minus_o)
-        np.multiply(gb2, one_minus_o, out=gb2)
-        np.multiply(gb2, hidden_row, out=gw2)
-        np.matmul(w2t, gb2, out=gb1)
-        np.multiply(gb1, hidden, out=gb1)
-        np.subtract(hidden, 1.0, out=h_minus_1)
-        np.multiply(gb1, h_minus_1, out=gb1)
-        np.multiply(gb1, x_row, out=gw1)
+        matmul(w1, x_col, hidden)
+        add(hidden, b1, hidden)
+        # sigmoid of the negated sum: exp, + 1, then 1 / by reciprocal, the same IEEE division
+        exp(hidden, hidden)
+        add(hidden, ones_h, hidden)
+        reciprocal(hidden, hidden)
+        matmul(w2, hidden, out)
+        add(out, b2, out)
+        exp(out, out)
+        add(out, ones_o, out)
+        reciprocal(out, out)
+        subtract(out, target, err)
+        multiply(err, out, gb2)
+        subtract(ones_o, out, one_minus_o)
+        multiply(gb2, one_minus_o, gb2)
+        multiply(gb2, hidden_row, gw2)
+        matmul(w2t, gb2, gb1)
+        multiply(gb1, hidden, gb1)
+        subtract(hidden, ones_h, h_minus_1)
+        multiply(gb1, h_minus_1, gb1)
+        multiply(gb1, x_row, gw1)
 
     return step
 
@@ -286,7 +287,8 @@ def _train_group(models, datasets) -> list:
     """train_lanes for models whose configs differ only in seed, on checked datasets of one length.
 
     Weights and velocities are held negated (see _backprop_step), so each
-    step adds lr * grad + momentum * vel.
+    step adds lr * grad + momentum * vel, with lr and momentum as float64
+    0-d arrays: the same values, without a conversion on every call.
     """
     cfg = models[0].config
     n_rows, n_lanes = len(datasets[0]), len(models)
@@ -308,7 +310,8 @@ def _train_group(models, datasets) -> list:
     active = list(range(n_lanes))  # the lanes still training, in lane order of weights and vel
     weights = np.negative(_flat(zip(*((m.w1, m.b1, m.w2, m.b2) for m in models))))
     vel = np.zeros_like(weights)
-    lr, mom = cfg.learning_rate, cfg.momentum
+    lr, mom = np.array(cfg.learning_rate, np.float64), np.array(cfg.momentum, np.float64)
+    add, multiply = np.add, np.multiply
     while active:
         grad = np.empty_like(weights)
         step = _backprop_step(weights, grad, cfg)
@@ -335,10 +338,10 @@ def _train_group(models, datasets) -> list:
                         step(x_col, x_row, t_col, err)
                         # per element the float operations of -lr * grad + mom * vel on the true
                         # weights, negated, so the weights match the per-array update bit for bit
-                        grad *= lr
-                        vel *= mom
-                        vel += grad
-                        weights += vel
+                        multiply(grad, lr, grad)
+                        multiply(vel, mom, vel)
+                        add(vel, grad, vel)
+                        add(weights, vel, weights)
                     # a stacked matmul runs each step's BLAS dot of err with itself
                     np.matmul(errs[: len(chunk)].mT, errs[: len(chunk)], out=sq_cells[start : start + len(chunk)])
                 # each lane's squared errors summed strictly in step order, as training it alone adds them:
@@ -421,7 +424,7 @@ def load_model(path) -> MlpModel:
     for name, rows, cols in (("w1", h, n), ("b1", 1, h), ("w2", o, h), ("b2", 1, o)):
         if lines[i : i + 1] != [f"@{name} {rows} {cols}"]:
             raise FormatError(f"{path}: line {i + 1}: want the line @{name} {rows} {cols}")
-        block = [floats(ln.split(), f"{path}: {name}") for ln in lines[i + 1 : i + 1 + rows]]
+        block = [floats(ln, f"{path}: {name}") for ln in lines[i + 1 : i + 1 + rows]]
         if len(block) != rows or any(len(r) != cols for r in block):
             raise FormatError(f"{path}: block {name} is not {rows} x {cols}")
         blocks.append(np.array(block))
@@ -430,7 +433,7 @@ def load_model(path) -> MlpModel:
         raise FormatError(f"{path}: line {i + 1}: nothing may follow @b2")
     fmin = fmax = None
     if "feature_min" in header:
-        fmin, fmax = (floats(header.get(k, "").split(), f"{path}: {k}") for k in ("feature_min", "feature_max"))
+        fmin, fmax = (floats(header.get(k, ""), f"{path}: {k}") for k in ("feature_min", "feature_max"))
         if fmin.shape != (n,) or fmax.shape != fmin.shape:
             raise FormatError(f"{path}: feature_min/feature_max length != input_size")
     labels = header["labels"].split(",") if header.get("labels") else []

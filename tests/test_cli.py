@@ -363,8 +363,11 @@ def test_extract_non_integer_pgm_header(corpus, tmp_path):
     root = tmp_path / "corpus"
     shutil.copytree(corpus, root)
     out = tmp_path / "f.csv"
+    # a glyph's raster under header numbers int() reads as 64, 64 and 255, but that are not ASCII digits alone
+    raster = dio.read_pgm(root / "c00" / "s000.pgm").tobytes()
+    loose = [header + raster for header in (b"P5\n6_4 64\n255\n", b"P5\n64 +64\n255\n", b"P5\n64 64\n2_55\n")]
     # a non-integer header field, then ASCII samples above and below 0..maxval
-    for bad in (b"P5\nabc 64\n255\n", b"P2\n2 1\n255\n300 0\n", b"P2\n2 1\n255\n0 -1\n"):
+    for bad in (b"P5\nabc 64\n255\n", b"P2\n2 1\n255\n300 0\n", b"P2\n2 1\n255\n0 -1\n", *loose):
         (root / "c00" / "bad.pgm").write_bytes(bad)
         with pytest.warns(UserWarning, match="skipping malformed image"):
             assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 0

@@ -43,6 +43,16 @@ class TestPgm:
         with pytest.raises(IoError):
             dio.read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n6_4 64\n255\n", b"P5\n64 +64\n255\n", b"P5\n64 64\n2_55\n"])
+    def test_header_number_is_ascii_digits_only(self, tmp_path, header):
+        img = np.random.default_rng(64).integers(0, 256, size=(64, 64), dtype=np.uint8)
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + img.tobytes())
+        with pytest.raises(IoError, match="non-integer PGM width, height or maxval"):
+            dio.read_pgm(path)
+        path.write_bytes(b"P5\n064 64\n255\n" + img.tobytes())  # a leading zero is still a decimal number
+        assert np.array_equal(dio.read_pgm(path), img)
+
     @pytest.mark.parametrize("magic, maxval, raster", [
         pytest.param(b"P2", b"255", b"300 0", id="255-300 0"),
         pytest.param(b"P2", b"255", b"0 -1", id="255-0 -1"),
@@ -346,6 +356,22 @@ class TestFeatureTable:
         path = tmp_path / "n.csv"
         path.write_text(text)
         with pytest.raises(FormatError):
+            dio.load_features(path)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5"])
+    def test_value_with_underscore_or_non_ascii_is_format_error(self, tmp_path, value):
+        """float() reads 1_0 as 10.0 and an Arabic-Indic or a full-width digit as a number; the writers write neither."""
+        path = tmp_path / "u.csv"
+        rows = [("c_1/s_0.pgm", "c_1", "2.0"), ("\u0915/s1.pgm", "\u0915", "3.0")]
+        path.write_text(
+            "# extractor=chain200 dim=200\n" + "".join(f"{i},{lab},{'0.5,' * 199}{v}\n" for i, lab, v in rows),
+            encoding="utf-8",
+        )
+        # a sample id or label may hold '_' and non-ASCII characters
+        loaded = dio.load_features(path)
+        assert [(i, lab, vec[-1]) for i, lab, vec in loaded.rows] == [(i, lab, float(v)) for i, lab, v in rows]
+        path.write_text(path.read_text(encoding="utf-8").replace(",3.0\n", f",{value}\n"), encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3: a value holds '_' or a non-ASCII character"):
             dio.load_features(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

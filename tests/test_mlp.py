@@ -235,18 +235,52 @@ def wide_range_dataset(n=30, seed=3):
     return [(x, i % 3) for i, x in enumerate(xs)]
 
 
+@pytest.mark.parametrize("length", [1, 7, 8, 45, 63, 64, 201])
+def test_reciprocal_is_division(length):
+    """np.reciprocal, the step's 1 / (1 + exp(t)), is np.divide(1.0, v) bit for bit on numpy's running SIMD target.
+
+    The values cover the sigmoid's whole range of 1 + exp(t), among them values
+    above 2**1022, whose reciprocals are subnormal; the lengths cover SIMD
+    tails, and a strided view the non-contiguous loop.
+    """
+    with np.errstate(over="ignore"):
+        v = 1.0 + np.exp(np.linspace(-50.0, 709.7, 997))
+    big = np.ldexp(np.random.default_rng(5).uniform(1.0, 2.0, 16), 1022)
+    v = np.concatenate([v, [1.0, np.inf, np.finfo(np.float64).max, 2.0**1022, 2.0**1023], big])
+    for start in range(0, len(v) - length + 1, length):
+        chunk = v[start : start + length]
+        want = np.divide(1.0, chunk).tobytes()
+        assert np.reciprocal(chunk).tobytes() == want, start
+        assert np.reciprocal(chunk, chunk.copy()).tobytes() == want, start  # into an output, as the step calls it
+    strided = v[::3][:length]
+    assert np.reciprocal(strided).tobytes() == np.divide(1.0, strided).tobytes()
+
+
 class TestTrainBitIdentity:
     def test_train_matches_seed_loop(self):
+        """train alone and three lanes of other seeds in lockstep each equal the reference loop, for several rates.
+
+        The default rates, two others, and a learning rate of 1 given as a
+        Python int with the least legal momentum, 0.0.
+        """
         data = wide_range_dataset()
-        kw = dict(inp=6, hid=5, out=3, seed=17, max_epochs=4, target_mse=1e-12)
-        ref, model = small_model(**kw), small_model(**kw)
-        assert model.config.momentum > 0
-        ref_trace = seed_train(ref, data)
-        report = mlp.train(model, data)
-        assert report.epochs_run == 4
-        assert report.mse_trace == ref_trace
-        for name in ("w1", "b1", "w2", "b2"):
-            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+        defaults = mlp.MlpConfig(1, 1, 1)
+        assert (defaults.learning_rate, defaults.momentum) == (0.8, 0.7)
+        for learning_rate, momentum in [(0.8, 0.7), (0.35, 0.25), (1, 0.0)]:
+            case = (learning_rate, momentum)
+            kw = dict(inp=6, hid=5, out=3, max_epochs=4, target_mse=1e-12, learning_rate=learning_rate,
+                      momentum=momentum)
+            refs = []
+            for seed in (17, 18, 19):
+                ref = small_model(seed=seed, **kw)
+                refs.append((ref, seed_train(ref, data)))
+            alone, lanes = small_model(seed=17, **kw), [small_model(seed=seed, **kw) for seed in (17, 18, 19)]
+            reports = [mlp.train(alone, data), *mlp.train_lanes(lanes, [data] * 3)]
+            for model, report, (ref, ref_trace) in zip([alone, *lanes], reports, [refs[0], *refs]):
+                assert report.epochs_run == 4, case
+                assert report.mse_trace == ref_trace, case
+                for name in ("w1", "b1", "w2", "b2"):
+                    assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), (case, name)
 
     def test_gradients_match_seed_loop_step(self):
         data = wide_range_dataset()
@@ -463,6 +497,8 @@ class TestSerialization:
         lambda lines: _swap_blocks(lines, "@b1", "@w2"),  # every block well formed, b1 and w2 out of order
         lambda lines: lines + ["@x 1 1", "0.5"],  # a well-formed block after @b2
         lambda lines: [ln.replace("extractor ", "extractor chain200") for ln in lines],  # input_size 7, not 200
+        lambda lines: lines[:-1] + ["1_0 0.5 0.1"],  # float() reads 1_0 as 10.0
+        lambda lines: [ln.replace("feature_min 0.0", "feature_min \u0660.0") for ln in lines],  # an Arabic-Indic 0
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(7, 4, 3, seed=21)
