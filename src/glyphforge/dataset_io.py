@@ -5,7 +5,9 @@ class. PGM is the only supported image format (P2 ASCII and P5 binary,
 maxval up to 255).
 """
 
+import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass, fields
 
@@ -22,8 +24,8 @@ def read_lines(path, magic=None) -> list:
     An OS error is an IoError; undecodable bytes, or another first line, a FormatError.
     """
     try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]  # a line ends at a newline only, as the writers end it
+        with open(path, newline="\n") as fh:  # a line ends at a newline only, as the writers end it: a CR stays in it
+            lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
@@ -49,10 +51,13 @@ def floats(text, where, sep=None) -> np.ndarray:
 
     A value that is not a finite number in ASCII without underscores, as the
     writers write it, is a FormatError naming where: float() alone would also
-    read 1_0 as 10.0 and take non-ASCII digits.
+    read 1_0 as 10.0 and take non-ASCII digits. With a sep, a space, tab or
+    CR in text is one too, since float() would strip it.
     """
     if "_" in text or not text.isascii():
         raise FormatError(f"{where}: a value holds '_' or a non-ASCII character")
+    if sep is not None and (" " in text or "\t" in text or "\r" in text):
+        raise FormatError(f"{where}: a value holds whitespace")
     try:
         values = np.array([float(t) for t in text.split(sep)])
     except ValueError as exc:
@@ -62,20 +67,36 @@ def floats(text, where, sep=None) -> np.ndarray:
     return values
 
 
+def number(kind, text):
+    """kind(text), kind int or float, for a number written as the writers write it, else a ValueError.
+
+    int() and float() alone would also take a '+' sign, '_' between digits,
+    whitespace around the number and non-ASCII digits. A leading '-' and an
+    exponent's sign stay, and float() still reads nan and inf.
+    """
+    if "_" in text or not text.isascii() or text.startswith("+") or text.split() != [text]:
+        raise ValueError(f"{text!r} is not a number as written")
+    return kind(text)
+
+
 def field_lines(record) -> list:
     """One "name value" line per dataclass field, in field order; repr() makes the round trip exact."""
     return [f"{f.name} {f.type(getattr(record, f.name))!r}" for f in fields(record)]
 
 
 def from_fields(cls, header, path):
-    """cls from the header's {name: value} entries, one per field, each parsed with the field's type."""
+    """cls from the header's {name: value} entries, one per field, each a number of the field's type."""
     try:
-        return cls(**{f.name: f.type(header[f.name]) for f in fields(cls)})
+        return cls(**{f.name: number(f.type, header[f.name]) for f in fields(cls)})
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or bad field ({exc})") from exc
 
 
 # --- PGM ---------------------------------------------------------------------
+
+# a PGM header token: a comment, from a '#' that starts a token to the end of its line, or a run of non-whitespace
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
 
 def read_pgm(path) -> np.ndarray:
     """Read a P2/P5 PGM file into a uint8 [row, col] array."""
@@ -85,37 +106,20 @@ def read_pgm(path) -> np.ndarray:
     except OSError as exc:
         raise IoError(f"{path}: {exc}") from exc
 
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise IoError(f"{path}: truncated PGM header")
-        return data[start:pos]
-
-    magic = next_token()
+    # magic, width, height and maxval: the first four tokens that are not comments
+    header = list(itertools.islice((m for m in _PGM_TOKEN.finditer(data) if m[0][:1] != b"#"), 4))
+    if len(header) < 4:
+        raise IoError(f"{path}: truncated PGM header")
+    magic, *numbers = (m[0] for m in header)
     if magic not in (b"P2", b"P5"):
         raise IoError(f"{path}: unsupported PGM magic {magic!r}")
-    header = []
-    for _ in range(3):
-        token = next_token()
-        if not token.isdigit():  # ASCII digits only, as write_pgm writes them: int() also takes a sign or a _
-            raise IoError(f"{path}: non-integer PGM width, height or maxval")
-        header.append(int(token))
-    width, height, maxval = header
+    # ASCII digits only, as write_pgm writes them: int() also takes a sign or a _
+    if not all(token.isdigit() for token in numbers):
+        raise IoError(f"{path}: non-integer PGM width, height or maxval")
+    width, height, maxval = map(int, numbers)
     if width < 1 or height < 1 or not 0 < maxval <= 255:
         raise IoError(f"{path}: bad PGM dimensions or maxval")
+    pos = header[-1].end()
     if magic == b"P5":
         pos += 1  # exactly one whitespace byte after maxval
         raster = data[pos : pos + width * height]
@@ -125,13 +129,13 @@ def read_pgm(path) -> np.ndarray:
         if maxval < 255 and img.max() > maxval:  # a byte exceeds only a maxval below 255
             raise IoError(f"{path}: P5 sample outside 0..{maxval}")
     else:
-        try:
-            values = [int(t) for t in data[pos:].split()]
-        except ValueError as exc:
-            raise IoError(f"{path}: non-numeric P2 raster") from exc
-        if len(values) < width * height:
+        tokens = data[pos:].split()
+        # ASCII digits, as for the header numbers; a leading '-' is left for the range check to name
+        if not all(token.removeprefix(b"-").isdigit() for token in tokens):
+            raise IoError(f"{path}: non-numeric P2 raster")
+        if len(tokens) < width * height:
             raise IoError(f"{path}: truncated PGM raster")
-        values = values[: width * height]
+        values = [int(token) for token in tokens[: width * height]]
         if min(values) < 0 or max(values) > maxval:
             raise IoError(f"{path}: P2 sample outside 0..{maxval}")
         img = np.array(values, dtype=np.uint8)
@@ -304,9 +308,7 @@ class FeatureTable:
     option: bool = False  # the extractor's option, on or off (log_moments for moment63)
 
     def __post_init__(self):
-        if self.extractor_id not in EXTRACTORS:
-            raise FormatError(f"unknown extractor {self.extractor_id!r}")
-        read_option(self.extractor_id, {}, self.dim)  # no option to read: its dim check alone
+        read_option(self.extractor_id, {}, self.dim)  # no option to read: its id and dim checks alone
         for sample_id, _, vec in self.rows:
             if len(vec) != self.dim:
                 raise FormatError(f"row {sample_id} has {len(vec)} values, want {self.dim}")
@@ -342,7 +344,7 @@ def load_features(path) -> FeatureTable:
     head = header_dict(lines[0][2:].split(), "=", path)
     try:
         extractor_id = head.pop("extractor")
-        dim = int(head.pop("dim"))
+        dim = number(int, head.pop("dim"))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad feature header") from exc
     rows = []
@@ -352,10 +354,7 @@ def load_features(path) -> FeatureTable:
         # the values are read apart from the sample id and label, which may hold '_' or non-ASCII characters
         sample_id, _, rest = ln.partition(",")
         label, _, values = rest.partition(",")
-        values = floats(values, f"{path}: line {n}", ",")
-        if len(values) != dim:
-            raise FormatError(f"{path}: row has {len(values)} values, want {dim}")
-        rows.append((sample_id, label, values))
+        rows.append((sample_id, label, floats(values, f"{path}: line {n}", ",")))
     try:
         return FeatureTable(extractor_id, dim, rows, read_option(extractor_id, head, dim))
     except FormatError as exc:

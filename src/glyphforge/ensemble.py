@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mlp
 from .dataset_io import field_lines, from_fields, header_dict, read_lines
-from .errors import DegenerateWeights, FormatError, ShapeError
+from .errors import ConfigError, DegenerateWeights, FormatError, ShapeError
 from .extractors import EXTRACTORS
 
 
@@ -109,17 +109,17 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
     """Write <stem>.<part>.mlp for each member beside the ensemble file, which names them.
 
     Each member's file is named by its extractor's member_part (chain for
-    chain200, moment for moment63), whatever the member order. Members whose
-    extractors are unknown or the same are named by position, after the
-    first two registered extractors: <stem>.chain.mlp, then <stem>.moment.mlp.
+    chain200, moment for moment63), whatever the member order. Members that
+    are not of two different registered extractors, whose files would
+    overwrite each other, are a ConfigError before any file is written.
     """
     directory = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
     members = (ens.model1, ens.model2)
-    parts = [EXTRACTORS[m.extractor_id].member_part if m.extractor_id in EXTRACTORS else None for m in members]
-    if None in parts or len(set(parts)) < len(parts):
-        parts = [e.member_part for e in EXTRACTORS.values()][: len(members)]
-    member_paths = [f"{stem}.{part}.mlp" for part in parts]
+    ids = [m.extractor_id for m in members]
+    if len(EXTRACTORS.keys() & set(ids)) < len(ids):
+        raise ConfigError(f"ensemble members of extractors {ids}: want two different registered extractors")
+    member_paths = [f"{stem}.{EXTRACTORS[i].member_part}.mlp" for i in ids]
     for model, member_path in zip(members, member_paths):
         mlp.save_model(model, os.path.join(directory, member_path))
     lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}", *field_lines(ens.weights)]

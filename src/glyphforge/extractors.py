@@ -44,15 +44,18 @@ EXTRACTORS = {e.id: e for e in (
 def read_option(extractor_id: str, options, dim: int) -> bool:
     """Whether the {key: value} options of a CSV header or .mlp flags line turn the extractor's option on.
 
-    Each value must be 0 or 1, each key the extractor's flag and dim its
-    dim, or it is a FormatError; an unregistered id has no option, any dim.
+    The one check that an extractor id is registered: an unregistered id,
+    "" too, is a FormatError, and so is a value other than 0 or 1, a key
+    other than the extractor's flag or a dim other than its dim.
     """
     extractor = EXTRACTORS.get(extractor_id)
+    if extractor is None:
+        raise FormatError(f"unknown extractor {extractor_id!r}")
     for key, value in options.items():
         if value not in ("0", "1"):
             raise FormatError(f"option {key}={value} is not 0 or 1")
-        if not extractor or key != extractor.flag:
+        if key != extractor.flag:
             raise FormatError(f"{key} is not an option of extractor {extractor_id!r}")
-    if extractor and extractor.dim != dim:
+    if extractor.dim != dim:
         raise FormatError(f"extractor {extractor_id} implies dim {extractor.dim}, got {dim}")
     return "1" in options.values()

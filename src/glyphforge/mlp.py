@@ -232,32 +232,25 @@ def gradients(model: MlpModel, x: np.ndarray, target: np.ndarray):
     return (*(g[0] for g in _layers(grad, model.config)), 0.5 * float(np.matmul(err.mT, err)[0, 0, 0]))
 
 
-def train(model: MlpModel, dataset) -> TrainingReport:
-    """Online backprop with momentum over a shuffled pass each epoch: train_lanes with one lane.
-
-    dataset: sequence of (feature_vector, class_index). Sets the model's
-    min-max scaling statistics from the dataset before the first epoch.
-    Stops at max_epochs or when the epoch MSE (mean squared output error
-    over all samples and output units) drops to target_mse. Afterwards the
-    model's w1, b1, w2 and b2 are new arrays.
-    """
-    (report,) = train_lanes([model], [dataset])
-    return report
-
-
 # steps whose rows one np.take gathers while training lanes: gathering a whole
 # epoch at once would hold a second copy of every lane's training rows
 GATHER_ROWS = 64
 
 
 def train_lanes(models, datasets) -> list:
-    """train(model, dataset) for each pair, as lanes trained in lockstep; one TrainingReport per pair.
+    """Online backprop with momentum of each model on its dataset, one shuffled pass per epoch; a TrainingReport each.
+
+    A dataset is a sequence of (feature_vector, class_index). A model
+    without min-max scaling statistics takes them from its dataset before
+    the first epoch. It stops at max_epochs or when its epoch MSE (mean
+    squared output error over all samples and output units) drops to
+    target_mse; afterwards its w1, b1, w2 and b2 are new arrays.
 
     Lanes whose configs differ only in seed and whose datasets have the same
-    length train together; the others form groups of their own. Each lane
-    keeps its own seed + 1 permutation, momentum and target-MSE stop, and
-    its weights, MSE trace and stop reason equal those of train on that lane
-    alone bit for bit. A lane that stops leaves its group at that epoch's end.
+    length train together in lockstep; the others form groups of their own.
+    Each lane keeps its own seed + 1 permutation, momentum and target-MSE
+    stop, and its weights, MSE trace and stop reason equal those of a
+    one-lane call bit for bit. A lane that stops leaves its group at that epoch's end.
     Every lane's rows are checked before any group trains, so a bad lane
     leaves all models untouched.
     """
@@ -413,12 +406,14 @@ def load_model(path) -> MlpModel:
     i = next((k for k, ln in enumerate(lines) if ln.startswith("@")), len(lines))
     header = header_dict(lines[1:i], " ", path)
     cfg = from_fields(MlpConfig, header, path)
-    extractor_id = header.get("extractor", "")
-    items = [item for item in header.get("flags", "").split(",") if item]
+    if "extractor" not in header or "flags" not in header:
+        raise FormatError(f"{path}: missing extractor or flags line")
+    extractor_id = header["extractor"]
+    items = [item for item in header["flags"].split(",") if item]
     try:
         option = read_option(extractor_id, header_dict(items, "=", "flags"), cfg.input_size)
     except FormatError as exc:
-        raise FormatError(f"{path}: bad flags or input_size ({exc})") from exc
+        raise FormatError(f"{path}: {exc}") from exc
     h, n, o = cfg.hidden_size, cfg.input_size, cfg.output_size
     blocks = []
     for name, rows, cols in (("w1", h, n), ("b1", 1, h), ("w2", o, h), ("b2", 1, o)):

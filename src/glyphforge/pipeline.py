@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from . import dataset_io, ensemble, image_prep, mlp
-from .errors import ConfigError, CorpusError, FormatError, TrainError
+from .errors import ConfigError, CorpusError, TrainError
 from .extractors import EXTRACTORS
 
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
@@ -58,11 +58,8 @@ def iter_features(samples, extractors, on_stages=None):
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
     for on_stages); a chunk's stages are freed before the next chunk is read.
     Each sample must have foreground: dataset_io.read_samples skips the
-    others. An unknown extractor id is a FormatError.
+    others.
     """
-    for extractor_id, _ in extractors:
-        if extractor_id not in EXTRACTORS:
-            raise FormatError(f"unknown extractor {extractor_id!r}")
     samples = iter(samples)
     while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
         yield chunk, _chunk_features(chunk, extractors, on_stages)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import time
 import warnings
 
 import numpy as np
@@ -52,6 +53,29 @@ class TestPgm:
             dio.read_pgm(path)
         path.write_bytes(b"P5\n064 64\n255\n" + img.tobytes())  # a leading zero is still a decimal number
         assert np.array_equal(dio.read_pgm(path), img)
+
+    @pytest.mark.parametrize("data, error", [
+        pytest.param(b"# by hand\nP5\n2 1\n255\n\x00\x07", None, id="comment-before-magic"),
+        pytest.param(b"P5 # magic\n2 # width\n1\t# height\n255\n\x00\x07", None, id="comment-between-tokens"),
+        pytest.param(b"P5\n64#c 1\n255\n\x00\x07", "non-integer PGM width", id="hash-inside-width"),
+        pytest.param(b"P5#c\n2 1\n255\n\x00\x07", "unsupported PGM magic", id="hash-inside-magic"),
+        pytest.param(b"P5\n#" + b"#" * 100_000 + b"\n2 1\n255\n\x00\x07", None, id="100000-hash-comment"),
+        pytest.param(b"P2\n2 1\n255\n+5 1_0\n", "non-numeric P2 raster", id="p2-sign-and-underscore"),
+    ])
+    def test_tokens(self, tmp_path, data, error):
+        """A '#' that starts a token starts a comment to the end of its line; one inside a token is part of it.
+
+        A P2 sample is ASCII digits, as the header numbers are: int() would read +5 and 1_0.
+        """
+        path = tmp_path / "t.pgm"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        if error:
+            with pytest.raises(IoError, match=error):
+                dio.read_pgm(path)
+        else:
+            assert np.array_equal(dio.read_pgm(path), [[0, 7]])
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("magic, maxval, raster", [
         pytest.param(b"P2", b"255", b"300 0", id="255-300 0"),
@@ -297,13 +321,18 @@ class TestFeatureTable:
             dio.FeatureTable(extractor_id="chain200", dim=63, rows=[])
 
     def test_tampered_header(self, tmp_path):
-        table = self.make_table()
+        """Another dim or extractor; a dim int() reads as 63 but not as written; an unregistered extractor."""
         path = tmp_path / "f.csv"
-        dio.save_features(table, path)
-        text = path.read_text().replace("dim=63", "dim=64")
-        path.write_text(text)
-        with pytest.raises(FormatError):
-            dio.load_features(path)
+        dio.save_features(self.make_table(), path)
+        text = path.read_text()
+        for old, new in [
+            ("dim=63", "dim=64"), ("dim=63", "dim=+63"), ("dim=63", "dim=6_3"), ("dim=63", "dim=\u0666\u0663"),
+            ("extractor=moment63", "extractor=chain200"), ("extractor=moment63", "extractor=zzz"),
+            ("extractor=moment63", "extractor="),
+        ]:
+            path.write_text(text.replace(old, new, 1), encoding="utf-8")
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                dio.load_features(path)
 
     def test_flags_in_header(self, tmp_path):
         """The option reaches the CSV header, the table read back, a subset, the .mlp flags line and the model."""
@@ -358,9 +387,10 @@ class TestFeatureTable:
         with pytest.raises(FormatError):
             dio.load_features(path)
 
-    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5", " 3.0", "\t3.0", "3.0 ", "3.0\r"])
     def test_value_with_underscore_or_non_ascii_is_format_error(self, tmp_path, value):
-        """float() reads 1_0 as 10.0 and an Arabic-Indic or a full-width digit as a number; the writers write neither."""
+        """float() reads 1_0 as 10.0, an Arabic-Indic or a full-width digit as a number, and strips whitespace, a
+        CRLF line's CR too; the writers write none of them."""
         path = tmp_path / "u.csv"
         rows = [("c_1/s_0.pgm", "c_1", "2.0"), ("\u0915/s1.pgm", "\u0915", "3.0")]
         path.write_text(
@@ -371,7 +401,7 @@ class TestFeatureTable:
         loaded = dio.load_features(path)
         assert [(i, lab, vec[-1]) for i, lab, vec in loaded.rows] == [(i, lab, float(v)) for i, lab, v in rows]
         path.write_text(path.read_text(encoding="utf-8").replace(",3.0\n", f",{value}\n"), encoding="utf-8")
-        with pytest.raises(FormatError, match="line 3: a value holds '_' or a non-ASCII character"):
+        with pytest.raises(FormatError, match="line 3: a value holds ('_' or a non-ASCII character|whitespace)"):
             dio.load_features(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -451,12 +481,16 @@ def test_mutated_files_raise_only_glyphforge_errors(tmp_path):
     members[1].option = True
     mlp.save_model(members[0], tmp_path / "m.mlp")
     ensemble.save_ensemble(ensemble.EnsembleModel(*members, ensemble.compute_weights(0.75, 0.5)), tmp_path / "e.glyph")
+    # a maxval below 255, so that a flipped raster bit can exceed it
+    raster = np.random.default_rng(200).integers(0, 201, size=12, dtype=np.uint8).tobytes()
+    (tmp_path / "p5low.pgm").write_bytes(b"P5\n4 3\n200\n" + raster)
     loaders = {
         "p2.pgm": [dio.read_pgm],
         "p5.pgm": [dio.read_pgm],
         "f.csv": [dio.load_features],
         "m.mlp": [mlp.load_model, ensemble.load_any_model],
         "e.glyph": [ensemble.load_any_model],
+        "p5low.pgm": [dio.read_pgm],
     }
     for name, loads in loaders.items():
         original = (tmp_path / name).read_bytes()

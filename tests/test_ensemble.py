@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from glyphforge import ensemble, mlp
-from glyphforge.errors import DegenerateWeights, FormatError, IoError, ShapeError
+from glyphforge.errors import ConfigError, DegenerateWeights, FormatError, IoError, ShapeError
+from glyphforge.extractors import EXTRACTORS
 
 
 class TestComputeWeights:
@@ -102,9 +103,14 @@ class TestFuse:
             assert top == best
 
 
-def constant_model(confs, labels):
-    cfg = mlp.MlpConfig(input_size=2, hidden_size=2, output_size=len(confs))
-    model = mlp.init_model(cfg, labels)
+# the two members' inputs: a chain200 vector, then a moment63 vector
+X1, X2 = np.zeros(200), np.zeros(63)
+
+
+def constant_model(confs, labels, extractor_id="chain200"):
+    """A member of extractor_id whose confidences are confs whatever its input."""
+    cfg = mlp.MlpConfig(input_size=EXTRACTORS[extractor_id].dim, hidden_size=2, output_size=len(confs))
+    model = mlp.init_model(cfg, labels, extractor_id)
     model.w1[:] = 0
     model.w2[:] = 0
     model.b2[:] = np.log(np.array(confs) / (1 - np.array(confs)))
@@ -115,43 +121,43 @@ class TestCalibrate:
     def test_one_perfect_one_useless(self):
         labels = ["a", "b"]
         m1 = constant_model([0.9, 0.1], labels)  # always predicts class 0
-        m2 = constant_model([0.1, 0.9], labels)  # always predicts class 1
-        holdout = [(np.zeros(2), np.zeros(2), 0)] * 5
+        m2 = constant_model([0.1, 0.9], labels, "moment63")  # always predicts class 1
+        holdout = [(X1, X2, 0)] * 5
         w = ensemble.calibrate(m1, m2, holdout)
         assert (w.w1, w.w2) == (1.0, 0.0)
 
     def test_equal_accuracies(self):
         labels = ["a", "b"]
         m1 = constant_model([0.9, 0.1], labels)
-        m2 = constant_model([0.9, 0.1], labels)
-        holdout = [(np.zeros(2), np.zeros(2), 0), (np.zeros(2), np.zeros(2), 1)]
+        m2 = constant_model([0.9, 0.1], labels, "moment63")
+        holdout = [(X1, X2, 0), (X1, X2, 1)]
         w = ensemble.calibrate(m1, m2, holdout)
         assert w.w1 == w.w2 == 0.5
 
     def test_both_zero_degenerate(self):
         labels = ["a", "b"]
         m1 = constant_model([0.9, 0.1], labels)
-        m2 = constant_model([0.9, 0.1], labels)
+        m2 = constant_model([0.9, 0.1], labels, "moment63")
         with pytest.raises(DegenerateWeights):
-            ensemble.calibrate(m1, m2, [(np.zeros(2), np.zeros(2), 1)])
+            ensemble.calibrate(m1, m2, [(X1, X2, 1)])
 
 
 class TestEnsembleModel:
     def build(self):
         labels = ["a", "b", "c"]
         m1 = constant_model([0.8, 0.3, 0.1], labels)
-        m2 = constant_model([0.2, 0.6, 0.4], labels)
+        m2 = constant_model([0.2, 0.6, 0.4], labels, "moment63")
         return ensemble.EnsembleModel(m1, m2, ensemble.compute_weights(0.8, 0.4))
 
     def test_label_table_must_match(self):
         m1 = constant_model([0.8, 0.2], ["a", "b"])
-        m2 = constant_model([0.8, 0.2], ["a", "x"])
+        m2 = constant_model([0.8, 0.2], ["a", "x"], "moment63")
         with pytest.raises(ShapeError):
             ensemble.EnsembleModel(m1, m2, ensemble.compute_weights(0.5, 0.5))
 
     def test_predict_labels(self):
         ens = self.build()
-        ranked = ens.predict(np.zeros(2), np.zeros(2))
+        ranked = ens.predict(X1, X2)
         assert ranked[0][0] == "a"
         assert len(ranked) == 3
 
@@ -174,25 +180,45 @@ class TestEnsembleModel:
         assert loaded.weights == ens.weights
         assert loaded.labels == ens.labels
         assert np.array_equal(loaded.model1.b2, ens.model1.b2)
-        a = ens.predict(np.zeros(2), np.zeros(2))
-        b = loaded.predict(np.zeros(2), np.zeros(2))
+        a = ens.predict(X1, X2)
+        b = loaded.predict(X1, X2)
         assert a == b
+
+    @pytest.mark.parametrize("ids", [("chain200", "chain200"), ("moment63", "moment63"), ("", "moment63")])
+    def test_members_not_of_two_registered_extractors_is_config_error(self, tmp_path, ids):
+        """Their member files would share a name, or have none: nothing is written."""
+        ens = self.build()
+        for model, extractor_id in zip((ens.model1, ens.model2), ids):
+            model.extractor_id = extractor_id
+        with pytest.raises(ConfigError, match="want two different registered extractors"):
+            ensemble.save_ensemble(ens, tmp_path / "ens.glyph")
+        assert list(tmp_path.iterdir()) == []
 
     def test_members_disagreeing_on_class_table_is_format_error(self, tmp_path):
         path = tmp_path / "ens.glyph"
         ensemble.save_ensemble(self.build(), path)
-        mlp.save_model(constant_model([0.2, 0.6, 0.4], ["a", "b", "x"]), tmp_path / "ens.moment.mlp")
+        mlp.save_model(constant_model([0.2, 0.6, 0.4], ["a", "b", "x"], "moment63"), tmp_path / "ens.moment.mlp")
         with pytest.raises(FormatError, match=f"{path}: member models disagree on the class table"):
             ensemble.load_ensemble(path)
 
-    @pytest.mark.parametrize("line", ["d1 nan", "d1 inf", "d1 -0.25", "d2 1.5"])
-    def test_calibration_accuracy_outside_unit_interval(self, tmp_path, line):
+    def saved_with(self, tmp_path, line):
+        """The path of build() saved, with its line of line's first three characters replaced by line."""
         path = tmp_path / "ens.glyph"
         ensemble.save_ensemble(self.build(), path)
         lines = [line if ln.startswith(line[:3]) else ln for ln in path.read_text().splitlines()]
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("line", ["d1 nan", "d1 inf", "d1 -0.25", "d2 1.5"])
+    def test_calibration_accuracy_outside_unit_interval(self, tmp_path, line):
         with pytest.raises(FormatError, match="calibration accuracies"):
-            ensemble.load_ensemble(path)
+            ensemble.load_ensemble(self.saved_with(tmp_path, line))
+
+    @pytest.mark.parametrize("line", ["d1  0.8", "d1 +0.8", "d2 0.4_0", "d2 \u0660.4"])
+    def test_header_number_not_as_written_is_format_error(self, tmp_path, line):
+        """float() would read each as the written 0.8 or 0.4."""
+        with pytest.raises(FormatError, match="missing or bad field"):
+            ensemble.load_ensemble(self.saved_with(tmp_path, line))
 
     @pytest.mark.parametrize("d1, d2", [(0.8819, 0.6567), (1 / 3, 2 / 3), (0.1, 0.7), (1.0, 0.0)])
     def test_loaded_weights_are_compute_weights_of_the_written_d(self, tmp_path, d1, d2):

@@ -13,6 +13,12 @@ def small_model(inp=5, hid=3, out=2, seed=0, **kw):
     return mlp.init_model(cfg)
 
 
+def train_one(model, dataset):
+    """The TrainingReport of training model alone: a one-lane train_lanes call."""
+    (report,) = mlp.train_lanes([model], [dataset])
+    return report
+
+
 def finite_difference_grads(model, x, target, eps=1e-4):
     """Central-difference oracle for d(loss)/d(weights)."""
     def loss():
@@ -127,15 +133,15 @@ class TestGradients:
 class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(TrainError):
-            mlp.train(small_model(), [])
+            train_one(small_model(), [])
 
     def test_bad_class_index(self):
         with pytest.raises(TrainError):
-            mlp.train(small_model(), [(np.ones(5), 7)])
+            train_one(small_model(), [(np.ones(5), 7)])
 
     def test_singleton_memorization(self):
         model = small_model(4, 6, 3, max_epochs=500)
-        mlp.train(model, [(np.array([1.0, 0.0, 2.0, -1.0]), 2)])
+        train_one(model, [(np.array([1.0, 0.0, 2.0, -1.0]), 2)])
         assert mlp.predict(model, np.array([1.0, 0.0, 2.0, -1.0]))[0][0] == "2"
 
     def test_xor(self):
@@ -150,7 +156,7 @@ class TestTrain:
             max_epochs=5000, target_mse=1e-3, seed=3,
         )
         model = mlp.init_model(cfg)
-        mlp.train(model, data)
+        train_one(model, data)
         hits = sum(mlp.predict(model, x)[0][0] == str(c) for x, c in data)
         assert hits == 4
 
@@ -159,8 +165,8 @@ class TestTrain:
         data = [(rng.normal(size=5), int(rng.integers(2))) for _ in range(20)]
         m1 = small_model(seed=11, max_epochs=30)
         m2 = small_model(seed=11, max_epochs=30)
-        mlp.train(m1, data)
-        mlp.train(m2, data)
+        train_one(m1, data)
+        train_one(m2, data)
         assert np.array_equal(m1.w1, m2.w1) and np.array_equal(m1.w2, m2.w2)
 
     def test_single_step_descends(self):
@@ -170,14 +176,14 @@ class TestTrain:
         model.feature_min = np.zeros(5)
         model.feature_max = np.ones(5)
         before = mlp.gradients(model, x, target)[4]
-        mlp.train(model, [(x, 0)])
+        train_one(model, [(x, 0)])
         after = mlp.gradients(model, x, target)[4]
         assert after <= before
 
     def test_mse_trace_recorded(self):
         rng = np.random.default_rng(8)
         data = [(rng.normal(size=5), int(rng.integers(2))) for _ in range(10)]
-        report = mlp.train(small_model(seed=5, max_epochs=15), data)
+        report = train_one(small_model(seed=5, max_epochs=15), data)
         assert report.epochs_run == len(report.mse_trace) <= 15
 
 
@@ -258,7 +264,7 @@ def test_reciprocal_is_division(length):
 
 class TestTrainBitIdentity:
     def test_train_matches_seed_loop(self):
-        """train alone and three lanes of other seeds in lockstep each equal the reference loop, for several rates.
+        """One model alone and three lanes of other seeds in lockstep each equal the reference loop, for several rates.
 
         The default rates, two others, and a learning rate of 1 given as a
         Python int with the least legal momentum, 0.0.
@@ -275,7 +281,7 @@ class TestTrainBitIdentity:
                 ref = small_model(seed=seed, **kw)
                 refs.append((ref, seed_train(ref, data)))
             alone, lanes = small_model(seed=17, **kw), [small_model(seed=seed, **kw) for seed in (17, 18, 19)]
-            reports = [mlp.train(alone, data), *mlp.train_lanes(lanes, [data] * 3)]
+            reports = [train_one(alone, data), *mlp.train_lanes(lanes, [data] * 3)]
             for model, report, (ref, ref_trace) in zip([alone, *lanes], reports, [refs[0], *refs]):
                 assert report.epochs_run == 4, case
                 assert report.mse_trace == ref_trace, case
@@ -308,7 +314,7 @@ class TestTrainBitIdentity:
 
         def trained():
             model = untrained()
-            mlp.train(model, data)
+            train_one(model, data)
             return model, mlp.forward(model, xs[0])
 
         with monkeypatch.context() as m:
@@ -344,7 +350,7 @@ def assert_lanes_equal_separate_runs(make_model, datasets):
     reports = mlp.train_lanes(lanes, datasets)
     for k, (lane, report, dataset) in enumerate(zip(lanes, reports, datasets)):
         alone = make_model(k)
-        want = mlp.train(alone, dataset)
+        want = train_one(alone, dataset)
         assert (report.mse_trace, report.stop_reason) == (want.mse_trace, want.stop_reason), k
         for name in ("w1", "b1", "w2", "b2", "feature_min", "feature_max"):
             assert getattr(lane, name).tobytes() == getattr(alone, name).tobytes(), (k, name)
@@ -409,7 +415,7 @@ class TestBatchedForward:
     def test_rows_equal_one_at_a_time(self):
         model = small_model(6, 5, 3, seed=2)
         data = wide_range_dataset(40)
-        mlp.train(model, data[:20])  # the other 20 rows fall outside the frozen range
+        train_one(model, data[:20])  # the other 20 rows fall outside the frozen range
         xs = np.array([x for x, _ in data])
         batch = mlp.forward(model, xs)
         assert batch.shape == (40, 3)
@@ -483,6 +489,10 @@ class TestSerialization:
             "input_size 200", "hidden_size 4", "output_size 3", "learning_rate 0.35",
             "momentum 0.25", "max_epochs 17", "target_mse 0.00025", "seed 21",
         ]
+        # a leading '-' and an exponent's sign are numbers as written
+        path.write_text(path.read_text().replace("seed 21\n", "seed -21\n").replace("0.00025\n", "2.5e-05\n"))
+        cfg = mlp.load_model(path).config
+        assert (cfg.seed, cfg.target_mse) == (-21, 2.5e-05)
 
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:-1],  # last b2 row missing: truncated block
@@ -492,20 +502,31 @@ class TestSerialization:
         lambda lines: [ln.replace("flags ", "flags normalize=yes") for ln in lines],
         lambda lines: [ln.replace("feature_min ", "feature_min x ") for ln in lines],
         lambda lines: [ln.replace("@b1 1 4", "@b1 -1 4") for ln in lines],  # would re-read its own header forever
-        lambda lines: [ln.replace("extractor ", "extractor chain200").replace("flags ", "flags log_moments=1")
-                       for ln in lines],  # another extractor's flag
+        lambda lines: [ln.replace("flags ", "flags normalize=1") for ln in lines],  # another extractor's flag
         lambda lines: _swap_blocks(lines, "@b1", "@w2"),  # every block well formed, b1 and w2 out of order
         lambda lines: lines + ["@x 1 1", "0.5"],  # a well-formed block after @b2
-        lambda lines: [ln.replace("extractor ", "extractor chain200") for ln in lines],  # input_size 7, not 200
+        lambda lines: [ln.replace("extractor moment63", "extractor chain200") for ln in lines],  # input_size 63, not 200
         lambda lines: lines[:-1] + ["1_0 0.5 0.1"],  # float() reads 1_0 as 10.0
         lambda lines: [ln.replace("feature_min 0.0", "feature_min \u0660.0") for ln in lines],  # an Arabic-Indic 0
+        lambda lines: [ln for ln in lines if not ln.startswith("extractor ")],
+        lambda lines: [ln for ln in lines if not ln.startswith("flags ")],
+        lambda lines: [ln.replace("extractor moment63", "extractor zzz") for ln in lines],
+        lambda lines: [ln.replace("extractor moment63", "extractor ") for ln in lines],
+        # header numbers int() and float() read as the written ones: 4, 4, 4, 4 and 0.8
+        lambda lines: [ln.replace("hidden_size 4", "hidden_size +4") for ln in lines],
+        lambda lines: [ln.replace("hidden_size 4", "hidden_size 0_4") for ln in lines],
+        lambda lines: [ln.replace("hidden_size 4", "hidden_size \u0664") for ln in lines],  # an Arabic-Indic 4
+        lambda lines: [ln.replace("hidden_size 4", "hidden_size  4") for ln in lines],
+        lambda lines: [ln.replace("learning_rate 0.8", "learning_rate 0.8_0") for ln in lines],
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
-        model = small_model(7, 4, 3, seed=21)
-        model.feature_min = np.zeros(7)
-        model.feature_max = np.ones(7)
+        model = small_model(63, 4, 3, seed=21)
+        model.extractor_id = "moment63"
+        model.feature_min = np.zeros(63)
+        model.feature_max = np.ones(63)
         path = tmp_path / "m.mlp"
         mlp.save_model(model, path)
+        mlp.load_model(path)  # it loads before the corruption
         path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
         with pytest.raises(FormatError):
             mlp.load_model(path)

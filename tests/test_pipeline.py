@@ -3,7 +3,6 @@ import pytest
 
 from glyphforge import cli, image_prep, mlp, pipeline
 from glyphforge import dataset_io as dio
-from glyphforge.errors import FormatError
 from glyphforge.extractors import EXTRACTORS, Extractor
 
 
@@ -37,12 +36,6 @@ def test_extract_tables_runs_only_needed_stages(samples, monkeypatch):
         made.clear()
         pipeline.extract_tables(samples, [(e, False) for e in extractor_ids])
         assert made == stages  # the 12 samples are one chunk
-
-
-@pytest.mark.parametrize("extractor_id", ["", "chain100"])
-def test_unknown_extractor_is_format_error(samples, extractor_id):
-    with pytest.raises(FormatError, match="unknown extractor"):
-        pipeline.extract_tables(samples, [(extractor_id, False)])
 
 
 def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, capsys):
