@@ -114,11 +114,6 @@ def _train_kwargs(args):
     return dict({dest: getattr(args, dest) for dest in dests}, seed=args.seed)
 
 
-def _ranked(model, matrices):
-    """Yield mlp.ranked of each of B samples, scored in one call on a (B, dim) matrix or B vectors per extractor."""
-    return (mlp.ranked(model.labels, row) for row in model.scores(matrices).tolist())
-
-
 def cmd_synth(args) -> int:
     # a second corpus written into a used directory would mix with what is there, and extract would read both
     if os.path.exists(args.out) and not (os.path.isdir(args.out) and not os.listdir(args.out)):
@@ -179,9 +174,9 @@ def _evaluate(model, tables):
         wanted, given = _feature_names(model.extractors), _feature_names(given)
         raise FormatError(f"model reads {wanted} features (--features, then --features2), given {given}")
     dataset_io.check_same_samples(tables)
-    rankings = [[lab for lab, _ in r] for r in _ranked(model, [[v for _, _, v in t.rows] for t in tables])]
+    scores = model.scores([[v for _, _, v in t.rows] for t in tables])
     truth = [lab for _, lab, _ in tables[0].rows]
-    return evaluation.evaluate_rankings(rankings, truth, model.labels)
+    return evaluation.evaluate_rankings(mlp.ranking(scores), truth, model.labels)
 
 
 def cmd_eval(args) -> int:
@@ -251,8 +246,8 @@ def cmd_predict(args) -> int:
     ranked_any = False
     for chunk, matrices in pipeline.iter_features(samples, model.extractors):
         ranked_any = True
-        for sample, ranked in zip(chunk, _ranked(model, matrices)):
-            listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in ranked[: args.k])
+        for sample, scores in zip(chunk, model.scores(matrices)):
+            listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in mlp.ranked(model.labels, scores)[: args.k])
             print(f"{sample.id}  {listing}")
     if not ranked_any:
         raise CorpusError("no usable image: every image was skipped")

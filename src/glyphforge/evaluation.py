@@ -85,24 +85,23 @@ def split(labels, plan: SplitPlan):
 
 
 def evaluate_rankings(rankings, true_labels, labels) -> EvalReport:
-    """Score a list of ranked-label predictions against the truth.
+    """Score ranked predictions against the truth.
 
-    rankings[i] is the i-th sample's predicted labels, best first.
+    rankings is a (samples, classes) matrix: row i holds the i-th sample's
+    class indices into labels, best first.
     """
+    rankings = np.asarray(rankings)
     if len(rankings) == 0:
         raise ValueError("empty test set")
     label_pos = {lab: i for i, lab in enumerate(labels)}
     for lab in true_labels:
         if lab not in label_pos:
             raise LabelError(f"label {lab!r} not in the model's class table")
+    truth = np.array([label_pos[lab] for lab in true_labels])
+    hits = {k: int(np.count_nonzero(rankings[:, :k] == truth[:, None])) for k in TOP_KS}
     m = len(labels)
     confusion = np.zeros((m, m), dtype=np.int64)
-    hits = {k: 0 for k in TOP_KS}
-    for ranked, truth in zip(rankings, true_labels):
-        for k in TOP_KS:
-            if truth in ranked[:k]:
-                hits[k] += 1
-        confusion[label_pos[truth], label_pos[ranked[0]]] += 1
+    np.add.at(confusion, (truth, rankings[:, 0]), 1)
     n = len(rankings)
     pairs = [
         (labels[r], labels[c], int(confusion[r, c]))

@@ -53,9 +53,9 @@ class MlpModel:
     w2: np.ndarray
     b2: np.ndarray
     labels: list
+    feature_min: np.ndarray
+    feature_max: np.ndarray
     extractor_id: str = ""
-    feature_min: np.ndarray = None
-    feature_max: np.ndarray = None
     option: bool = False  # its extractor's option, on or off
 
     @property
@@ -88,7 +88,7 @@ class TrainingReport:
 
 
 def init_model(config: MlpConfig, labels=None, extractor_id: str = "") -> MlpModel:
-    """Uniform [-r, r] init with r = sqrt(6 / (fan_in + fan_out)); zero biases."""
+    """Uniform [-r, r] init with r = sqrt(6 / (fan_in + fan_out)); zero biases; exact identity scaling (x - 0, / 1)."""
     if labels is None:
         labels = [str(i) for i in range(config.output_size)]
     if len(labels) != config.output_size:
@@ -105,6 +105,7 @@ def init_model(config: MlpConfig, labels=None, extractor_id: str = "") -> MlpMod
         w2=w2,
         b2=np.zeros(config.output_size),
         labels=list(labels),
+        feature_min=np.zeros(config.input_size), feature_max=np.ones(config.input_size),
         extractor_id=extractor_id,
     )
 
@@ -114,8 +115,6 @@ def scale_input(model: MlpModel, x: np.ndarray, out: np.ndarray = None) -> np.nd
 
     Features whose training span is 0 scale to 0.0.
     """
-    if model.feature_min is None:
-        return np.asarray(x, dtype=np.float64)
     span = model.feature_max - model.feature_min
     scaled = np.subtract(x, model.feature_min, dtype=np.float64, out=out)
     scaled /= np.where(span > 0, span, 1.0)
@@ -240,9 +239,9 @@ GATHER_ROWS = 64
 def train_lanes(models, datasets) -> list:
     """Online backprop with momentum of each model on its dataset, one shuffled pass per epoch; a TrainingReport each.
 
-    A dataset is a sequence of (feature_vector, class_index). A model
-    without min-max scaling statistics takes them from its dataset before
-    the first epoch. It stops at max_epochs or when its epoch MSE (mean
+    A dataset is a sequence of (feature_vector, class_index). Each model
+    takes its min-max scaling statistics from its dataset before the first
+    epoch. It stops at max_epochs or when its epoch MSE (mean
     squared output error over all samples and output units) drops to
     target_mse; afterwards its w1, b1, w2 and b2 are new arrays.
 
@@ -292,8 +291,7 @@ def _train_group(models, datasets) -> list:
             xs[k, j] = x
             targets[k, j, int(c)] = 1.0
     for model, x in zip(models, xs):
-        if model.feature_min is None:
-            model.feature_min, model.feature_max = x.min(axis=0), x.max(axis=0)
+        model.feature_min, model.feature_max = x.min(axis=0), x.max(axis=0)
         scale_input(model, x, out=x)
     xs = xs.reshape(n_lanes * n_rows, cfg.input_size)
     targets = targets.reshape(n_lanes * n_rows, cfg.output_size)
@@ -364,9 +362,14 @@ def predict(model: MlpModel, x: np.ndarray):
     return ranked(model.labels, forward(model, x))
 
 
+def ranking(scores) -> np.ndarray:
+    """Class indices of one score vector, or of each matrix row, by score descending, ties by class index; nan last."""
+    return np.argsort(np.negative(scores), axis=-1, kind="stable")
+
+
 def ranked(labels, scores):
-    """(label, score) for one sample's per-class scores, score descending, ties by class index."""
-    return [(labels[i], float(scores[i])) for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i))]
+    """(label, score) for one sample's per-class scores, in the order of ranking."""
+    return [(labels[i], float(scores[i])) for i in ranking(scores).tolist()]
 
 
 # --- model file format -------------------------------------------------------
@@ -385,12 +388,15 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def save_model(model: MlpModel, path) -> None:
+    """Write model as a .mlp file; a model that load_model would refuse for its extractor is a ConfigError."""
+    try:
+        read_option(model.extractor_id, {}, model.config.input_size)
+    except FormatError as exc:
+        raise ConfigError(f"cannot save {path}: {exc}") from exc
     lines = [MAGIC, f"extractor {model.extractor_id}", *field_lines(model.config)]
     lines.append("labels " + ",".join(model.labels))
     lines.append(f"flags {EXTRACTORS[model.extractor_id].flag}=1" if model.option else "flags ")
-    if model.feature_min is not None:
-        lines.append("feature_min " + _fmt_vec(model.feature_min))
-        lines.append("feature_max " + _fmt_vec(model.feature_max))
+    lines += [f"{k} {_fmt_vec(getattr(model, k))}" for k in ("feature_min", "feature_max")]
     for name in ("w1", "b1", "w2", "b2"):
         arr = np.atleast_2d(getattr(model, name))
         lines.append(f"@{name} {arr.shape[0]} {arr.shape[1]}")
@@ -426,14 +432,12 @@ def load_model(path) -> MlpModel:
         i += 1 + rows
     if i < len(lines):
         raise FormatError(f"{path}: line {i + 1}: nothing may follow @b2")
-    fmin = fmax = None
-    if "feature_min" in header:
-        fmin, fmax = (floats(header.get(k, ""), f"{path}: {k}") for k in ("feature_min", "feature_max"))
-        if fmin.shape != (n,) or fmax.shape != fmin.shape:
-            raise FormatError(f"{path}: feature_min/feature_max length != input_size")
+    fmin, fmax = (floats(header.get(k, ""), f"{path}: {k}") for k in ("feature_min", "feature_max"))
+    if fmin.shape != (n,) or fmax.shape != fmin.shape:
+        raise FormatError(f"{path}: feature_min/feature_max missing or of length other than input_size")
     labels = header["labels"].split(",") if header.get("labels") else []
-    if len(labels) != o:
-        raise FormatError(f"{path}: label table length != output_size")
+    if len(set(labels)) != len(labels) or len(labels) != o:  # a class's index is its place in the table
+        raise FormatError(f"{path}: label table is not output_size distinct labels")
     w1, b1, w2, b2 = blocks
     return MlpModel(config=cfg, w1=w1, b1=b1.ravel(), w2=w2, b2=b2.ravel(), labels=labels,
-                    extractor_id=extractor_id, feature_min=fmin, feature_max=fmax, option=option)
+                    feature_min=fmin, feature_max=fmax, extractor_id=extractor_id, option=option)

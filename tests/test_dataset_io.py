@@ -376,15 +376,15 @@ class TestFeatureTable:
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: repeated key '{key}'"):
             dio.load_features(path)
 
-    @pytest.mark.parametrize("text", [
-        "# extractor=x dim=2\nid,lab,1.0,abc\n",
-        "# extractor=x dim=2\nid,lab,1.0,\n",
-        "# extractor=x dim=2 log_moments=yes\n",
-    ])
-    def test_non_numeric_value(self, tmp_path, text):
+    @pytest.mark.parametrize("text, error", [
+        ("# extractor=moment63 dim=63\nid,lab," + "1.0," * 62 + "abc\n", "could not convert string to float: 'abc'"),
+        ("# extractor=moment63 dim=63\nid,lab," + "1.0," * 62 + "\n", "could not convert string to float: ''"),
+        ("# extractor=moment63 dim=63 log_moments=yes\n", "option log_moments=yes is not 0 or 1"),
+    ], ids=["abc", "empty", "yes"])
+    def test_non_numeric_value(self, tmp_path, text, error):
         path = tmp_path / "n.csv"
         path.write_text(text)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=error):
             dio.load_features(path)
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5", " 3.0", "\t3.0", "3.0 ", "3.0\r"])
@@ -475,9 +475,7 @@ def test_mutated_files_raise_only_glyphforge_errors(tmp_path):
     dio.save_features(dio.FeatureTable("moment63", 63, rows, True), tmp_path / "f.csv")
     members = []
     for extractor_id, dim in (("chain200", 200), ("moment63", 63)):
-        model = mlp.init_model(mlp.MlpConfig(input_size=dim, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id)
-        model.feature_min, model.feature_max = np.zeros(dim), np.ones(dim)
-        members.append(model)
+        members.append(mlp.init_model(mlp.MlpConfig(dim, hidden_size=2, output_size=2), ["c0", "c1"], extractor_id))
     members[1].option = True
     mlp.save_model(members[0], tmp_path / "m.mlp")
     ensemble.save_ensemble(ensemble.EnsembleModel(*members, ensemble.compute_weights(0.75, 0.5)), tmp_path / "e.glyph")

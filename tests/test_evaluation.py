@@ -45,11 +45,13 @@ class TestSplit:
 
 
 class TestEvaluate:
+    """Each ranking row holds class indices into the label table, best first."""
+
     LABELS = ["a", "b"]
 
     def test_perfect_predictor(self):
         truth = ["a", "b", "a"]
-        rankings = [[t, "a" if t == "b" else "b"] for t in truth]
+        rankings = [[0, 1] if t == "a" else [1, 0] for t in truth]
         rep = ev.evaluate_rankings(rankings, truth, self.LABELS)
         assert rep.top_k_accuracy[1] == 1.0
         assert rep.top_k_accuracy[5] == 1.0
@@ -58,14 +60,14 @@ class TestEvaluate:
 
     def test_true_label_always_third(self):
         labels = ["a", "b", "c"]
-        rankings = [["b", "c", "a"], ["a", "c", "b"], ["a", "b", "c"]]
+        rankings = [[1, 2, 0], [0, 2, 1], [0, 1, 2]]
         rep = ev.evaluate_rankings(rankings, ["a", "b", "c"], labels)
         assert rep.top_k_accuracy[1] == 0.0
         assert rep.top_k_accuracy[3] == 1.0
         assert rep.top_k_accuracy[5] == 1.0
 
     def test_three_of_four_correct(self):
-        rankings = [["a", "b"], ["a", "b"], ["b", "a"], ["b", "a"]]
+        rankings = [[0, 1], [0, 1], [1, 0], [1, 0]]
         truth = ["a", "a", "a", "b"]
         rep = ev.evaluate_rankings(rankings, truth, self.LABELS)
         assert rep.top_k_accuracy[1] == 0.75
@@ -76,9 +78,7 @@ class TestEvaluate:
         rng = np.random.default_rng(51)
         labels = ["a", "b", "c", "d"]
         truth = [labels[i] for i in rng.integers(0, 4, size=40)]
-        rankings = [
-            list(np.array(labels)[rng.permutation(4)]) for _ in truth
-        ]
+        rankings = [rng.permutation(4) for _ in truth]
         rep = ev.evaluate_rankings(rankings, truth, labels)
         assert rep.confusion.sum() == rep.n_samples
         assert rep.top_k_accuracy[1] == np.trace(rep.confusion) / rep.n_samples
@@ -88,7 +88,7 @@ class TestEvaluate:
 
     def test_unknown_label_rejected(self):
         with pytest.raises(LabelError):
-            ev.evaluate_rankings([["a"]], ["zz"], self.LABELS)
+            ev.evaluate_rankings([[0]], ["zz"], self.LABELS)
 
 
 class TestCrossValidate:
@@ -97,7 +97,9 @@ class TestCrossValidate:
         plan = ev.SplitPlan(mode="kfold", folds=3, seed=6)
         rep = ev.CrossValReport([
             ev.evaluate_rankings(
-                [[labels[i], "a", "b", "c"] for i in test_idx], [labels[i] for i in test_idx], ["a", "b", "c"]
+                [(np.arange(3) + "abc".index(labels[i])) % 3 for i in test_idx],  # the true class first
+                [labels[i] for i in test_idx],
+                ["a", "b", "c"],
             )
             for _, test_idx in ev.kfold_splits(labels, plan)
         ])
@@ -123,9 +125,7 @@ class TestCrossValidate:
 
 class TestReportFormatting:
     def test_confusion_csv(self):
-        rep = ev.evaluate_rankings(
-            [["a", "b"], ["b", "a"]], ["a", "a"], ["a", "b"]
-        )
+        rep = ev.evaluate_rankings([[0, 1], [1, 0]], ["a", "a"], ["a", "b"])
         csv = ev.confusion_csv(rep)
         lines = csv.strip().split("\n")
         assert lines[0] == "true\\pred,a,b"
@@ -133,7 +133,7 @@ class TestReportFormatting:
         assert lines[2] == "b,0,0"
 
     def test_text_report_mentions_accuracies(self):
-        rep = ev.evaluate_rankings([["a", "b"]], ["a"], ["a", "b"])
+        rep = ev.evaluate_rankings([[0, 1]], ["a"], ["a", "b"])
         text = ev.format_report(rep)
         assert "top-1 accuracy: 1.0000" in text
         assert "samples: 1" in text

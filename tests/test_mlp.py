@@ -1,5 +1,7 @@
 import contextlib
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,8 +175,7 @@ class TestTrain:
         model = small_model(seed=4, momentum=0.0, learning_rate=0.01, max_epochs=1)
         x = np.arange(5.0)
         target = np.array([1.0, 0.0])
-        model.feature_min = np.zeros(5)
-        model.feature_max = np.ones(5)
+        model.feature_min = model.feature_max = x  # what training takes from its one row: both losses at one scaling
         before = mlp.gradients(model, x, target)[4]
         train_one(model, [(x, 0)])
         after = mlp.gradients(model, x, target)[4]
@@ -200,14 +201,13 @@ def seed_gradients(model, x, target):
 def seed_train(model, dataset):
     """Reference: the original per-sample, per-array online backprop loop.
 
-    Scales each sample on every step, by the dataset's min-max statistics
-    unless the model has its own, and takes seed_gradients, then updates
-    each of w1, b1, w2, b2 by delta = -lr * g + momentum * v.
+    Scales each sample on every step, by the dataset's min-max statistics,
+    and takes seed_gradients, then updates each of w1, b1, w2, b2 by
+    delta = -lr * g + momentum * v.
     """
     cfg = model.config
     xs = np.array([x for x, _ in dataset], dtype=np.float64)
-    if model.feature_min is None:
-        model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+    model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
     span = model.feature_max - model.feature_min
     safe = np.where(span > 0, span, 1.0)
     targets = np.zeros((len(dataset), cfg.output_size))
@@ -239,6 +239,26 @@ def wide_range_dataset(n=30, seed=3):
     xs = rng.normal(size=(n, 6)) * np.array([1e-3, 1.0, 1e3, 1e5, 10.0, 0.0])
     xs[:, 5] = 7.0
     return [(x, i % 3) for i, x in enumerate(xs)]
+
+
+def hu_like_dataset(rng):
+    """24 rows of 63 values of random sign spanning ~1e-12..1e1 in magnitude, as raw Hu invariants do, in 3 classes."""
+    xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
+    return [(x, i % 3) for i, x in enumerate(xs)]
+
+
+def saturating_model(seed, dataset):
+    """A 63-45-3 model whose w1, times 1e4, drives a hidden pre-activation t of a training row below -709.
+
+    There the sigmoid's exp(-t) overflows to inf, giving exactly 0.0. The
+    rows are min-max scaled by the dataset's statistics, as training does.
+    """
+    model = small_model(63, 45, 3, seed=seed, max_epochs=5)
+    model.w1 *= 1e4
+    xs = np.array([x for x, _ in dataset])
+    probe = replace(model, feature_min=xs.min(axis=0), feature_max=xs.max(axis=0))
+    assert (mlp.scale_input(probe, xs) @ model.w1.T).min() < -709
+    return model
 
 
 @pytest.mark.parametrize("length", [1, 7, 8, 45, 63, 64, 201])
@@ -301,21 +321,12 @@ class TestTrainBitIdentity:
             assert got[4] == 0.5 * float(np.dot(err, err))
 
     def test_saturated_units_train_without_overflow_warning(self, monkeypatch):
-        # raw Hu invariants span ~1e-12..1e1; against a frozen range of [0, 1e-4]
-        # they scale to ~1e5, so exp(-t) overflows in the hidden and output sigmoids
-        rng = np.random.default_rng(21)
-        xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
-        data = [(x, i % 3) for i, x in enumerate(xs)]
-
-        def untrained():
-            model = small_model(63, 45, 3, seed=6, max_epochs=5)
-            model.feature_min, model.feature_max = np.zeros(63), np.full(63, 1e-4)
-            return model
+        data = hu_like_dataset(np.random.default_rng(21))
 
         def trained():
-            model = untrained()
+            model = saturating_model(6, data)
             train_one(model, data)
-            return model, mlp.forward(model, xs[0])
+            return model, mlp.forward(model, data[0][0])
 
         with monkeypatch.context() as m:
             m.setattr(np, "errstate", lambda **_: contextlib.nullcontext())
@@ -324,7 +335,7 @@ class TestTrainBitIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             silenced, silenced_out = trained()
-        ref = untrained()
+        ref = saturating_model(6, data)
         with np.errstate(over="ignore"):
             seed_train(ref, data)
         # hidden units saturated at exactly 0.0 or 1.0 on every row get zero gradients: their biases stay 0.0
@@ -375,19 +386,10 @@ class TestTrainLanes:
 
     def test_saturated_wide_range_lanes(self):
         rng = np.random.default_rng(21)
-        datasets = []
-        for _ in range(3):
-            xs = np.sign(rng.normal(size=(24, 63))) * 10.0 ** rng.uniform(-12, 1, size=(24, 63))
-            datasets.append([(x, i % 3) for i, x in enumerate(xs)])
-
-        def make_model(k):
-            model = small_model(63, 45, 3, seed=6 + k, max_epochs=5)
-            model.feature_min, model.feature_max = np.zeros(63), np.full(63, 1e-4)
-            return model
-
+        datasets = [hu_like_dataset(rng) for _ in range(3)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_lanes_equal_separate_runs(make_model, datasets)
+            assert_lanes_equal_separate_runs(lambda k: saturating_model(6 + k, datasets[k]), datasets)
 
     def test_unequal_lengths_and_shapes_train_apart(self):
         data = wide_range_dataset(30)
@@ -405,10 +407,11 @@ class TestTrainLanes:
     ])
     def test_bad_lane_fails_before_training(self, datasets, error):
         models = [small_model(seed=1, max_epochs=2), small_model(seed=2, max_epochs=2)]
-        before = models[0].w1.copy()
+        before = [getattr(models[0], name).copy() for name in ("w1", "feature_min", "feature_max")]
         with pytest.raises(error):
             mlp.train_lanes(models, datasets)
-        assert np.array_equal(models[0].w1, before) and models[0].feature_min is None
+        for name, want in zip(("w1", "feature_min", "feature_max"), before):
+            assert np.array_equal(getattr(models[0], name), want), name
 
 
 class TestBatchedForward:
@@ -449,6 +452,25 @@ class TestPredict:
         model = self.make([0.5, 0.5, 0.5])
         ranked = mlp.predict(model, np.zeros(3))
         assert [lab for lab, _ in ranked] == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (20,), (1, 20), (40, 3), (525, 20)])
+    def test_ranking_is_score_descending_ties_by_index(self, shape):
+        """mlp.ranking of a vector, or of each matrix row, is the sort by (-score, class index).
+
+        Each row gets repeated scores and both signed zeros, which compare
+        equal and so tie.
+        """
+        rng = np.random.default_rng(sum(shape))
+        scores = rng.normal(size=shape)
+        rows = scores.reshape(-1, shape[-1])
+        for row in rows:
+            picks = rng.integers(0, len(row), size=4)
+            row[picks[0]] = row[picks[1]]
+            row[picks[2]], row[picks[3]] = 0.0, -0.0
+        want = [sorted(range(len(row)), key=lambda i: (-row[i], i)) for row in rows.tolist()]
+        got = mlp.ranking(scores)
+        assert got.shape == shape
+        assert got.reshape(-1, shape[-1]).tolist() == want
 
     def test_top1_is_argmax(self):
         rng = np.random.default_rng(9)
@@ -518,18 +540,31 @@ class TestSerialization:
         lambda lines: [ln.replace("hidden_size 4", "hidden_size \u0664") for ln in lines],  # an Arabic-Indic 4
         lambda lines: [ln.replace("hidden_size 4", "hidden_size  4") for ln in lines],
         lambda lines: [ln.replace("learning_rate 0.8", "learning_rate 0.8_0") for ln in lines],
+        lambda lines: [ln for ln in lines if not ln.startswith("feature_min ")],
+        lambda lines: [ln for ln in lines if not ln.startswith("feature_max ")],
+        lambda lines: [ln.replace("labels 0,1,2", "labels 0,0,2") for ln in lines],
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
-        model = small_model(63, 4, 3, seed=21)
+        model = small_model(63, 4, 3, seed=21)  # its identity scaling writes feature_min 0.0 ... and feature_max 1.0 ...
         model.extractor_id = "moment63"
-        model.feature_min = np.zeros(63)
-        model.feature_max = np.ones(63)
         path = tmp_path / "m.mlp"
         mlp.save_model(model, path)
         mlp.load_model(path)  # it loads before the corruption
         path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
         with pytest.raises(FormatError):
             mlp.load_model(path)
+
+    @pytest.mark.parametrize("extractor_id, error", [
+        ("", "unknown extractor ''"),  # init_model's default
+        ("zzz", "unknown extractor 'zzz'"),
+        ("chain200", "extractor chain200 implies dim 200, got 63"),
+    ])
+    def test_model_load_would_refuse_is_not_saved(self, tmp_path, extractor_id, error):
+        model = mlp.init_model(mlp.MlpConfig(63, 4, 3), extractor_id=extractor_id)
+        path = tmp_path / "m.mlp"
+        with pytest.raises(ConfigError, match=f"cannot save {re.escape(str(path))}: {error}"):
+            mlp.save_model(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", ["2", "-1", "01", ""])
     def test_flag_other_than_0_or_1_is_format_error(self, tmp_path, value):
