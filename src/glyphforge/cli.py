@@ -224,7 +224,10 @@ def cmd_crossval(args) -> int:
 def cmd_predict(args) -> int:
     """Rank each image; --dir reads and extracts pipeline.CHUNK_SIZE images at a time.
 
-    A malformed image, or one without foreground, is skipped with a warning
+    --dir splits its sorted file list across the CPUs this process may use
+    (pipeline.iter_features) and scores each chunk in one call, in sample
+    order: its output and warnings do not depend on the number of CPUs. A
+    malformed image, or one without foreground, is skipped with a warning
     naming it under --dir, and is an error naming it (exit 2) under --image.
     A --dir that leaves no image to rank is a CorpusError.
     """
@@ -242,13 +245,13 @@ def cmd_predict(args) -> int:
             if n.endswith(".pgm")
         )
     )
-    samples = dataset_io.read_samples(((path, "", path) for path in paths), strict=bool(args.image))
+    samples = dataset_io.SampleFiles([(path, "", path) for path in paths], strict=bool(args.image))
     ranked_any = False
-    for chunk, matrices in pipeline.iter_features(samples, model.extractors):
+    for ids, _, matrices in pipeline.iter_features(samples, model.extractors):
         ranked_any = True
-        for sample, scores in zip(chunk, model.scores(matrices)):
+        for sample_id, scores in zip(ids, model.scores(matrices)):
             listing = "  ".join(f"{lab}:{score:.4f}" for lab, score in mlp.ranked(model.labels, scores)[: args.k])
-            print(f"{sample.id}  {listing}")
+            print(f"{sample_id}  {listing}")
     if not ranked_any:
         raise CorpusError("no usable image: every image was skipped")
     return 0

@@ -165,31 +165,38 @@ class LabeledSample:
     image: np.ndarray
 
 
-def read_samples(files, strict: bool = False):
-    """Yield a LabeledSample per (id, label, path) of files, reading each image only when the iteration reaches it.
+@dataclass(frozen=True)
+class SampleFiles:
+    """The (id, label, path) files of one pass, in sample order; iterating yields a LabeledSample per usable image.
 
-    The one place an image is skipped, in sample order, with a warning naming it: a malformed one (with strict,
-    its IoError) or a uniform one, which has no foreground (with strict, a CorpusError).
+    Each image is read only when the iteration reaches it. Iterating is the one place an image is skipped, in
+    sample order, with a warning naming it: a malformed one (with strict, its IoError) or a uniform one, which
+    has no foreground (with strict, a CorpusError). pipeline.iter_features cuts the files into contiguous parts,
+    each read in a process of its own.
     """
-    for sample_id, label, path in files:
-        try:
-            image = read_pgm(path)
-        except IoError as exc:
-            if strict:
-                raise
-            warnings.warn(f"skipping malformed image: {exc}")
-            continue
-        if image_prep.uniform(image)[0]:
-            reason = f"{sample_id}: {image_prep.NO_FOREGROUND}"
-            if strict:
-                raise CorpusError(reason)
-            warnings.warn(f"skipping {reason}")
-            continue
-        yield LabeledSample(id=sample_id, label=label, image=image)
+    files: list
+    strict: bool = False
+
+    def __iter__(self):
+        for sample_id, label, path in self.files:
+            try:
+                image = read_pgm(path)
+            except IoError as exc:
+                if self.strict:
+                    raise
+                warnings.warn(f"skipping malformed image: {exc}")
+                continue
+            if image_prep.uniform(image)[0]:
+                reason = f"{sample_id}: {image_prep.NO_FOREGROUND}"
+                if self.strict:
+                    raise CorpusError(reason)
+                warnings.warn(f"skipping {reason}")
+                continue
+            yield LabeledSample(id=sample_id, label=label, image=image)
 
 
-def load_corpus(root, strict: bool = False):
-    """read_samples over all <root>/<class>/*.pgm files in lexicographic order.
+def load_corpus(root, strict: bool = False) -> SampleFiles:
+    """The SampleFiles of all <root>/<class>/*.pgm files in lexicographic order.
 
     The listing is checked before any image is read: a root that is not a
     directory, a comma in a class or image name, or no .pgm file is a CorpusError.
@@ -213,7 +220,7 @@ def load_corpus(root, strict: bool = False):
             files.append((f"{cls}/{name}", cls, path))
     if not files:
         raise CorpusError(f"no samples found under {root}")
-    return read_samples(files, strict)
+    return SampleFiles(files, strict)
 
 
 def save_corpus(samples, root) -> None:

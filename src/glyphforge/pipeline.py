@@ -1,11 +1,17 @@
 """End-to-end glue: raw image -> features -> trained models -> rankings."""
 
 import itertools
+import os
+import pickle
+import signal
+import sys
+import traceback
+import warnings
 
 import numpy as np
 
 from . import dataset_io, ensemble, image_prep, mlp
-from .errors import ConfigError, CorpusError, TrainError
+from .errors import ConfigError, CorpusError, ExtractionError, TrainError
 from .extractors import EXTRACTORS
 
 CALIBRATION_FRACTION = 0.2  # default share of the training rows held out to calibrate fusion weights
@@ -52,17 +58,126 @@ def _chunk_features(chunk, extractors, on_stages):
     return matrices
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _parts(samples, on_stages) -> list:
+    """samples cut into contiguous parts of whole chunks, one per CPU this process may use and at most one per chunk.
+
+    One part, samples itself, unless samples is a dataset_io.SampleFiles, on_stages is None and os.fork exists.
+    """
+    if not isinstance(samples, dataset_io.SampleFiles) or on_stages or not hasattr(os, "fork"):
+        return [samples]
+    chunks = -(-len(samples.files) // CHUNK_SIZE)
+    parts = max(1, min(_cpus(), chunks))
+    cuts = [CHUNK_SIZE * (k * chunks // parts) for k in range(parts + 1)]
+    return [dataset_io.SampleFiles(samples.files[a:b], samples.strict) for a, b in zip(cuts, cuts[1:])]
+
+
+def _part_features(samples, extractors, on_stages=None):
+    """(ids, labels, matrices) for each chunk of samples, extracted in this process."""
+    samples = iter(samples)
+    while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
+        yield [s.id for s in chunk], [s.label for s in chunk], _chunk_features(chunk, extractors, on_stages)
+
+
+def _part_result(part, extractors):
+    """One part extracted in this process: ([(warnings, chunk)], warnings after the last chunk, error or None).
+
+    Each chunk comes with the warnings recorded while it was read, each warning
+    as the (message, category, filename, lineno) of warnings.warn_explicit; the
+    error is the one that stopped the part.
+    """
+    steps, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for chunk in _part_features(part, extractors):
+                steps.append(([(w.message, w.category, w.filename, w.lineno) for w in caught], chunk))
+                del caught[:]
+        except Exception as exc:
+            error = exc
+    return steps, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _fork(part, extractors):
+    """(pid, read end of its pipe) of a forked child that sends the pickled _part_result of part, then exits."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # os._exit never flushes the parent's buffers or runs its atexit hooks
+        code = 1
+        try:
+            os.close(r)
+            payload = pickle.dumps(_part_result(part, extractors))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        except BaseException:  # not re-raised: the child must never return into its parent's frames
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
 def iter_features(samples, extractors, on_stages=None):
-    """(chunk, matrices) for each chunk of samples: one matrix per (extractor_id, option) pair.
+    """(ids, labels, matrices) for each chunk of samples, in sample order: one matrix per (extractor_id, option) pair.
 
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
     for on_stages); a chunk's stages are freed before the next chunk is read.
-    Each sample must have foreground: dataset_io.read_samples skips the
-    others.
+    Each sample must have foreground: iterating a dataset_io.SampleFiles skips
+    the others.
+
+    A SampleFiles pass without on_stages is cut into contiguous parts (_parts),
+    one per CPU this process may use. This process forks a child for each part
+    after the first and extracts the first itself. It then yields each child's
+    chunks in part order, each after re-issuing the warnings its child recorded
+    while reading it, and raises a child's error after every earlier part's
+    chunks. So chunks, warnings and the first --strict error come in sample
+    order, the same for any number of parts. A child that ends without a
+    result is an ExtractionError naming its part. Every child not yet read is
+    killed and reaped when the iteration fails or stops early.
     """
-    samples = iter(samples)
-    while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
-        yield chunk, _chunk_features(chunk, extractors, on_stages)
+    first, *rest = _parts(samples, on_stages)
+    children = []  # (pid, pipe) of each child not yet reaped, in part order
+    try:
+        if rest:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for part in rest:
+            children.append(_fork(part, extractors))
+        yield from _part_features(first, extractors, on_stages)
+        for k, part in enumerate(rest, start=2):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status or not payload:
+                raise ExtractionError(
+                    f"part {k} of {len(rest) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]}) "
+                    f"ended without a result (exit status {status})"
+                )
+            steps, tail, error = pickle.loads(payload)
+            for caught, chunk in steps:
+                for warning in caught:
+                    warnings.warn_explicit(*warning)
+                yield chunk
+            for warning in tail:
+                warnings.warn_explicit(*warning)
+            if error is not None:
+                raise error
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def extract_tables(samples, extractors, on_stages=None):
@@ -72,9 +187,9 @@ def extract_tables(samples, extractors, on_stages=None):
     stages (see iter_features).
     """
     rows = [[] for _ in extractors]
-    for chunk, matrices in iter_features(samples, extractors, on_stages):
+    for ids, labels, matrices in iter_features(samples, extractors, on_stages):
         for table_rows, matrix in zip(rows, matrices):
-            table_rows.extend((s.id, s.label, vec) for s, vec in zip(chunk, matrix))
+            table_rows.extend(zip(ids, labels, matrix))
     if not rows[0]:
         raise CorpusError("no usable image: every image was skipped")
     return [

@@ -401,8 +401,12 @@ def test_dumped_stages_equal_each_image_alone(corpus, tmp_path, monkeypatch):
 
 
 def test_extract_reads_images_chunk_by_chunk(corpus, tmp_path, monkeypatch):
-    """The first image is binarized before the images of a second chunk are read."""
+    """The first image is binarized before the images of a second chunk are read.
+
+    One CPU, so that one process reads every image; test_each_part_reads_images_chunk_by_chunk splits the pass.
+    """
     monkeypatch.setattr(pipeline, "CHUNK_SIZE", 5)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     reads, reads_at_binarize = [], []
 
     def read_pgm(path, _read_pgm=dio.read_pgm):
@@ -418,6 +422,43 @@ def test_extract_reads_images_chunk_by_chunk(corpus, tmp_path, monkeypatch):
     assert cli.main(["extract", "--corpus", str(corpus), "--extractor", "chain200", "--out", str(tmp_path / "f.csv")]) == 0
     assert len(reads) == len(reads_at_binarize) == 24
     assert reads_at_binarize[0] <= 5
+
+
+def test_each_part_reads_images_chunk_by_chunk(corpus, tmp_path, monkeypatch):
+    """Split across 3 CPUs, each part's process binarizes its first image before it reads its second chunk.
+
+    The processes log each read and each binarized image to one file, a line each, with their pid.
+    """
+    monkeypatch.setattr(pipeline, "CHUNK_SIZE", 5)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    log = tmp_path / "log"
+
+    def note(event, count=1):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {event}\n" * count)
+
+    def read_pgm(path, _read_pgm=dio.read_pgm):
+        note("read")
+        return _read_pgm(path)
+
+    def binarize(gray, _binarize=image_prep.binarize):
+        note("binarize", gray.shape[0] if gray.ndim == 3 else 1)
+        return _binarize(gray)
+
+    monkeypatch.setattr(dio, "read_pgm", read_pgm)
+    monkeypatch.setattr(image_prep, "binarize", binarize)
+    out = tmp_path / "f.csv"
+    assert cli.main(["extract", "--corpus", str(corpus), "--extractor", "chain200", "--out", str(out)]) == 0
+    events = {}
+    for line in log.read_text().splitlines():
+        pid, event = line.split()
+        events.setdefault(int(pid), []).append(event)
+    # 24 images in 5 chunks: parts of 1, 2 and 2 chunks, the first read by this process
+    assert events[os.getpid()].count("read") == 5
+    assert sorted(e.count("read") for e in events.values()) == [5, 9, 10]
+    for e in events.values():
+        assert e.count("binarize") == e.count("read")
+        assert e.index("binarize") <= 5
 
 
 @pytest.mark.parametrize("image", [b"P5\n2 2\n255\n\xff\xff\xff\xff", b"P5\nabc 64\n255\n"], ids=["blank", "malformed"])

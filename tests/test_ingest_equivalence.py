@@ -622,7 +622,12 @@ def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extrac
     assert capsys.readouterr().err == f"error: c01/blank.pgm: {ip.NO_FOREGROUND}\n"
 
 
-def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, monkeypatch):
+def predict_dir_case(tmp_path):
+    """(ensemble model, directory of 37 images, their sorted paths, the blank one) for predict --dir.
+
+    36 glyphs of a 3x12 synth corpus, and a blank image that sorts 13th,
+    before c01_s000.pgm, in the middle of the first 32 images read.
+    """
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--classes", "3", "--per-class", "12", "--seed", "8", "--out", str(corpus)]) == 0
     tables = []
@@ -639,18 +644,29 @@ def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, m
         shutil.copyfile(path, images / f"{path.parent.name}_{path.name}")
     paths = sorted(images.iterdir())
     assert len(paths) == 36 and pipeline.CHUNK_SIZE == 32
-    # sorts before c01_s000.pgm, in the middle of the first 32 images read; read_samples skips it, so a chunk
-    # holds the next image in its place
     blank = images / "c01_blank.pgm"
     dataset_io.write_pgm(blank, np.full((64, 64), 255, dtype=np.uint8))
     assert sorted(images.iterdir()).index(blank) == 12
+    return model, images, paths, blank
+
+
+def predict_dir_scored(model, images, blank, monkeypatch, capsys):
+    """(stdout of predict --dir, the number of rows of each scores call)."""
     scored = []
     scores = ensemble.EnsembleModel.scores
     monkeypatch.setattr(ensemble.EnsembleModel, "scores", lambda self, m: scored.append(len(m[0])) or scores(self, m))
     capsys.readouterr()
     with pytest.warns(UserWarning, match=re.escape(f"skipping {blank}: image has no foreground pixel")):
         assert cli.main(["predict", "--model", str(model), "--dir", str(images), "-k", "3"]) == 0
-    chunked = capsys.readouterr().out
+    return capsys.readouterr().out, scored
+
+
+def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, monkeypatch):
+    """One CPU, so one process reads every image; test_predict_dir_scores_each_chunk_of_each_part splits the pass."""
+    model, images, paths, blank = predict_dir_case(tmp_path)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    # the pass skips the blank image, so a chunk holds the next image in its place
+    chunked, scored = predict_dir_scored(model, images, blank, monkeypatch, capsys)
     # one scores call per chunk: the first 32 kept of the 33 images read, then the last 4
     assert scored == [32, 4]
     single = []
@@ -659,3 +675,16 @@ def test_predict_dir_chunks_print_the_lines_of_predict_image(tmp_path, capsys, m
         single.append(capsys.readouterr().out)
     assert chunked == "".join(single)
     assert len(chunked.splitlines()) == len(paths)
+
+
+def test_predict_dir_scores_each_chunk_of_each_part(tmp_path, capsys, monkeypatch):
+    """Split across 2 or more CPUs, the 37 files make two parts, one chunk each, and each chunk is one scores call."""
+    model, images, _, blank = predict_dir_case(tmp_path)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    one_part, _ = predict_dir_scored(model, images, blank, monkeypatch, capsys)
+    for cpus in (2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        split, scored = predict_dir_scored(model, images, blank, monkeypatch, capsys)
+        # the first part holds the first 32 files, the blank one among them, and the second the last 5
+        assert scored == [31, 5]
+        assert split == one_part

@@ -1,8 +1,13 @@
+import os
+import shutil
+import warnings
+
 import numpy as np
 import pytest
 
 from glyphforge import cli, image_prep, mlp, pipeline
 from glyphforge import dataset_io as dio
+from glyphforge.errors import CorpusError, ExtractionError, IoError
 from glyphforge.extractors import EXTRACTORS, Extractor
 
 
@@ -86,3 +91,207 @@ def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, ca
     label, score = capsys.readouterr().out.split()[1].split(":")
     want_label, want_score = mlp.predict(model, vec)[0]
     assert (label, score) == (want_label, f"{want_score:.4f}")
+
+
+# --- a corpus pass split across processes ---------------------------------------
+# The same outputs, warnings and errors for any number of parts, and no child process left behind.
+# pipeline._cpus, the one CPU-count lookup, is patched to force 1, 2 or 3 parts; CHUNK_SIZE 8 makes the 38
+# files of split_corpus 5 chunks, cut into parts of files [0, 16) and [16, 38) for 2 parts, and [0, 8),
+# [8, 24) and [24, 38) for 3.
+
+BLANK, BAD = "c01/blank.pgm", "c02/bad.pgm"  # files 12 and 25: parts 2 and 3 of 3
+
+
+@pytest.fixture
+def chunks_of_8(monkeypatch):
+    monkeypatch.setattr(pipeline, "CHUNK_SIZE", 8)
+
+
+@pytest.fixture(scope="module")
+def split_corpus(tmp_path_factory):
+    """36 glyphs of a 3x12 synth corpus, a blank image and a malformed one."""
+    root = tmp_path_factory.mktemp("corpus")
+    dio.save_corpus(dio.synth_corpus(3, 12, seed=4), root)
+    dio.write_pgm(root / BLANK, np.full((64, 64), 255, np.uint8))
+    (root / BAD).write_bytes(b"P5\nabc 64\n255\n")
+    ids = [f for f, _, _ in dio.load_corpus(root).files]
+    assert len(ids) == 38 and ids.index(BLANK) == 12 and ids.index(BAD) == 25
+    return root
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child os.fork made."""
+    pids = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run(argv, capsys):
+    """(exit code, stdout, stderr, each warning's (category, message, filename, lineno)) of cli.main(argv)."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def strict_pass(corpus):
+    """(ids of the chunks a strict pass yields, its error): the chunks before the first unusable image."""
+    ids = []
+    with pytest.raises((CorpusError, IoError)) as error:
+        for chunk_ids, _, _ in pipeline.iter_features(dio.load_corpus(corpus, strict=True), [("chain200", False)]):
+            ids += chunk_ids
+    return ids, repr(error.value)
+
+
+def outputs(corpus, model, images, out, capsys):
+    """Every output of extract, crossval and predict --dir over the corpus, and of each --strict failure."""
+    seen = {}
+    options = [("chain200", None), ("chain200", "--normalize"), ("moment63", None), ("moment63", "--log-moments")]
+    for extractor, option in options:
+        csv = out / f"{extractor}{option}.csv"
+        argv = ["extract", "--corpus", corpus, "--extractor", extractor, "--out", csv] + ([option] if option else [])
+        seen[extractor, option] = run(argv, capsys), csv.read_bytes()
+    report = out / "crossval.txt"
+    seen["crossval"] = run(["crossval", "--corpus", corpus, "--folds", "2", "--epochs", "2", "--out", report], capsys)
+    seen["crossval --out"] = report.read_bytes()
+    seen["predict"] = run(["predict", "--model", model, "--dir", images, "-k", "3"], capsys)
+    strict = ["extract", "--corpus", corpus, "--extractor", "chain200", "--out", out / "strict.csv", "--strict"]
+    seen["strict"] = run(strict, capsys), strict_pass(corpus)  # the blank image in part 2, the malformed one in 3
+    shutil.move(corpus / BLANK, out / "blank.pgm")
+    try:
+        seen["strict, malformed"] = run(strict, capsys), strict_pass(corpus)  # the malformed image alone
+    finally:
+        shutil.move(out / "blank.pgm", corpus / BLANK)
+    assert not (out / "strict.csv").exists()
+    return seen
+
+
+def test_any_number_of_parts_gives_the_same_outputs_warnings_and_errors(
+    split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks,
+):
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    tables = [tmp_path / "chain.csv", tmp_path / "moment.csv"]
+    for extractor, table in zip(("chain200", "moment63"), tables):
+        assert run(["extract", "--corpus", split_corpus, "--extractor", extractor, "--out", table], capsys)[0] == 0
+    model = tmp_path / "ens.glyph"
+    train = ["train", "--features", tables[0], "--features2", tables[1], "--epochs", "3", "--out", model]
+    assert run(train, capsys)[0] == 0
+    images = tmp_path / "images"
+    images.mkdir()
+    for path in sorted(split_corpus.glob("*/*.pgm")):
+        shutil.copyfile(path, images / f"{path.parent.name}_{path.name}")
+
+    seen, out = {}, tmp_path / "out"  # one directory, as stdout names the files written
+    out.mkdir()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        forks.clear()
+        seen[cpus] = outputs(split_corpus, model, images, out, capsys)
+        assert len(forks) == 10 * (cpus - 1)  # each of the 10 passes makes a child for each part after the first
+        assert_no_child()
+    assert seen[2] == seen[1]
+    assert seen[3] == seen[1]
+
+    one = seen[1]
+    assert [w[1] for w in one["predict"][3]] == [
+        f"skipping {images}/c01_blank.pgm: image has no foreground pixel",
+        f"skipping malformed image: {images}/c02_bad.pgm: non-integer PGM width, height or maxval",
+    ]
+    for key in [("chain200", None), ("moment63", "--log-moments"), "crossval"]:
+        code, _, _, caught = one[key][0] if isinstance(key, tuple) else one[key]
+        assert code == 0 and [w[1] for w in caught] == [
+            f"skipping {BLANK}: image has no foreground pixel",
+            f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
+        ]
+    assert len(one["predict"][1].splitlines()) == 36
+    assert one["strict"][0][:3] == (2, "", f"error: {BLANK}: image has no foreground pixel\n")
+    malformed = f"error: {split_corpus / BAD}: non-integer PGM width, height or maxval\n"
+    assert one["strict, malformed"][0][:3] == (2, "", malformed)
+    # the chunks before the first unusable image: file 12 leaves one chunk, file 24 of 37 three
+    assert [len(one[key][1][0]) for key in ("strict", "strict, malformed")] == [8, 24]
+
+
+def test_skips_after_the_last_chunk_of_a_part_warn_in_order(split_corpus, chunks_of_8, monkeypatch):
+    """A part whose last files are unusable reads them after its last chunk; their warnings still come, in order."""
+    files = dio.load_corpus(split_corpus).files
+    kept = [f for f in files if f[0] not in (BLANK, BAD)]
+    # 18 files, 3 chunks: the second of 2 parts is files [8, 18), a full chunk and then both unusable files
+    samples = dio.SampleFiles(kept[:16] + [f for f in files if f[0] in (BLANK, BAD)])
+    seen = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ids = [i for chunk_ids, _, _ in pipeline.iter_features(samples, [("chain200", False)]) for i in chunk_ids]
+        seen[cpus] = ids, [(str(w.message), w.filename, w.lineno) for w in caught]
+    assert seen[2] == seen[1]
+    assert seen[1][0] == [f[0] for f in kept[:16]]
+    assert [m for m, _, _ in seen[1][1]] == [
+        f"skipping {BLANK}: image has no foreground pixel",
+        f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
+    ]
+
+
+def test_no_child_outlives_a_pass(split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks):
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    extract = ["extract", "--corpus", split_corpus, "--extractor", "chain200", "--out", tmp_path / "f.csv"]
+    # a normal run
+    assert run(extract, capsys)[0] == 0
+    assert len(forks) == 2
+    assert_no_child()
+    # a --strict failure raised by the child of part 2, while the child of part 3 has one of its own
+    blank = (2, "", f"error: {BLANK}: image has no foreground pixel\n")
+    assert run(extract + ["--strict"], capsys)[:3] == blank
+    assert len(forks) == 4
+    assert_no_child()
+    # a --strict failure of 2 parts raised by this process, in part 1, while the child of part 2 runs
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    assert run(extract + ["--strict"], capsys)[:3] == blank
+    assert len(forks) == 5
+    assert_no_child()
+    # a consumer that closes the pass after its first chunk
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    passes = pipeline.iter_features(dio.load_corpus(split_corpus), [("chain200", False)])
+    ids, _, _ = next(passes)
+    assert len(ids) == 8 and len(forks) == 7
+    passes.close()
+    assert_no_child()
+
+
+def test_a_child_without_a_result_is_an_error_naming_its_part(
+    split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks,
+):
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    parent = os.getpid()
+
+    def chunk_features(chunk, extractors, on_stages, _chunk_features=pipeline._chunk_features):
+        if os.getpid() != parent:
+            os._exit(3)
+        return _chunk_features(chunk, extractors, on_stages)
+
+    monkeypatch.setattr(pipeline, "_chunk_features", chunk_features)
+    part = r"^part 2 of 3 of the files \(c00/s008.pgm to c01/s010.pgm\) ended without a result \(exit status 3\)$"
+    with pytest.raises(ExtractionError, match=part):
+        pipeline.extract_table(dio.load_corpus(split_corpus), "chain200")
+    assert len(forks) == 2
+    assert_no_child()
+    # through the CLI, exit 1: the error is the program's, not the input's
+    extract = ["extract", "--corpus", split_corpus, "--extractor", "chain200", "--out", tmp_path / "f.csv"]
+    code, out, err, _ = run(extract, capsys)
+    assert (code, out) == (1, "") and err.startswith("error: part 2 of 3 of the files")
+    assert not (tmp_path / "f.csv").exists()
+    assert_no_child()
