@@ -8,7 +8,6 @@ maxval up to 255).
 import itertools
 import os
 import re
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -169,10 +168,10 @@ class LabeledSample:
 class SampleFiles:
     """The (id, label, path) files of one pass, in sample order; iterating yields a LabeledSample per usable image.
 
-    Each image is read only when the iteration reaches it. Iterating is the one place an image is skipped, in
-    sample order, with a warning naming it: a malformed one (with strict, its IoError) or a uniform one, which
-    has no foreground (with strict, a CorpusError). pipeline.iter_features cuts the files into contiguous parts,
-    each read in a process of its own.
+    Each image is read only when the iteration reaches it. Iterating is the one place an image is skipped: in its
+    place, in sample order, comes the text pipeline.iter_features warns with, "skipping malformed image: <its
+    IoError>" (with strict, the IoError is raised) or, for a uniform one, "skipping <id>: image has no foreground
+    pixel" (with strict, a CorpusError). iter_features reads contiguous parts of the files, each in its own process.
     """
     files: list
     strict: bool = False
@@ -184,13 +183,13 @@ class SampleFiles:
             except IoError as exc:
                 if self.strict:
                     raise
-                warnings.warn(f"skipping malformed image: {exc}")
+                yield f"skipping malformed image: {exc}"
                 continue
             if image_prep.uniform(image)[0]:
                 reason = f"{sample_id}: {image_prep.NO_FOREGROUND}"
                 if self.strict:
                     raise CorpusError(reason)
-                warnings.warn(f"skipping {reason}")
+                yield f"skipping {reason}"
                 continue
             yield LabeledSample(id=sample_id, label=label, image=image)
 

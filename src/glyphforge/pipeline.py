@@ -24,7 +24,7 @@ CHUNK_SIZE = 32
 
 
 def _chunk_features(chunk, extractors, on_stages):
-    """One (len(chunk), dim) matrix per extractor for one chunk of samples, each with foreground.
+    """(ids, labels, matrices) of one chunk of samples, each with foreground: a (len(chunk), dim) matrix per extractor.
 
     The chunk's images of one shape are binarized and normalized as one
     stack, then put back in sample order. Each stage the extractors read is
@@ -55,7 +55,7 @@ def _chunk_features(chunk, extractors, on_stages):
     for extractor_id, option in extractors:
         e = EXTRACTORS[extractor_id]
         matrices.append(e.features(stacks[e.stage], option))
-    return matrices
+    return [s.id for s in chunk], [s.label for s in chunk], matrices
 
 
 def _cpus() -> int:
@@ -80,29 +80,29 @@ def _parts(samples, on_stages) -> list:
 
 
 def _part_features(samples, extractors, on_stages=None):
-    """(ids, labels, matrices) for each chunk of samples, extracted in this process."""
-    samples = iter(samples)
-    while chunk := list(itertools.islice(samples, CHUNK_SIZE)):
-        yield [s.id for s in chunk], [s.label for s in chunk], _chunk_features(chunk, extractors, on_stages)
+    """Each skip text of samples and each chunk's (ids, labels, matrices), in sample order, extracted here."""
+    chunk = []
+    for sample in samples:
+        if isinstance(sample, str):
+            yield sample
+            continue
+        chunk.append(sample)
+        if len(chunk) == CHUNK_SIZE:
+            yield _chunk_features(chunk, extractors, on_stages)
+            chunk = []
+    if chunk:
+        yield _chunk_features(chunk, extractors, on_stages)
 
 
 def _part_result(part, extractors):
-    """One part extracted in this process: ([(warnings, chunk)], warnings after the last chunk, error or None).
-
-    Each chunk comes with the warnings recorded while it was read, each warning
-    as the (message, category, filename, lineno) of warnings.warn_explicit; the
-    error is the one that stopped the part.
-    """
-    steps, error = [], None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            for chunk in _part_features(part, extractors):
-                steps.append(([(w.message, w.category, w.filename, w.lineno) for w in caught], chunk))
-                del caught[:]
-        except Exception as exc:
-            error = exc
-    return steps, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+    """(its _part_features items, the error that stopped it or None) of one part extracted in this process."""
+    items, error = [], None
+    try:
+        for item in _part_features(part, extractors):
+            items.append(item)
+    except Exception as exc:
+        error = exc
+    return items, error
 
 
 def _fork(part, extractors):
@@ -126,23 +126,43 @@ def _fork(part, extractors):
     return pid, os.fdopen(r, "rb")
 
 
+def _child_items(parts, children):
+    """The items of each child's part in part order, then its error, if any; children loses each child it reaps."""
+    for k, part in enumerate(parts, start=2):
+        pid, pipe = children[0]
+        with pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del children[0]
+        if status or not payload:
+            raise ExtractionError(
+                f"part {k} of {len(parts) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]}) "
+                f"ended without a result (exit status {status})"
+            )
+        items, error = pickle.loads(payload)
+        yield from items
+        if error is not None:
+            raise error
+
+
 def iter_features(samples, extractors, on_stages=None):
     """(ids, labels, matrices) for each chunk of samples, in sample order: one matrix per (extractor_id, option) pair.
 
     Samples are read and processed CHUNK_SIZE at a time (see _chunk_features
     for on_stages); a chunk's stages are freed before the next chunk is read.
-    Each sample must have foreground: iterating a dataset_io.SampleFiles skips
-    the others.
+    Each sample must have foreground: a dataset_io.SampleFiles yields a skip
+    text in place of each image it skips, warned here from one call site. A
+    pass that yields no chunk is a CorpusError.
 
     A SampleFiles pass without on_stages is cut into contiguous parts (_parts),
     one per CPU this process may use. This process forks a child for each part
-    after the first and extracts the first itself. It then yields each child's
-    chunks in part order, each after re-issuing the warnings its child recorded
-    while reading it, and raises a child's error after every earlier part's
-    chunks. So chunks, warnings and the first --strict error come in sample
-    order, the same for any number of parts. A child that ends without a
-    result is an ExtractionError naming its part. Every child not yet read is
-    killed and reaped when the iteration fails or stops early.
+    after the first and extracts the first itself. Every part's skip texts and
+    chunks go through one loop: the first part's as it reads them, then each
+    child's in part order, each child's error after them. So chunks, warnings
+    and the first --strict error come in sample order, the same for any number
+    of parts, under any warnings filter and across passes. A child that ends
+    without a result is an ExtractionError naming its part. Every child not yet
+    read is killed and reaped when the iteration fails or stops early.
     """
     first, *rest = _parts(samples, on_stages)
     children = []  # (pid, pipe) of each child not yet reaped, in part order
@@ -152,27 +172,15 @@ def iter_features(samples, extractors, on_stages=None):
             sys.stderr.flush()
         for part in rest:
             children.append(_fork(part, extractors))
-        yield from _part_features(first, extractors, on_stages)
-        for k, part in enumerate(rest, start=2):
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status or not payload:
-                raise ExtractionError(
-                    f"part {k} of {len(rest) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]}) "
-                    f"ended without a result (exit status {status})"
-                )
-            steps, tail, error = pickle.loads(payload)
-            for caught, chunk in steps:
-                for warning in caught:
-                    warnings.warn_explicit(*warning)
-                yield chunk
-            for warning in tail:
-                warnings.warn_explicit(*warning)
-            if error is not None:
-                raise error
+        chunks = 0
+        for item in itertools.chain(_part_features(first, extractors, on_stages), _child_items(rest, children)):
+            if isinstance(item, str):
+                warnings.warn(item)
+            else:
+                chunks += 1
+                yield item
+        if not chunks:
+            raise CorpusError("no usable image: every image was skipped")
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -181,17 +189,11 @@ def iter_features(samples, extractors, on_stages=None):
 
 
 def extract_tables(samples, extractors, on_stages=None):
-    """One FeatureTable per (extractor_id, option) pair, in one pass over the samples.
-
-    A pass over no sample is a CorpusError. on_stages sees each sample's
-    stages (see iter_features).
-    """
+    """One FeatureTable per (extractor_id, option) pair, in one pass over the samples (see iter_features)."""
     rows = [[] for _ in extractors]
     for ids, labels, matrices in iter_features(samples, extractors, on_stages):
         for table_rows, matrix in zip(rows, matrices):
             table_rows.extend(zip(ids, labels, matrix))
-    if not rows[0]:
-        raise CorpusError("no usable image: every image was skipped")
     return [
         dataset_io.FeatureTable(extractor_id, EXTRACTORS[extractor_id].dim, table_rows, option)
         for (extractor_id, option), table_rows in zip(extractors, rows)

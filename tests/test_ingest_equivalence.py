@@ -578,14 +578,17 @@ def mixed_shape_corpus(root):
 
 
 def per_image_table(root, extractor_id):
-    """The table of each image preprocessed alone by the reference functions, blank ones left out."""
+    """The table of each image preprocessed alone by the reference functions, blank ones left out, and the skip
+    texts that iterating the corpus yields, in sample order."""
     e = EXTRACTORS[extractor_id]
-    rows = []
+    rows, skipped = [], []
     for sample in dataset_io.load_corpus(root):
-        if sample.image.min() < sample.image.max():
+        if isinstance(sample, str):
+            skipped.append(sample)
+        elif sample.image.min() < sample.image.max():
             scaled = reference_normalize_size(reference_binarize(sample.image))
             rows.append((sample.id, sample.label, e.features(e.make_stage(scaled[None]), False)[0]))
-    return dataset_io.FeatureTable(extractor_id, e.dim, rows)
+    return dataset_io.FeatureTable(extractor_id, e.dim, rows), skipped
 
 
 @pytest.mark.parametrize("extractor_id", list(EXTRACTORS))
@@ -600,8 +603,10 @@ def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extrac
     assert [str(w.message) for w in record if "skipping" in str(w.message)] == [
         f"skipping c01/blank.pgm: {ip.NO_FOREGROUND}", f"skipping c02/blank.pgm: {ip.NO_FOREGROUND}",
     ]
-    with pytest.warns(UserWarning, match="skipping"):
-        dataset_io.save_features(per_image_table(root, extractor_id), want)
+    blanks = [f"skipping c01/blank.pgm: {ip.NO_FOREGROUND}", f"skipping c02/blank.pgm: {ip.NO_FOREGROUND}"]
+    table, skipped = per_image_table(root, extractor_id)
+    assert skipped == blanks
+    dataset_io.save_features(table, want)
     assert out.read_bytes() == want.read_bytes()
     assert len(want.read_text().splitlines()) == 1 + 20
 
@@ -611,8 +616,9 @@ def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extrac
         pipeline.extract_table(
             dataset_io.load_corpus(root), extractor_id, on_stages=lambda s, st: binaries.setdefault(s.id, st["binary"])
         )
-    with pytest.warns(UserWarning, match="skipping"):
-        kept = [s for s in dataset_io.load_corpus(root) if "blank" not in s.id]
+    items = list(dataset_io.load_corpus(root))
+    assert [s for s in items if isinstance(s, str)] == blanks
+    kept = [s for s in items if not isinstance(s, str)]
     assert list(binaries) == [s.id for s in kept]
     assert all(np.array_equal(binaries[s.id], reference_binarize(s.image)) for s in kept)
 

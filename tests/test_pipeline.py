@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import warnings
 
@@ -244,6 +245,56 @@ def test_skips_after_the_last_chunk_of_a_part_warn_in_order(split_corpus, chunks
         f"skipping {BLANK}: image has no foreground pixel",
         f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
     ]
+
+
+# the module every skip warning comes from, matched whole, as a -W option or PYTHONWARNINGS matches a module
+MODULE = re.escape(pipeline.__name__) + r"\Z"
+
+
+def chain_passes(corpus, passes=1):
+    for _ in range(passes):
+        pipeline.extract_table(dio.load_corpus(corpus), "chain200")
+
+
+def test_two_passes_in_one_process_warn_alike_at_any_number_of_parts(split_corpus, chunks_of_8, monkeypatch):
+    """The default action shows a warning once per call site; each skip has one, whichever process read the image."""
+    seen = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            chain_passes(split_corpus, 2)
+        seen[cpus] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert seen[2] == seen[1]
+    assert seen[3] == seen[1]
+    assert [(category, message) for category, message, _, _ in seen[1]] == [
+        (UserWarning, f"skipping {BLANK}: image has no foreground pixel"),
+        (UserWarning, f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval"),
+    ]
+
+
+def test_a_filter_naming_the_module_ignores_every_skip_at_any_number_of_parts(split_corpus, chunks_of_8, monkeypatch):
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", category=UserWarning, module=MODULE)
+            chain_passes(split_corpus)
+        assert caught == [], cpus
+
+
+def test_a_filter_naming_the_module_makes_the_first_skip_the_error_at_any_number_of_parts(
+    split_corpus, chunks_of_8, monkeypatch,
+):
+    """The blank image is read in part 1 of 1 or 2 and in part 2 of 3; each child still running is reaped."""
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            warnings.filterwarnings("error", category=UserWarning, module=MODULE)
+            with pytest.raises(UserWarning, match=f"^skipping {BLANK}: image has no foreground pixel$"):
+                chain_passes(split_corpus)
+        assert_no_child()
 
 
 def test_no_child_outlives_a_pass(split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks):
