@@ -145,6 +145,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train one MLP on --features, or two fused on --features and --features2.
+
+    pipeline.train_models trains an ensemble's two members in two processes
+    when this process may use two CPUs; the files written and stdout are the
+    same bytes for any CPU count.
+    """
     if args.ensemble and not args.features2:
         raise CorpusError("--ensemble needs --features2")
     tables = _load_tables(args)
@@ -199,6 +205,12 @@ def _tops(accuracies):
 
 
 def cmd_crossval(args) -> int:
+    """Extract the corpus once, train every fold in one pipeline.train_models call, and evaluate each fold.
+
+    Extraction and training each split their work across the CPUs this
+    process may use (pipeline.iter_features, pipeline.train_models); the
+    report and stdout are the same bytes for any CPU count.
+    """
     extractors = _extractors(tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,), args)
     tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), extractors)
     labels = [lab for _, lab, _ in tables[0].rows]

@@ -186,7 +186,7 @@ class SampleFiles:
                 yield f"skipping malformed image: {exc}"
                 continue
             if image_prep.uniform(image)[0]:
-                reason = f"{sample_id}: {image_prep.NO_FOREGROUND}"
+                reason = f"{path}: {image_prep.NO_FOREGROUND}"
                 if self.strict:
                     raise CorpusError(reason)
                 yield f"skipping {reason}"

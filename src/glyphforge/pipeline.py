@@ -1,5 +1,6 @@
 """End-to-end glue: raw image -> features -> trained models -> rankings."""
 
+import contextlib
 import itertools
 import os
 import pickle
@@ -66,17 +67,27 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(samples, on_stages) -> list:
-    """samples cut into contiguous parts of whole chunks, one per CPU this process may use and at most one per chunk.
+def _spans(n: int, unit: int = 1) -> list:
+    """(start, stop) of each contiguous part of n items, cut at whole units of unit items.
 
-    One part, samples itself, unless samples is a dataset_io.SampleFiles, on_stages is None and os.fork exists.
+    At most one part per CPU this process may use and at most one per unit;
+    one part, (0, n), where os.fork does not exist.
     """
-    if not isinstance(samples, dataset_io.SampleFiles) or on_stages or not hasattr(os, "fork"):
+    units = -(-n // unit)
+    parts = max(1, min(_cpus(), units)) if hasattr(os, "fork") else 1
+    cuts = [min(n, unit * (k * units // parts)) for k in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _parts(samples, on_stages) -> list:
+    """samples cut into contiguous parts of whole chunks (_spans).
+
+    One part, samples itself, unless samples is a dataset_io.SampleFiles and on_stages is None.
+    """
+    if not isinstance(samples, dataset_io.SampleFiles) or on_stages:
         return [samples]
-    chunks = -(-len(samples.files) // CHUNK_SIZE)
-    parts = max(1, min(_cpus(), chunks))
-    cuts = [CHUNK_SIZE * (k * chunks // parts) for k in range(parts + 1)]
-    return [dataset_io.SampleFiles(samples.files[a:b], samples.strict) for a, b in zip(cuts, cuts[1:])]
+    spans = _spans(len(samples.files), CHUNK_SIZE)
+    return [dataset_io.SampleFiles(samples.files[a:b], samples.strict) for a, b in spans]
 
 
 def _part_features(samples, extractors, on_stages=None):
@@ -94,26 +105,26 @@ def _part_features(samples, extractors, on_stages=None):
         yield _chunk_features(chunk, extractors, on_stages)
 
 
-def _part_result(part, extractors):
-    """(its _part_features items, the error that stopped it or None) of one part extracted in this process."""
+def _items(fn, args):
+    """(the items fn(*args) yields until an exception stops it, that exception or None), run in this process."""
     items, error = [], None
     try:
-        for item in _part_features(part, extractors):
+        for item in fn(*args):
             items.append(item)
     except Exception as exc:
         error = exc
     return items, error
 
 
-def _fork(part, extractors):
-    """(pid, read end of its pipe) of a forked child that sends the pickled _part_result of part, then exits."""
+def _fork(fn, args):
+    """(pid, read end of its pipe) of a forked child that sends the pickled _items(fn, args), then exits."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:  # os._exit never flushes the parent's buffers or runs its atexit hooks
         code = 1
         try:
             os.close(r)
-            payload = pickle.dumps(_part_result(part, extractors))
+            payload = pickle.dumps(_items(fn, args))
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(payload)
             code = 0
@@ -126,23 +137,46 @@ def _fork(part, extractors):
     return pid, os.fdopen(r, "rb")
 
 
-def _child_items(parts, children):
-    """The items of each child's part in part order, then its error, if any; children loses each child it reaps."""
-    for k, part in enumerate(parts, start=2):
+def _child_items(children, names, error):
+    """The items of each child in turn, then its exception, if any; children loses each child it reaps.
+
+    A child that ends without a result is an error (error, an exception class) with the child's name from names.
+    """
+    for name in names:
         pid, pipe = children[0]
         with pipe:
             payload = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         del children[0]
         if status or not payload:
-            raise ExtractionError(
-                f"part {k} of {len(parts) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]}) "
-                f"ended without a result (exit status {status})"
-            )
-        items, error = pickle.loads(payload)
+            raise error(f"{name} ended without a result (exit status {status})")
+        items, exc = pickle.loads(payload)
         yield from items
-        if error is not None:
-            raise error
+        if exc is not None:
+            raise exc
+
+
+@contextlib.contextmanager
+def _forked(fn, parts, names, error):
+    """The items of a forked child per args of parts, each running fn(*args) (_fork), as one lazy iterator.
+
+    The children start on entry and are read in part order, each when the iterator reaches it (_child_items,
+    which names a child that ends without a result by its entry of names). Every child not yet read at exit,
+    after an exception or an early stop, is killed and reaped.
+    """
+    children = []  # (pid, pipe) of each child not yet reaped, in part order
+    try:
+        if parts:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for args in parts:
+            children.append(_fork(fn, args))
+        yield _child_items(children, names, error)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def iter_features(samples, extractors, on_stages=None):
@@ -165,15 +199,13 @@ def iter_features(samples, extractors, on_stages=None):
     read is killed and reaped when the iteration fails or stops early.
     """
     first, *rest = _parts(samples, on_stages)
-    children = []  # (pid, pipe) of each child not yet reaped, in part order
-    try:
-        if rest:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        for part in rest:
-            children.append(_fork(part, extractors))
+    names = [
+        f"part {k} of {len(rest) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]})"
+        for k, part in enumerate(rest, start=2)
+    ]
+    with _forked(_part_features, [(part, extractors) for part in rest], names, ExtractionError) as child_items:
         chunks = 0
-        for item in itertools.chain(_part_features(first, extractors, on_stages), _child_items(rest, children)):
+        for item in itertools.chain(_part_features(first, extractors, on_stages), child_items):
             if isinstance(item, str):
                 warnings.warn(item)
             else:
@@ -181,11 +213,6 @@ def iter_features(samples, extractors, on_stages=None):
                 yield item
         if not chunks:
             raise CorpusError("no usable image: every image was skipped")
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def extract_tables(samples, extractors, on_stages=None):
@@ -210,7 +237,7 @@ def train_models(
     table_sets, labels, calibration_fraction: float = CALIBRATION_FRACTION,
     hidden_size: int = None, seed: int = 0, **config,
 ):
-    """Train one model per set of feature tables, every member MLP in one mlp.train_lanes call.
+    """Train one model per set of feature tables, their member MLPs split across the CPUs this process may use.
 
     A set trains one MLP per table, fused by calibrated weights when there
     are two. One table trains on all its rows. Two tables must be of two
@@ -222,9 +249,17 @@ def train_models(
     hidden_size None takes each extractor's own; config: the other MlpConfig
     training fields, each left out keeps its MlpConfig default.
 
-    Members of one extractor on equally many rows, such as the folds of a
-    cross-validation, train as lanes in lockstep; each equals its training
-    alone bit for bit. Returns one (MlpModel or EnsembleModel, one
+    The members, in set order and table order within a set, are cut into
+    contiguous parts (_spans), at most one per CPU and one per member. This
+    process forks a child for each part after the first, trains the first
+    part itself, then takes each child's trained members and reports from a
+    pipe in part order; a child that ends without a result is a TrainError
+    naming its part, a child's own error is raised here as it was, and no
+    child outlives the call. Each part trains in one mlp.train_lanes call:
+    its members of one extractor on equally many rows, such as the folds of
+    a cross-validation, train as lanes in lockstep, and each equals its
+    training alone bit for bit, so the trained bytes do not depend on the
+    number of CPUs. Returns one (MlpModel or EnsembleModel, one
     TrainingReport per member in table order) pair per set.
     """
     if not 0 < calibration_fraction < 1:
@@ -252,13 +287,21 @@ def train_models(
             model.option = table.option
             members.append(model)
             datasets.append([(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx])
-    reports, members = iter(mlp.train_lanes(members, datasets)), iter(members)
+    (a, b), *rest = spans = _spans(len(members))
+    names = [f"part {k} of {len(spans)} of the members ({i + 1} to {j})" for k, (i, j) in enumerate(rest, start=2)]
+    with _forked(_train_part, [(members[i:j], datasets[i:j]) for i, j in rest], names, TrainError) as child_items:
+        trained = iter([*_train_part(members[a:b], datasets[a:b]), *child_items])
     results = []
     for tables, holdout in zip(table_sets, holdouts):
-        models = list(itertools.islice(members, len(tables)))
+        models, reports = zip(*itertools.islice(trained, len(tables)))
         model = models[0] if len(models) == 1 else ensemble.EnsembleModel(*models, ensemble.calibrate(*models, holdout))
-        results.append((model, list(itertools.islice(reports, len(tables)))))
+        results.append((model, list(reports)))
     return results
+
+
+def _train_part(members, datasets):
+    """Each of members with its TrainingReport, in member order, trained here in one mlp.train_lanes call."""
+    yield from zip(members, mlp.train_lanes(members, datasets))
 
 
 def train_ensemble_on_tables(table1, table2, labels, **train_kwargs):

@@ -53,7 +53,8 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def trainings(monkeypatch):
-    """(config, number of training rows) of every lane of every mlp.train_lanes call."""
+    """(config, number of training rows) of every lane of every mlp.train_lanes call, all made in this process."""
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)  # a forked child's calls would not be seen here
     seen = []
 
     def recorded(models, datasets, _train_lanes=mlp.train_lanes):
@@ -384,7 +385,7 @@ def test_dumped_stages_equal_each_image_alone(corpus, tmp_path, monkeypatch):
     dio.write_pgm(root / "c01" / "blank.pgm", np.full((64, 64), 255, dtype=np.uint8))  # 9th of 25
     monkeypatch.setattr(pipeline, "CHUNK_SIZE", 5)  # the blank image is in the middle of the second chunk
     stages = tmp_path / "stages"
-    with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+    with pytest.warns(UserWarning, match=re.escape(f"skipping {root / 'c01' / 'blank.pgm'}: ")):
         assert cli.main([
             "extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv"),
             "--dump-stages", str(stages),
@@ -506,7 +507,7 @@ def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
     dio.write_pgm(root / "c01" / "blank.pgm", np.full((64, 64), 255, dtype=np.uint8))
     out = tmp_path / "f.csv"
     for extractor in ("chain200", "moment63"):
-        with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+        with pytest.warns(UserWarning, match=re.escape(f"skipping {root / 'c01' / 'blank.pgm'}: ")):
             assert cli.main([
                 "extract", "--corpus", str(root), "--extractor", extractor, "--out", str(out),
                 "--dump-stages", str(tmp_path / "stages"),
@@ -518,7 +519,7 @@ def test_blank_image_is_skipped_unless_strict(corpus, tmp_path, capsys):
     crossval = ["crossval", "--seed", "4", "--epochs", "5", "--corpus"]
     assert cli.main([*crossval, str(corpus)]) == 0
     report = capsys.readouterr().out
-    with pytest.warns(UserWarning, match="skipping c01/blank.pgm"):
+    with pytest.warns(UserWarning, match=re.escape(f"skipping {root / 'c01' / 'blank.pgm'}: ")):
         assert cli.main([*crossval, str(root)]) == 0
     assert capsys.readouterr().out == report
 
@@ -536,12 +537,12 @@ def test_skips_and_strict_follow_sample_order(corpus, tmp_path, capsys):
         warnings.simplefilter("always")
         assert cli.main(argv) == 0
     assert [str(w.message) for w in seen] == [
-        f"skipping c00/blank.pgm: {image_prep.NO_FOREGROUND}",
+        f"skipping {root / 'c00' / 'blank.pgm'}: {image_prep.NO_FOREGROUND}",
         f"skipping malformed image: {bad}: non-integer PGM width, height or maxval",
     ]
     capsys.readouterr()
     assert cli.main(argv + ["--strict"]) == 2
-    assert capsys.readouterr().err == f"error: c00/blank.pgm: {image_prep.NO_FOREGROUND}\n"
+    assert capsys.readouterr().err == f"error: {root / 'c00' / 'blank.pgm'}: {image_prep.NO_FOREGROUND}\n"
 
 
 def test_malformed_feature_and_model_files_exit_2(feature_files, ensemble_file, corpus, tmp_path):
@@ -790,13 +791,13 @@ def test_blank_images_warn_once_each_naming_them(ensemble_file, corpus, tmp_path
     shutil.copytree(corpus, root)
     for name, level in (("blank.pgm", 255), ("dark.pgm", 0)):
         dio.write_pgm(root / "c01" / name, np.full((64, 64), level, dtype=np.uint8))
-    runs = [  # (how the command names an image of c01, argv)
-        ("c01/", ["extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv")]),
-        ("c01/", [
+    runs = [  # (how the command names an image of c01: by the path it read, argv)
+        (f"{root / 'c01'}/", ["extract", "--corpus", str(root), "--extractor", "moment63", "--out", str(tmp_path / "f.csv")]),
+        (f"{root / 'c01'}/", [
             "extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(tmp_path / "f.csv"),
             "--dump-stages", str(tmp_path / "stages"),
         ]),
-        ("c01/", ["crossval", "--corpus", str(root), "--seed", "4", "--epochs", "5"]),
+        (f"{root / 'c01'}/", ["crossval", "--corpus", str(root), "--seed", "4", "--epochs", "5"]),
         (f"{root / 'c01'}/", ["predict", "--model", str(ensemble_file), "--dir", str(root / "c01")]),
     ]
     for prefix, argv in runs:

@@ -137,7 +137,7 @@ class TestLoadCorpus:
             list(dio.load_corpus(tmp_path, strict=True))
 
     def test_blank_skipped_unless_strict(self, tmp_path):
-        """A uniform image is skipped with a text naming it, in sample order with malformed ones."""
+        """A uniform image is skipped with a text naming the path it was read from, as a malformed one is."""
         self.make_corpus(tmp_path)
         for name, level in (("a_blank.pgm", 255), ("dark.pgm", 0)):
             dio.write_pgm(tmp_path / "ka" / name, np.full((10, 10), level, np.uint8))
@@ -145,12 +145,12 @@ class TestLoadCorpus:
         broken.write_bytes(b"P5\n9 9\n255\nxx")
         items = list(dio.load_corpus(tmp_path))
         assert [s if isinstance(s, str) else s.id for s in items] == [
-            f"skipping ka/a_blank.pgm: {image_prep.NO_FOREGROUND}",
+            f"skipping {tmp_path / 'ka' / 'a_blank.pgm'}: {image_prep.NO_FOREGROUND}",
             f"skipping malformed image: {broken}: truncated PGM raster",
-            f"skipping ka/dark.pgm: {image_prep.NO_FOREGROUND}",
+            f"skipping {tmp_path / 'ka' / 'dark.pgm'}: {image_prep.NO_FOREGROUND}",
             *(f"{c}/s{j}.pgm" for c in ("ka", "kha") for j in range(3)),
         ]
-        with pytest.raises(CorpusError, match=re.escape(f"ka/a_blank.pgm: {image_prep.NO_FOREGROUND}")):
+        with pytest.raises(CorpusError, match=re.escape(f"{tmp_path / 'ka' / 'a_blank.pgm'}: {image_prep.NO_FOREGROUND}")):
             list(dio.load_corpus(tmp_path, strict=True))
 
     def test_save_round_trip(self, tmp_path):

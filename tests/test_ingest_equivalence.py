@@ -600,10 +600,8 @@ def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extrac
     with pytest.warns(UserWarning) as record:
         assert cli.main(argv) == 0
     # in sample order, not in the order the shapes are stacked
-    assert [str(w.message) for w in record if "skipping" in str(w.message)] == [
-        f"skipping c01/blank.pgm: {ip.NO_FOREGROUND}", f"skipping c02/blank.pgm: {ip.NO_FOREGROUND}",
-    ]
-    blanks = [f"skipping c01/blank.pgm: {ip.NO_FOREGROUND}", f"skipping c02/blank.pgm: {ip.NO_FOREGROUND}"]
+    blanks = [f"skipping {root / c / 'blank.pgm'}: {ip.NO_FOREGROUND}" for c in ("c01", "c02")]
+    assert [str(w.message) for w in record if "skipping" in str(w.message)] == blanks
     table, skipped = per_image_table(root, extractor_id)
     assert skipped == blanks
     dataset_io.save_features(table, want)
@@ -625,7 +623,7 @@ def test_mixed_shape_chunk_matches_per_image_extraction(tmp_path, capsys, extrac
     # --strict fails on the first blank image in sample order, as the per-image loop did
     capsys.readouterr()
     assert cli.main(argv + ["--strict"]) == 2
-    assert capsys.readouterr().err == f"error: c01/blank.pgm: {ip.NO_FOREGROUND}\n"
+    assert capsys.readouterr().err == f"error: {root / 'c01' / 'blank.pgm'}: {ip.NO_FOREGROUND}\n"
 
 
 def predict_dir_case(tmp_path):

@@ -1,14 +1,15 @@
 import os
 import re
 import shutil
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from glyphforge import cli, image_prep, mlp, pipeline
+from glyphforge import cli, evaluation, image_prep, mlp, pipeline
 from glyphforge import dataset_io as dio
-from glyphforge.errors import CorpusError, ExtractionError, IoError
+from glyphforge.errors import CorpusError, ExtractionError, IoError, TrainError
 from glyphforge.extractors import EXTRACTORS, Extractor
 
 
@@ -202,7 +203,9 @@ def test_any_number_of_parts_gives_the_same_outputs_warnings_and_errors(
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
         forks.clear()
         seen[cpus] = outputs(split_corpus, model, images, out, capsys)
-        assert len(forks) == 10 * (cpus - 1)  # each of the 10 passes makes a child for each part after the first
+        # each of the 10 passes makes a child for each part after the first, and so does crossval's training of
+        # 2 folds x 2 members, cut into min(cpus, 4) parts
+        assert len(forks) == 10 * (cpus - 1) + min(cpus, 4) - 1
         assert_no_child()
     assert seen[2] == seen[1]
     assert seen[3] == seen[1]
@@ -215,11 +218,11 @@ def test_any_number_of_parts_gives_the_same_outputs_warnings_and_errors(
     for key in [("chain200", None), ("moment63", "--log-moments"), "crossval"]:
         code, _, _, caught = one[key][0] if isinstance(key, tuple) else one[key]
         assert code == 0 and [w[1] for w in caught] == [
-            f"skipping {BLANK}: image has no foreground pixel",
+            f"skipping {split_corpus / BLANK}: image has no foreground pixel",
             f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
         ]
     assert len(one["predict"][1].splitlines()) == 36
-    assert one["strict"][0][:3] == (2, "", f"error: {BLANK}: image has no foreground pixel\n")
+    assert one["strict"][0][:3] == (2, "", f"error: {split_corpus / BLANK}: image has no foreground pixel\n")
     malformed = f"error: {split_corpus / BAD}: non-integer PGM width, height or maxval\n"
     assert one["strict, malformed"][0][:3] == (2, "", malformed)
     # the chunks before the first unusable image: file 12 leaves one chunk, file 24 of 37 three
@@ -242,7 +245,7 @@ def test_skips_after_the_last_chunk_of_a_part_warn_in_order(split_corpus, chunks
     assert seen[2] == seen[1]
     assert seen[1][0] == [f[0] for f in kept[:16]]
     assert [m for m, _, _ in seen[1][1]] == [
-        f"skipping {BLANK}: image has no foreground pixel",
+        f"skipping {split_corpus / BLANK}: image has no foreground pixel",
         f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
     ]
 
@@ -268,7 +271,7 @@ def test_two_passes_in_one_process_warn_alike_at_any_number_of_parts(split_corpu
     assert seen[2] == seen[1]
     assert seen[3] == seen[1]
     assert [(category, message) for category, message, _, _ in seen[1]] == [
-        (UserWarning, f"skipping {BLANK}: image has no foreground pixel"),
+        (UserWarning, f"skipping {split_corpus / BLANK}: image has no foreground pixel"),
         (UserWarning, f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval"),
     ]
 
@@ -287,12 +290,13 @@ def test_a_filter_naming_the_module_makes_the_first_skip_the_error_at_any_number
     split_corpus, chunks_of_8, monkeypatch,
 ):
     """The blank image is read in part 1 of 1 or 2 and in part 2 of 3; each child still running is reaped."""
+    skip = "^" + re.escape(f"skipping {split_corpus / BLANK}: image has no foreground pixel") + "$"
     for cpus in (1, 2, 3):
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             warnings.filterwarnings("error", category=UserWarning, module=MODULE)
-            with pytest.raises(UserWarning, match=f"^skipping {BLANK}: image has no foreground pixel$"):
+            with pytest.raises(UserWarning, match=skip):
                 chain_passes(split_corpus)
         assert_no_child()
 
@@ -305,7 +309,7 @@ def test_no_child_outlives_a_pass(split_corpus, chunks_of_8, tmp_path, monkeypat
     assert len(forks) == 2
     assert_no_child()
     # a --strict failure raised by the child of part 2, while the child of part 3 has one of its own
-    blank = (2, "", f"error: {BLANK}: image has no foreground pixel\n")
+    blank = (2, "", f"error: {split_corpus / BLANK}: image has no foreground pixel\n")
     assert run(extract + ["--strict"], capsys)[:3] == blank
     assert len(forks) == 4
     assert_no_child()
@@ -346,3 +350,156 @@ def test_a_child_without_a_result_is_an_error_naming_its_part(
     assert (code, out) == (1, "") and err.startswith("error: part 2 of 3 of the files")
     assert not (tmp_path / "f.csv").exists()
     assert_no_child()
+
+
+# --- training split across processes -------------------------------------------------
+# train_models cuts its members, in set order, into contiguous parts, one per CPU and at most one per member;
+# pipeline._cpus is patched to force the count. The 7 members of TRAIN_SETS are 3 crossval folds of
+# (chain200, moment63) and one chain200 table alone: 3 CPUs cut them into members [1, 2], [3, 4] and [5, 7].
+
+TRAIN_KWARGS = {"max_epochs": 5, "target_mse": 0.03, "seed": 5}
+LAYERS = ("w1", "b1", "w2", "b2", "feature_min", "feature_max")
+
+
+@pytest.fixture(scope="module")
+def train_sets():
+    """{name: (table sets, labels)}: 3 folds x 2 extractors and a one-table set, and the one-table set alone."""
+    tables = pipeline.extract_tables(dio.synth_corpus(3, 9, seed=8), [("chain200", False), ("moment63", False)])
+    labels = [lab for _, lab, _ in tables[0].rows]
+    splits = evaluation.kfold_splits(labels, evaluation.SplitPlan(mode="kfold", folds=3, seed=2))
+    folds = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
+    classes = sorted(set(labels))
+    return {"folds and one table": (folds + [tables[:1]], classes), "one table": ([tables[:1]], classes)}
+
+
+def members_of(model):
+    return [model] if isinstance(model, mlp.MlpModel) else [model.model1, model.model2]
+
+
+def layer_bytes(member):
+    return [getattr(member, name).tobytes() for name in LAYERS]
+
+
+def trained_bytes(results):
+    """(each member's layer and scaling bytes and its report, each fusion's d1, d2, w1 and w2), floats as hex."""
+    members, fusions = [], []
+    for model, reports in results:
+        for member, report in zip(members_of(model), reports, strict=True):
+            trace = [mse.hex() for mse in report.mse_trace]
+            members.append((layer_bytes(member), report.epochs_run, trace, report.stop_reason))
+        if not isinstance(model, mlp.MlpModel):
+            fusions.append([x.hex() for x in (model.weights.d1, model.weights.d2, model.weights.w1, model.weights.w2)])
+    return members, fusions
+
+
+@pytest.mark.parametrize("name", ["folds and one table", "one table"])
+def test_trained_bytes_do_not_depend_on_the_cpu_count(train_sets, monkeypatch, forks, name):
+    table_sets, labels = train_sets[name]
+    members = sum(len(tables) for tables in table_sets)
+    seen = {}
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        forks.clear()
+        seen[cpus] = trained_bytes(pipeline.train_models(table_sets, labels, **TRAIN_KWARGS))
+        assert len(forks) == min(cpus, members) - 1  # a one-member training forks nothing
+        assert_no_child()
+    assert seen[2] == seen[1]
+    assert seen[3] == seen[1]
+    assert seen[7] == seen[1]
+    if members > 1:  # lanes that stop at the target after 3, 4 or 5 epochs and lanes capped at 5
+        assert {reason for _, _, _, reason in seen[1][0]} == {"target", "capped"}
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """(model, its layer bytes at init) of every model mlp.init_model made."""
+    models = []
+
+    def init_model(*args, _init_model=mlp.init_model, **kwargs):
+        model = _init_model(*args, **kwargs)
+        models.append((model, layer_bytes(model)))
+        return model
+
+    monkeypatch.setattr(mlp, "init_model", init_model)
+    return models
+
+
+@pytest.fixture(scope="module")
+def whole(train_sets):
+    """Each member's layer bytes after a whole training of the folds and one table."""
+    members, _ = trained_bytes(pipeline.train_models(*train_sets["folds and one table"], **TRAIN_KWARGS))
+    return [layers for layers, *_ in members]
+
+
+def states(made, whole):
+    """For each model a call made, "init" or "trained" when it holds its init bytes or those of a whole training."""
+    return [
+        "init" if layer_bytes(model) == init else "trained" if layer_bytes(model) == layers else "half-updated"
+        for (model, init), layers in zip(made, whole, strict=True)
+    ]
+
+
+def failing_part(child=None, parent=None):
+    """A _train_part that runs child() in each forked child and parent() in this process, where given."""
+    pid, train_part = os.getpid(), pipeline._train_part
+
+    def part(members, datasets):
+        action = parent if os.getpid() == pid else child
+        if action:
+            action()
+        return train_part(members, datasets)
+
+    return part
+
+
+def test_a_training_child_without_a_result_is_an_error_naming_its_part(
+    train_sets, whole, split_corpus, chunks_of_8, monkeypatch, forks, made, capsys,
+):
+    table_sets, labels = train_sets["folds and one table"]
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "_train_part", failing_part(child=lambda: os._exit(1)))
+    part = r"^part 2 of 3 of the members \(3 to 4\) ended without a result \(exit status 1\)$"
+    with pytest.raises(TrainError, match=part):
+        pipeline.train_models(table_sets, labels, **TRAIN_KWARGS)
+    assert len(forks) == 2
+    assert_no_child()
+    assert states(made, whole) == ["trained"] * 2 + ["init"] * 5
+    # through the CLI, exit 1: crossval's 2 folds x 2 members, cut into members [1], [2] and [3, 4]
+    code, out, err, _ = run(["crossval", "--corpus", split_corpus, "--folds", "2", "--epochs", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: part 2 of 3 of the members (2 to 2) ended without a result (exit status 1)\n"
+    assert_no_child()
+
+
+def test_an_error_in_a_training_child_is_raised_as_it_was(train_sets, whole, monkeypatch, forks, made):
+    table_sets, labels = train_sets["folds and one table"]
+
+    def fail():
+        raise TrainError(f"no training in process {os.getpid()}")
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "_train_part", failing_part(child=fail))
+    with pytest.raises(TrainError, match=r"^no training in process (\d+)$") as error:
+        pipeline.train_models(table_sets, labels, **TRAIN_KWARGS)
+    assert int(str(error.value).split()[-1]) == forks[0]  # raised by the child of part 2, read first
+    assert len(forks) == 2
+    assert_no_child()
+    assert states(made, whole) == ["trained"] * 2 + ["init"] * 5
+
+
+def test_an_error_in_this_process_part_kills_every_training_child(train_sets, whole, monkeypatch, forks, made):
+    """The children would sleep for a minute: they are killed and reaped, not waited for."""
+    table_sets, labels = train_sets["folds and one table"]
+
+    def fail():
+        raise RuntimeError("this process's part failed")
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    monkeypatch.setattr(pipeline, "_train_part", failing_part(child=lambda: time.sleep(60), parent=fail))
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="^this process's part failed$"):
+        pipeline.train_models(table_sets, labels, **TRAIN_KWARGS)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    assert_no_child()
+    assert states(made, whole) == ["init"] * 7
