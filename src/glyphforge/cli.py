@@ -245,9 +245,9 @@ def cmd_predict(args) -> int:
     """
     if args.k < 1:
         raise ConfigError("-k must be >= 1")
-    model = ensemble.load_any_model(args.model)
     if bool(args.image) == bool(args.dir):
         raise CorpusError("predict needs exactly one of --image or --dir")
+    model = ensemble.load_any_model(args.model)
     paths = (
         [args.image]
         if args.image

@@ -198,7 +198,8 @@ def load_corpus(root, strict: bool = False) -> SampleFiles:
     """The SampleFiles of all <root>/<class>/*.pgm files in lexicographic order.
 
     The listing is checked before any image is read: a root that is not a
-    directory, a comma in a class or image name, or no .pgm file is a CorpusError.
+    directory, a comma or a newline in a class or image name, or no .pgm file
+    is a CorpusError.
     """
     if not os.path.isdir(root):
         raise CorpusError(f"corpus root {root} is not a directory")
@@ -206,16 +207,16 @@ def load_corpus(root, strict: bool = False) -> SampleFiles:
     classes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
-    # the label and the sample id are fields of the feature CSV, which cannot hold a comma
+    # the label and the sample id are fields of a feature CSV line, which cannot hold a comma or a newline
     for cls in classes:
-        if "," in cls:
-            raise CorpusError(f"class directory {os.path.join(root, cls)} has a comma in its name")
+        if "," in cls or "\n" in cls:
+            raise CorpusError(f"class directory {os.path.join(root, cls)} has a comma or a newline in its name")
         for name in sorted(os.listdir(os.path.join(root, cls))):
             if not name.endswith(".pgm"):
                 continue
             path = os.path.join(root, cls, name)
-            if "," in name:
-                raise CorpusError(f"image {path} has a comma in its name")
+            if "," in name or "\n" in name:
+                raise CorpusError(f"image {path} has a comma or a newline in its name")
             files.append((f"{cls}/{name}", cls, path))
     if not files:
         raise CorpusError(f"no samples found under {root}")

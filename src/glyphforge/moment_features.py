@@ -4,6 +4,7 @@ Moments are taken over pixel-center coordinates of foreground pixels
 (f(x, y) = 1 on the skeleton, 0 elsewhere); x is the column, y the row.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,12 @@ class MomentSet:
 def _power_sums(xy: np.ndarray) -> dict:
     """{(p, q): sum of x**p * y**q} over _ORDERS, for the (2, n) x and y of n pixels, each power computed once.
 
-    np.add.reduce gives each row of n the pairwise sum np.sum gives a 1-D
-    array, so every value has the same bits as np.sum(x**p * y**q).
+    Each power is a product, [1, v, v*v, v*(v*v)]: an IEEE multiply rounds
+    alike on every SIMD target, where numpy's v**3 does not. np.add.reduce
+    gives each row of n the pairwise sum np.sum gives a 1-D array.
     """
-    powers = np.stack([xy**p for p in range(4)])
+    square = xy * xy
+    powers = np.stack([np.ones_like(xy), xy, square, xy * square])
     sums = np.add.reduce(powers[_P, 0] * powers[_Q, 1], axis=-1)
     return dict(zip(_ORDERS, sums.tolist()))
 
@@ -71,12 +74,12 @@ def compute_moments(img: np.ndarray) -> MomentSet:
     return MomentSet(raw=raw, centroid=(cx, cy), central=central, normalized=_normalized(central))
 
 
-def _hu(n: dict, square) -> list:
-    """phi1..phi7 of normalized central moments, each square taken by square.
+def _hu(n: dict) -> list:
+    """phi1..phi7 of normalized central moments.
 
     The values of n are Python floats, or float64 arrays with one value per
-    zone; numpy's arithmetic on arrays rounds as Python's does on floats, so
-    both give the same bits when square does.
+    zone; numpy's arithmetic on arrays rounds as Python's does on floats, and
+    each square is a product, so both give the same bits.
     """
     n20, n02, n11 = n[(2, 0)], n[(0, 2)], n[(1, 1)]
     n30, n03, n21, n12 = n[(3, 0)], n[(0, 3)], n[(2, 1)], n[(1, 2)]
@@ -84,29 +87,21 @@ def _hu(n: dict, square) -> list:
     b = n21 + n03
     c = n30 - 3 * n12
     d = 3 * n21 - n03
-    a2, b2 = square(a), square(b)
+    e = n20 - n02
+    a2, b2 = a * a, b * b
     phi1 = n20 + n02
-    phi2 = square(n20 - n02) + 4 * square(n11)
-    phi3 = square(c) + square(d)
+    phi2 = e * e + 4 * (n11 * n11)
+    phi3 = c * c + d * d
     phi4 = a2 + b2
     phi5 = c * a * (a2 - 3 * b2) + d * b * (3 * a2 - b2)
-    phi6 = (n20 - n02) * (a2 - b2) + 4 * n11 * a * b
+    phi6 = e * (a2 - b2) + 4 * n11 * a * b
     phi7 = d * a * (a2 - 3 * b2) - c * b * (3 * a2 - b2)
     return [phi1, phi2, phi3, phi4, phi5, phi6, phi7]
 
 
-def _square(v: float) -> float:
-    return v**2
-
-
-def _square_each(values: np.ndarray) -> np.ndarray:
-    """Python's v ** 2 (libm pow) of each value: np.square (v * v) differs from it in the last bit for some."""
-    return np.array([v**2 for v in values.tolist()], dtype=np.float64)
-
-
 def hu_invariants(ms: MomentSet) -> np.ndarray:
     """The seven translation/scale/rotation invariants phi1..phi7."""
-    return np.array(_hu(ms.normalized, _square), dtype=np.float64)
+    return np.array(_hu(ms.normalized), dtype=np.float64)
 
 
 def hu_from_image(img: np.ndarray) -> np.ndarray:
@@ -117,8 +112,13 @@ def hu_from_image(img: np.ndarray) -> np.ndarray:
 
 
 def signed_log(values: np.ndarray) -> np.ndarray:
-    """sign(v) * log(1 + |v|), for conditioning wide-range phi values."""
-    return np.sign(values) * np.log1p(np.abs(values))
+    """sign(v) * log(1 + |v|), for conditioning wide-range phi values.
+
+    Each log is math.log1p of one value: numpy's log1p rounds some values
+    differently on its AVX-512 target.
+    """
+    logs = np.fromiter(map(math.log1p, np.abs(values).ravel().tolist()), np.float64, values.size)
+    return np.sign(values) * logs.reshape(values.shape)
 
 
 def _zone_central_sums(c: np.ndarray, counts: np.ndarray, firsts: np.ndarray) -> np.ndarray:
@@ -137,8 +137,8 @@ def _zone_central_sums(c: np.ndarray, counts: np.ndarray, firsts: np.ndarray) ->
     c -= np.repeat(np.minimum.reduceat(c, starts, axis=1), counts, axis=1)
     c -= np.repeat(np.add.reduceat(c, starts, axis=1) / counts, counts, axis=1)
     products = np.empty((7, c.shape[1]))
-    np.square(c, out=products[0:2])  # c**2 and c**3, written in place
-    np.power(c, 3, out=products[2:4])
+    np.multiply(c, c, out=products[0:2])  # c*c and c*(c*c), the products of _power_sums, written in place
+    np.multiply(c, products[0:2], out=products[2:4])
     np.multiply(c[0], c[1], out=products[4])
     np.multiply(c[0], products[1], out=products[5])
     np.multiply(products[0], c[1], out=products[6])
@@ -157,10 +157,9 @@ def moment_zone_features(thinned: np.ndarray, log_scale: bool = False) -> np.nda
     contributes zeros. The non-empty zones of the whole stack go through
     array arithmetic together, sorted by pixel count, and only each zone's
     order-sensitive sums run once per distinct count (_zone_central_sums);
-    normalization and the Hu polynomial then run over arrays, each square
-    through Python's ** (_square_each), so every value has the bits of
-    hu_invariants of that zone's moments. A shape that does not divide into
-    3x3 zones is an ExtractionError.
+    normalization and the Hu polynomial then run over arrays, so every
+    value has the bits of hu_invariants of that zone's moments. A shape
+    that does not divide into 3x3 zones is an ExtractionError.
     """
     h, w = thinned.shape[-2:]
     if h % MOMENT_ZONES or w % MOMENT_ZONES:
@@ -184,7 +183,7 @@ def moment_zone_features(thinned: np.ndarray, log_scale: bool = False) -> np.nda
         powers = {g: np.repeat([float(n) ** g for n in sizes], repeats) for g in (2.0, 2.5)}
         gammas = dict(_GAMMAS)
         normalized = {pq: sums[row] / powers[gammas[pq]] for row, pq in enumerate(_ZONE_ORDERS)}
-        values[order] = np.stack(_hu(normalized, _square_each), axis=1)
+        values[order] = np.stack(_hu(normalized), axis=1)
     values = values.reshape(thinned.shape[:-2] + (MOMENT_DIM,))
     if log_scale:
         values = signed_log(values)

@@ -1,10 +1,11 @@
-"""The key that trained and feature bytes are pinned by: the OpenBLAS core and numpy's AVX-512 target.
+"""The key that trained bytes are pinned by: the OpenBLAS core and numpy's AVX-512 target.
 
 Trained bytes move with the OpenBLAS kernel that runs the matmuls, and
-feature and trained bytes with numpy's SIMD target, whose AVX-512 x**3,
-log1p and exp round some values differently. OPENBLAS_CORETYPE=Haswell
-forces a kernel, and NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR" makes an AVX-512 host take numpy's other targets.
+with numpy's SIMD target, whose AVX-512 exp (the trainer's sigmoid) rounds
+some values differently; feature bytes are the same on every target.
+OPENBLAS_CORETYPE=Haswell forces a kernel, and
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" makes an AVX-512
+host take numpy's other targets.
 """
 
 import ctypes

@@ -722,6 +722,14 @@ def test_out_of_range_setting_exit_2(feature_files, ensemble_file, corpus, tmp_p
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_predict_needs_one_image_source_before_it_reads_the_model(corpus, tmp_path, capsys, both):
+    sources = ["--image", str(corpus / "c00" / "s000.pgm"), "--dir", str(corpus / "c00")] if both else []
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(tmp_path / "missing.glyph"), *sources]) == 2
+    assert capsys.readouterr().err == "error: predict needs exactly one of --image or --dir\n"
+
+
 def test_ensemble_predict_dir_binarizes_once_per_image(ensemble_file, corpus, calls, capsys):
     images = corpus / "c01"
     assert cli.main(["predict", "--model", str(ensemble_file), "--dir", str(images)]) == 0
@@ -822,7 +830,9 @@ def test_train_prints_each_member_stop_reason(feature_files, tmp_path, capsys, t
         assert re.fullmatch(rf"member {k} \({extractor}\): {epochs} epochs, final MSE \d\.\d{{6}}, stopped: {stop_reason}", line)
 
 
-@pytest.mark.parametrize("original, renamed", [("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm")])
+@pytest.mark.parametrize("original, renamed", [
+    ("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm"), ("c01", "c\n01"), ("c01/s003.pgm", "c01/s\n003.pgm"),
+])
 def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys, original, renamed):
     root = tmp_path / "corpus"
     shutil.copytree(corpus, root)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from kernel_key import AVX512
 
+from glyphforge import cli
 from glyphforge import moment_features as mf
 from glyphforge.errors import EmptyGlyph, ExtractionError
 
@@ -171,10 +177,17 @@ class TestMomentZoneFeatures:
         with pytest.raises(ExtractionError, match="not divisible into 3x3 zones"):
             mf.moment_zone_features(np.ones(shape, bool))
 
-    def test_square_each_is_python_pow_bit_for_bit(self):
-        # np.square (v * v) and libm pow(v, 2.0), which Python's v ** 2 calls,
-        # round some values differently; the draw must hold such values
-        values = np.random.default_rng(41).standard_normal(100_000)
-        want = np.array([v**2 for v in values.tolist()])
-        assert (np.square(values) != want).any()
-        assert mf._square_each(values).tobytes() == want.tobytes()
+
+@pytest.mark.skipif(not AVX512, reason="numpy takes no AVX-512 target on this host")
+def test_moment63_bytes_do_not_depend_on_simd_target(tmp_path):
+    """extract moment63, raw and --log-moments, writes the same bytes in a child without numpy's AVX-512 kernels."""
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--classes", "4", "--per-class", "6", "--seed", "3", "--out", str(corpus)]) == 0
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    for flags in ([], ["--log-moments"]):
+        argv = ["extract", "--corpus", str(corpus), "--extractor", "moment63", *flags, "--out"]
+        here, child = tmp_path / "here.csv", tmp_path / "child.csv"
+        assert cli.main([*argv, str(here)]) == 0
+        command = [sys.executable, "-m", "glyphforge.cli", *argv, str(child)]
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        assert child.read_bytes() == here.read_bytes(), flags

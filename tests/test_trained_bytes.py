@@ -18,17 +18,17 @@ from glyphforge import cli
 NAMES = ("ens.chain.mlp", "ens.moment.mlp", "ens.glyph", "cv.txt", "predict")
 GOLDEN = {
     ("SkylakeX", True):
-        ("2757696dc5d5b464", "662430c072c85a77", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("2757696dc5d5b464", "18390082d8855ff8", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
     ("SkylakeX", False):
-        ("a1cc77f4d9e1f7de", "b3f3608e0dc4ba87", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("a1cc77f4d9e1f7de", "5cfd0cf022cad19e", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
     ("Haswell", True):
-        ("f83a513150aec73d", "8e6a8e469e044b27", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("f83a513150aec73d", "c07b39020c698dc9", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
     ("Haswell", False):
-        ("ae0af0f0f7a1f39f", "b9bbcf75665a3c89", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("ae0af0f0f7a1f39f", "c38192963eec6176", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
     ("Nehalem", True):
-        ("88cd2b95bb950210", "4ebb2cc230a01155", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("88cd2b95bb950210", "fa45311fcacd9e51", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
     ("Nehalem", False):
-        ("5699666e7441a494", "c43c5d8f97df090a", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
+        ("5699666e7441a494", "c44b0c0cc28bd284", "b49bd9466818a272", "7b6d9b0f6117b906", "c63039e50727ea54"),
 }
 
 
