@@ -241,7 +241,9 @@ def cmd_predict(args) -> int:
     order: its output and warnings do not depend on the number of CPUs. A
     malformed image, or one without foreground, is skipped with a warning
     naming it under --dir, and is an error naming it (exit 2) under --image.
-    A --dir that leaves no image to rank is iter_features' CorpusError.
+    A --dir that leaves no image to rank is iter_features' CorpusError. A
+    path with a newline, whose ranked line would span two lines, is a
+    CorpusError before any image is read.
     """
     if args.k < 1:
         raise ConfigError("-k must be >= 1")
@@ -257,6 +259,8 @@ def cmd_predict(args) -> int:
             if n.endswith(".pgm")
         )
     )
+    if newline := [path for path in paths if "\n" in path]:
+        raise CorpusError(f"image {newline[0]!r} has a newline in its path")
     samples = dataset_io.SampleFiles([(path, "", path) for path in paths], strict=bool(args.image))
     for ids, _, matrices in pipeline.iter_features(samples, model.extractors):
         for sample_id, scores in zip(ids, model.scores(matrices)):

@@ -83,8 +83,11 @@ def field_lines(record) -> list:
     return [f"{f.name} {f.type(getattr(record, f.name))!r}" for f in fields(record)]
 
 
-def from_fields(cls, header, path):
-    """cls from the header's {name: value} entries, one per field, each a number of the field's type."""
+def from_fields(cls, header, path, others=()):
+    """cls from the header's {name: value} entries, one per field, each a number of the field's type; a key
+    neither a field's nor in others, one no writer writes, is a FormatError naming it."""
+    if unknown := header.keys() - {f.name for f in fields(cls)} - set(others):
+        raise FormatError(f"{path}: unknown key {min(unknown)!r}")
     try:
         return cls(**{f.name: number(f.type, header[f.name]) for f in fields(cls)})
     except (KeyError, ValueError) as exc:
@@ -210,13 +213,13 @@ def load_corpus(root, strict: bool = False) -> SampleFiles:
     # the label and the sample id are fields of a feature CSV line, which cannot hold a comma or a newline
     for cls in classes:
         if "," in cls or "\n" in cls:
-            raise CorpusError(f"class directory {os.path.join(root, cls)} has a comma or a newline in its name")
+            raise CorpusError(f"class directory {os.path.join(root, cls)!r} has a comma or a newline in its name")
         for name in sorted(os.listdir(os.path.join(root, cls))):
             if not name.endswith(".pgm"):
                 continue
             path = os.path.join(root, cls, name)
             if "," in name or "\n" in name:
-                raise CorpusError(f"image {path} has a comma or a newline in its name")
+                raise CorpusError(f"image {path!r} has a comma or a newline in its name")
             files.append((f"{cls}/{name}", cls, path))
     if not files:
         raise CorpusError(f"no samples found under {root}")

@@ -130,7 +130,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 def load_ensemble(path) -> EnsembleModel:
     """The ensemble and its member files: d1, d2 in [0, 1] and not both 0, w1 and w2 what compute_weights makes them."""
     header = header_dict([ln for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln], " ", path)
-    written = from_fields(FusionWeights, header, path)
+    written = from_fields(FusionWeights, header, path, ("model1", "model2"))
     d1, d2 = written.d1, written.d2
     if not (0 <= d1 <= 1 and 0 <= d2 <= 1 and d1 + d2 > 0):  # also false for nan
         raise FormatError(f"{path}: calibration accuracies d1={d1!r} d2={d2!r} are not in [0, 1] or are both 0")

@@ -375,10 +375,10 @@ def ranked(labels, scores):
 # --- model file format -------------------------------------------------------
 #
 # Line-oriented text: "glyphforge-mlp v1" magic, "key value" header lines
-# (one per MlpConfig field, in field order, among them), then the blocks w1, b1,
-# w2, b2 in that order and nothing after them, each an "@name rows cols" line
-# and its rows of whitespace-separated floats. Values are written with repr()
-# so the round trip is exact.
+# (one per MlpConfig field, in field order, among them; no key save_model does
+# not write), then the blocks w1, b1, w2, b2 in that order and nothing after
+# them, each an "@name rows cols" line and its rows of whitespace-separated
+# floats. Values are written with repr() so the round trip is exact.
 
 MAGIC = "glyphforge-mlp v1"
 
@@ -411,7 +411,7 @@ def load_model(path) -> MlpModel:
     lines = read_lines(path, MAGIC)
     i = next((k for k, ln in enumerate(lines) if ln.startswith("@")), len(lines))
     header = header_dict(lines[1:i], " ", path)
-    cfg = from_fields(MlpConfig, header, path)
+    cfg = from_fields(MlpConfig, header, path, ("extractor", "labels", "flags", "feature_min", "feature_max"))
     if "extractor" not in header or "flags" not in header:
         raise FormatError(f"{path}: missing extractor or flags line")
     extractor_id = header["extractor"]

@@ -79,17 +79,6 @@ def _spans(n: int, unit: int = 1) -> list:
     return list(zip(cuts, cuts[1:]))
 
 
-def _parts(samples, on_stages) -> list:
-    """samples cut into contiguous parts of whole chunks (_spans).
-
-    One part, samples itself, unless samples is a dataset_io.SampleFiles and on_stages is None.
-    """
-    if not isinstance(samples, dataset_io.SampleFiles) or on_stages:
-        return [samples]
-    spans = _spans(len(samples.files), CHUNK_SIZE)
-    return [dataset_io.SampleFiles(samples.files[a:b], samples.strict) for a, b in spans]
-
-
 def _part_features(samples, extractors, on_stages=None):
     """Each skip text of samples and each chunk's (ids, labels, matrices), in sample order, extracted here."""
     chunk = []
@@ -105,26 +94,22 @@ def _part_features(samples, extractors, on_stages=None):
         yield _chunk_features(chunk, extractors, on_stages)
 
 
-def _items(fn, args):
-    """(the items fn(*args) yields until an exception stops it, that exception or None), run in this process."""
-    items, error = [], None
-    try:
-        for item in fn(*args):
-            items.append(item)
-    except Exception as exc:
-        error = exc
-    return items, error
-
-
 def _fork(fn, args):
-    """(pid, read end of its pipe) of a forked child that sends the pickled _items(fn, args), then exits."""
+    """(pid, read end of its pipe) of a forked child that sends, pickled, (the items fn(*args) yields until an
+    exception stops it, that exception or None), then exits."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:  # os._exit never flushes the parent's buffers or runs its atexit hooks
         code = 1
         try:
             os.close(r)
-            payload = pickle.dumps(_items(fn, args))
+            items, error = [], None
+            try:
+                for item in fn(*args):
+                    items.append(item)
+            except Exception as exc:
+                error = exc
+            payload = pickle.dumps((items, error))
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(payload)
             code = 0
@@ -137,41 +122,40 @@ def _fork(fn, args):
     return pid, os.fdopen(r, "rb")
 
 
-def _child_items(children, names, error):
-    """The items of each child in turn, then its exception, if any; children loses each child it reaps.
-
-    A child that ends without a result is an error (error, an exception class) with the child's name from names.
-    """
-    for name in names:
-        pid, pipe = children[0]
-        with pipe:
-            payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del children[0]
-        if status or not payload:
-            raise error(f"{name} ended without a result (exit status {status})")
-        items, exc = pickle.loads(payload)
-        yield from items
-        if exc is not None:
-            raise exc
-
-
 @contextlib.contextmanager
-def _forked(fn, parts, names, error):
-    """The items of a forked child per args of parts, each running fn(*args) (_fork), as one lazy iterator.
+def _split(fn, parts, names, error):
+    """The items fn(*args) yields for each args of parts, in part order, as one lazy iterator.
 
-    The children start on entry and are read in part order, each when the iterator reaches it (_child_items,
-    which names a child that ends without a result by its entry of names). Every child not yet read at exit,
-    after an exception or an early stop, is killed and reaped.
+    The first part runs in this process when the iterator reaches it. Each
+    later part runs in a child forked on entry (_fork) and is read when the
+    iterator reaches it: its items, then its exception, if any. A child that
+    ends without a result is an error (error, an exception class) with the
+    part's entry of names, one per part after the first. Every child not yet
+    read at exit, after an exception or an early stop, is killed and reaped.
     """
-    children = []  # (pid, pipe) of each child not yet reaped, in part order
+    (first, *rest), children = parts, []  # (pid, pipe) of each child not yet reaped, in part order
+
+    def items():
+        yield from fn(*first)
+        for name in names:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status or not payload:
+                raise error(f"{name} ended without a result (exit status {status})")
+            part_items, exc = pickle.loads(payload)
+            yield from part_items
+            if exc is not None:
+                raise exc
+
     try:
-        if parts:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        for args in parts:
+        sys.stdout.flush()  # else a child could write out what this process has buffered
+        sys.stderr.flush()
+        for args in rest:
             children.append(_fork(fn, args))
-        yield _child_items(children, names, error)
+        yield items()
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -188,24 +172,28 @@ def iter_features(samples, extractors, on_stages=None):
     text in place of each image it skips, warned here from one call site. A
     pass that yields no chunk is a CorpusError.
 
-    A SampleFiles pass without on_stages is cut into contiguous parts (_parts),
-    one per CPU this process may use. This process forks a child for each part
-    after the first and extracts the first itself. Every part's skip texts and
-    chunks go through one loop: the first part's as it reads them, then each
-    child's in part order, each child's error after them. So chunks, warnings
-    and the first --strict error come in sample order, the same for any number
-    of parts, under any warnings filter and across passes. A child that ends
-    without a result is an ExtractionError naming its part. Every child not yet
-    read is killed and reaped when the iteration fails or stops early.
+    A SampleFiles pass is cut into contiguous parts of whole chunks (_spans),
+    one per CPU this process may use, and split across processes (_split):
+    this process extracts the first part, a forked child each later one. Each
+    part calls on_stages for its own samples, so only what on_stages does
+    outside its process (a file written) is seen here for every part. Every
+    part's skip texts and chunks go through one loop, in part order, each
+    child's error after them. So chunks, warnings and the first --strict error
+    come in sample order, the same for any number of parts, under any warnings
+    filter and across passes. A child that ends without a result is an
+    ExtractionError naming its part.
     """
-    first, *rest = _parts(samples, on_stages)
+    parts = [samples]
+    if isinstance(samples, dataset_io.SampleFiles):
+        spans = _spans(len(samples.files), CHUNK_SIZE)
+        parts = [dataset_io.SampleFiles(samples.files[a:b], samples.strict) for a, b in spans]
     names = [
-        f"part {k} of {len(rest) + 1} of the files ({part.files[0][0]} to {part.files[-1][0]})"
-        for k, part in enumerate(rest, start=2)
+        f"part {k} of {len(parts)} of the files ({part.files[0][0]} to {part.files[-1][0]})"
+        for k, part in enumerate(parts[1:], start=2)
     ]
-    with _forked(_part_features, [(part, extractors) for part in rest], names, ExtractionError) as child_items:
+    with _split(_part_features, [(part, extractors, on_stages) for part in parts], names, ExtractionError) as items:
         chunks = 0
-        for item in itertools.chain(_part_features(first, extractors, on_stages), child_items):
+        for item in items:
             if isinstance(item, str):
                 warnings.warn(item)
             else:
@@ -250,10 +238,10 @@ def train_models(
     training fields, each left out keeps its MlpConfig default.
 
     The members, in set order and table order within a set, are cut into
-    contiguous parts (_spans), at most one per CPU and one per member. This
-    process forks a child for each part after the first, trains the first
-    part itself, then takes each child's trained members and reports from a
-    pipe in part order; a child that ends without a result is a TrainError
+    contiguous parts (_spans), at most one per CPU and one per member, and
+    split across processes (_split): this process trains the first part, a
+    forked child each later one, and the trained members and reports are
+    read in part order; a child that ends without a result is a TrainError
     naming its part, a child's own error is raised here as it was, and no
     child outlives the call. Each part trains in one mlp.train_lanes call:
     its members of one extractor on equally many rows, such as the folds of
@@ -287,15 +275,15 @@ def train_models(
             model.option = table.option
             members.append(model)
             datasets.append([(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx])
-    (a, b), *rest = spans = _spans(len(members))
-    names = [f"part {k} of {len(spans)} of the members ({i + 1} to {j})" for k, (i, j) in enumerate(rest, start=2)]
-    with _forked(_train_part, [(members[i:j], datasets[i:j]) for i, j in rest], names, TrainError) as child_items:
-        trained = iter([*_train_part(members[a:b], datasets[a:b]), *child_items])
-    results = []
-    for tables, holdout in zip(table_sets, holdouts):
-        models, reports = zip(*itertools.islice(trained, len(tables)))
-        model = models[0] if len(models) == 1 else ensemble.EnsembleModel(*models, ensemble.calibrate(*models, holdout))
-        results.append((model, list(reports)))
+    spans = _spans(len(members))
+    names = [f"part {k} of {len(spans)} of the members ({i + 1} to {j})" for k, (i, j) in enumerate(spans[1:], start=2)]
+    with _split(_train_part, [(members[i:j], datasets[i:j]) for i, j in spans], names, TrainError) as trained:
+        results = []
+        for tables, holdout in zip(table_sets, holdouts):
+            models, reports = zip(*itertools.islice(trained, len(tables)))
+            fused = len(models) > 1
+            model = ensemble.EnsembleModel(*models, ensemble.calibrate(*models, holdout)) if fused else models[0]
+            results.append((model, list(reports)))
     return results
 
 

@@ -834,16 +834,35 @@ def test_train_prints_each_member_stop_reason(feature_files, tmp_path, capsys, t
     ("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm"), ("c01", "c\n01"), ("c01/s003.pgm", "c01/s\n003.pgm"),
 ])
 def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys, original, renamed):
+    """The error names the path as its repr, so a newline in it still makes one error: line."""
     root = tmp_path / "corpus"
     shutil.copytree(corpus, root)
     (root / original).rename(root / renamed)
-    with pytest.raises(CorpusError, match=re.escape(str(root / renamed))):
+    with pytest.raises(CorpusError, match=re.escape(repr(str(root / renamed)))):
         dio.load_corpus(root)
     capsys.readouterr()
     out = tmp_path / "f.csv"
     assert cli.main(["extract", "--corpus", str(root), "--extractor", "chain200", "--out", str(out)]) == 2
-    assert str(root / renamed) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(str(root / renamed)) in err and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_predict_refuses_an_image_path_with_a_newline_before_reading_any_image(
+    ensemble_file, corpus, tmp_path, monkeypatch, capsys,
+):
+    """A ranked line names its image: a newline in the path would make it two stdout lines."""
+    read = []
+    monkeypatch.setattr(dio, "read_pgm", lambda path, _read_pgm=dio.read_pgm: read.append(path) or _read_pgm(path))
+    images = tmp_path / "images"
+    shutil.copytree(corpus / "c00", images)
+    newline = images / "s\n0.pgm"
+    shutil.copyfile(corpus / "c00" / "s000.pgm", newline)
+    for source in (["--dir", str(images)], ["--image", str(newline)]):
+        capsys.readouterr()
+        assert cli.main(["predict", "--model", str(ensemble_file), *source]) == 2
+        assert capsys.readouterr() == ("", f"error: image {str(newline)!r} has a newline in its path\n")
+    assert read == []
 
 
 def test_mutated_files_exit_0_1_or_2_without_traceback(feature_files, ensemble_file, corpus, tmp_path, capsys):

@@ -591,6 +591,18 @@ class TestSerialization:
         with pytest.raises(FormatError, match=f"repeated key '{key}'"):
             mlp.load_model(path)
 
+    @pytest.mark.parametrize("line, key", [("bogus 1", "bogus"), ("", ""), ("Seed 5", "Seed")])
+    def test_header_key_no_writer_writes_is_format_error(self, tmp_path, line, key):
+        model = small_model(63, 4, 3, seed=21)
+        model.extractor_id = "moment63"
+        path = tmp_path / "m.mlp"
+        mlp.save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines.insert(lines.index("flags ") + 1, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unknown key '{key}'$"):
+            mlp.load_model(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mlp"
         path.write_text("not a model\n")

@@ -327,6 +327,30 @@ def test_no_child_outlives_a_pass(split_corpus, chunks_of_8, tmp_path, monkeypat
     assert_no_child()
 
 
+def test_a_dump_stages_pass_splits_like_any_other_pass(split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks):
+    """Each part writes the stages of its own images: the same stage files, table and warnings at any number of parts."""
+    csv, seen = tmp_path / "f.csv", {}  # one table path, as stdout names it
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        forks.clear()
+        stages = tmp_path / f"stages{cpus}"
+        extract = ["extract", "--corpus", split_corpus, "--extractor", "chain200", "--out", csv, "--dump-stages", stages]
+        result = run(extract, capsys)
+        assert len(forks) == cpus - 1
+        assert_no_child()
+        seen[cpus] = result, csv.read_bytes(), {path.name: path.read_bytes() for path in stages.iterdir()}
+    assert seen[2] == seen[1]
+    assert seen[3] == seen[1]
+    (code, _, err, caught), table, files = seen[1]
+    assert (code, err) == (0, "") and [w[1] for w in caught] == [
+        f"skipping {split_corpus / BLANK}: image has no foreground pixel",
+        f"skipping malformed image: {split_corpus / BAD}: non-integer PGM width, height or maxval",
+    ]
+    assert len(files) == 4 * 36 and "c02_s011.thinned.pgm" in files
+    assert run(["extract", "--corpus", split_corpus, "--extractor", "chain200", "--out", csv], capsys)[0] == 0
+    assert csv.read_bytes() == table
+
+
 def test_a_child_without_a_result_is_an_error_naming_its_part(
     split_corpus, chunks_of_8, tmp_path, monkeypatch, capsys, forks,
 ):
