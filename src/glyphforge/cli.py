@@ -168,26 +168,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _feature_names(pairs):
-    """(extractor_id, option) pairs as the feature CSV headers name them: "chain200, moment63 log_moments=1"."""
-    return ", ".join(e + (f" {EXTRACTORS[e].flag}=1" if on else "") for e, on in pairs)
-
-
-def _evaluate(model, tables):
-    """model's EvalReport on tables, one per member in member order; another extractor or option is a FormatError."""
-    given = [(t.extractor_id, t.option) for t in tables]
-    if given != model.extractors:
-        wanted, given = _feature_names(model.extractors), _feature_names(given)
-        raise FormatError(f"model reads {wanted} features (--features, then --features2), given {given}")
-    dataset_io.check_same_samples(tables)
-    scores = model.scores([[v for _, _, v in t.rows] for t in tables])
-    truth = [lab for _, lab, _ in tables[0].rows]
-    return evaluation.evaluate_rankings(mlp.ranking(scores), truth, model.labels)
-
-
 def cmd_eval(args) -> int:
     model = ensemble.load_any_model(args.model)
-    report = _evaluate(model, _load_tables(args))
+    report = evaluation.evaluate(model, _load_tables(args))
     text = evaluation.format_report(report)
     print(text)
     if args.report:
@@ -218,7 +201,7 @@ def cmd_crossval(args) -> int:
     table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
     trained = pipeline.train_models(table_sets, sorted(set(labels)), **_train_kwargs(args))
     report = evaluation.CrossValReport([
-        _evaluate(model, [t.subset(test_idx) for t in tables]) for (model, _), (_, test_idx) in zip(trained, splits)
+        evaluation.evaluate(model, [t.subset(test) for t in tables]) for (model, _), (_, test) in zip(trained, splits)
     ])
     text = "\n".join([
         f"crossval extractor={args.extractor} folds={args.folds} seed={args.seed}",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
+from . import evaluation, mlp
 from .dataset_io import field_lines, from_fields, header_dict, read_lines
 from .errors import ConfigError, DegenerateWeights, FormatError, ShapeError
 from .extractors import EXTRACTORS
@@ -49,18 +49,8 @@ def fuse(weights: FusionWeights, o1: np.ndarray, o2: np.ndarray):
 
 
 def calibrate(model1: mlp.MlpModel, model2: mlp.MlpModel, holdout) -> FusionWeights:
-    """Weights from top-1 accuracies on a held-out calibration set.
-
-    holdout: sequence of (features_for_model1, features_for_model2, class_index).
-    """
-    if len(holdout) == 0:
-        raise DegenerateWeights("empty calibration set")
-    x1s, x2s, classes = (np.array(column) for column in zip(*holdout))
-    hits1, hits2 = (
-        int(np.count_nonzero(np.argmax(mlp.forward(model, xs), axis=1) == classes))
-        for model, xs in ((model1, x1s), (model2, x2s))
-    )
-    return compute_weights(hits1 / len(holdout), hits2 / len(holdout))
+    """Weights from each member's top-1 as eval scores it (evaluation.evaluate) on its holdout table, model1's first."""
+    return compute_weights(*(evaluation.evaluate(m, [t]).top_k_accuracy[1] for m, t in zip((model1, model2), holdout)))
 
 
 @dataclass
@@ -105,6 +95,14 @@ class EnsembleModel:
 ENSEMBLE_MAGIC = "glyphforge-ensemble v1"
 
 
+def _member_ids(members):
+    """The members' extractor ids; members not of two different registered extractors are a ConfigError."""
+    ids = [m.extractor_id for m in members]
+    if len(EXTRACTORS.keys() & set(ids)) < len(ids):
+        raise ConfigError(f"ensemble members of extractors {ids}: want two different registered extractors")
+    return ids
+
+
 def save_ensemble(ens: EnsembleModel, path) -> None:
     """Write <stem>.<part>.mlp for each member beside the ensemble file, which names them.
 
@@ -116,10 +114,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
     members = (ens.model1, ens.model2)
-    ids = [m.extractor_id for m in members]
-    if len(EXTRACTORS.keys() & set(ids)) < len(ids):
-        raise ConfigError(f"ensemble members of extractors {ids}: want two different registered extractors")
-    member_paths = [f"{stem}.{EXTRACTORS[i].member_part}.mlp" for i in ids]
+    member_paths = [f"{stem}.{EXTRACTORS[i].member_part}.mlp" for i in _member_ids(members)]
     for model, member_path in zip(members, member_paths):
         mlp.save_model(model, os.path.join(directory, member_path))
     lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}", *field_lines(ens.weights)]
@@ -128,7 +123,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 
 
 def load_ensemble(path) -> EnsembleModel:
-    """The ensemble and its member files: d1, d2 in [0, 1] and not both 0, w1 and w2 what compute_weights makes them."""
+    """The ensemble and its members of two extractors: d1, d2 in [0, 1] not both 0, w1, w2 as compute_weights gives."""
     header = header_dict([ln for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln], " ", path)
     written = from_fields(FusionWeights, header, path, ("model1", "model2"))
     d1, d2 = written.d1, written.d2
@@ -143,8 +138,9 @@ def load_ensemble(path) -> EnsembleModel:
     except KeyError as exc:
         raise FormatError(f"{path}: missing field ({exc})") from exc
     try:
+        _member_ids((model1, model2))
         return EnsembleModel(model1=model1, model2=model2, weights=weights)
-    except ShapeError as exc:
+    except (ConfigError, ShapeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

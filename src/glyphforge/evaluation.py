@@ -4,7 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, SplitError
+from . import dataset_io, mlp
+from .errors import ConfigError, FormatError, LabelError, SplitError
+from .extractors import EXTRACTORS
 
 TOP_KS = (1, 3, 5)
 
@@ -117,6 +119,23 @@ def evaluate_rankings(rankings, true_labels, labels) -> EvalReport:
         confusion=confusion,
         confused_pairs=pairs,
     )
+
+
+def _feature_names(pairs):
+    """(extractor_id, option) pairs as the feature CSV headers name them: "chain200, moment63 log_moments=1"."""
+    return ", ".join(e + (f" {EXTRACTORS[e].flag}=1" if on else "") for e, on in pairs)
+
+
+def evaluate(model, tables) -> EvalReport:
+    """model's EvalReport on tables, one per member in member order; another extractor or option is a FormatError."""
+    given = [(t.extractor_id, t.option) for t in tables]
+    if given != model.extractors:
+        wanted, given = _feature_names(model.extractors), _feature_names(given)
+        raise FormatError(f"model reads {wanted} features (--features, then --features2), given {given}")
+    dataset_io.check_same_samples(tables)
+    scores = model.scores([[v for _, _, v in t.rows] for t in tables])
+    truth = [lab for _, lab, _ in tables[0].rows]
+    return evaluate_rankings(mlp.ranking(scores), truth, model.labels)
 
 
 @dataclass

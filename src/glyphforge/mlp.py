@@ -412,8 +412,8 @@ def load_model(path) -> MlpModel:
     i = next((k for k, ln in enumerate(lines) if ln.startswith("@")), len(lines))
     header = header_dict(lines[1:i], " ", path)
     cfg = from_fields(MlpConfig, header, path, ("extractor", "labels", "flags", "feature_min", "feature_max"))
-    if "extractor" not in header or "flags" not in header:
-        raise FormatError(f"{path}: missing extractor or flags line")
+    if missing := [k for k in ("extractor", "labels", "flags") if k not in header]:
+        raise FormatError(f"{path}: missing {missing[0]} line")
     extractor_id = header["extractor"]
     items = [item for item in header["flags"].split(",") if item]
     try:
@@ -435,7 +435,7 @@ def load_model(path) -> MlpModel:
     fmin, fmax = (floats(header.get(k, ""), f"{path}: {k}") for k in ("feature_min", "feature_max"))
     if fmin.shape != (n,) or fmax.shape != fmin.shape:
         raise FormatError(f"{path}: feature_min/feature_max missing or of length other than input_size")
-    labels = header["labels"].split(",") if header.get("labels") else []
+    labels = header["labels"].split(",")  # "labels " is the one empty label of a one-class [""] table
     if len(set(labels)) != len(labels) or len(labels) != o:  # a class's index is its place in the table
         raise FormatError(f"{path}: label table is not output_size distinct labels")
     w1, b1, w2, b2 = blocks

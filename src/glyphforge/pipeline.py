@@ -267,7 +267,7 @@ def train_models(
             fit_idx = sorted(set(fit_idx) - set(cal_idx))
             if not fit_idx:
                 raise TrainError("calibration split leaves no training samples")
-        holdouts.append([(*(t.rows[i][2] for t in tables), label_pos[rows[i][1]]) for i in cal_idx])
+        holdouts.append([t.subset(cal_idx) for t in tables])
         for table in tables:
             size = EXTRACTORS[table.extractor_id].hidden_size if hidden_size is None else hidden_size
             cfg = mlp.MlpConfig(input_size=table.dim, hidden_size=size, output_size=len(labels), seed=seed, **config)

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from glyphforge import ensemble, mlp
+from glyphforge import ensemble, evaluation, mlp
+from glyphforge.dataset_io import FeatureTable
 from glyphforge.errors import ConfigError, DegenerateWeights, FormatError, IoError, ShapeError
 from glyphforge.extractors import EXTRACTORS
 
@@ -119,21 +120,25 @@ def constant_model(confs, labels, extractor_id="chain200"):
     return model
 
 
+def holdout(classes):
+    """The members' held-out tables, chain200 then moment63: one X1 and one X2 row of each label in classes."""
+    members = (("chain200", X1), ("moment63", X2))
+    return [FeatureTable(e, len(x), [(f"s{i}", c, x) for i, c in enumerate(classes)]) for e, x in members]
+
+
 class TestCalibrate:
     def test_one_perfect_one_useless(self):
         labels = ["a", "b"]
         m1 = constant_model([0.9, 0.1], labels)  # always predicts class 0
         m2 = constant_model([0.1, 0.9], labels, "moment63")  # always predicts class 1
-        holdout = [(X1, X2, 0)] * 5
-        w = ensemble.calibrate(m1, m2, holdout)
+        w = ensemble.calibrate(m1, m2, holdout(["a"] * 5))
         assert (w.w1, w.w2) == (1.0, 0.0)
 
     def test_equal_accuracies(self):
         labels = ["a", "b"]
         m1 = constant_model([0.9, 0.1], labels)
         m2 = constant_model([0.9, 0.1], labels, "moment63")
-        holdout = [(X1, X2, 0), (X1, X2, 1)]
-        w = ensemble.calibrate(m1, m2, holdout)
+        w = ensemble.calibrate(m1, m2, holdout(["a", "b"]))
         assert w.w1 == w.w2 == 0.5
 
     def test_both_zero_degenerate(self):
@@ -141,7 +146,17 @@ class TestCalibrate:
         m1 = constant_model([0.9, 0.1], labels)
         m2 = constant_model([0.9, 0.1], labels, "moment63")
         with pytest.raises(DegenerateWeights):
-            ensemble.calibrate(m1, m2, [(X1, X2, 1)])
+            ensemble.calibrate(m1, m2, holdout(["b"]))
+
+    def test_nan_top_score_ranks_last_as_eval_ranks_it(self):
+        """A member whose score for the true class is nan scores 0 there, as eval scores it; argmax would pick it."""
+        labels = ["a", "b"]
+        m1 = constant_model([np.nan, 0.2], labels)  # mlp.ranking puts b first
+        m2 = constant_model([0.9, 0.1], labels, "moment63")
+        tables = holdout(["a"] * 4)
+        w = ensemble.calibrate(m1, m2, tables)
+        assert w.d1 == evaluation.evaluate(m1, tables[:1]).top_k_accuracy[1] == 0.0
+        assert (w.d2, w.w1, w.w2) == (1.0, 0.0, 1.0)
 
 
 class TestEnsembleModel:
@@ -195,6 +210,14 @@ class TestEnsembleModel:
         with pytest.raises(ConfigError, match="want two different registered extractors"):
             ensemble.save_ensemble(ens, tmp_path / "ens.glyph")
         assert list(tmp_path.iterdir()) == []
+
+    def test_glyph_naming_one_member_twice_is_format_error(self, tmp_path):
+        """Both lines name the chain200 member, whose labels agree with themselves: load refuses it as save does."""
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        path.write_text(path.read_text().replace("model2 ens.moment.mlp", "model2 ens.chain.mlp"))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*want two different registered extractors"):
+            ensemble.load_ensemble(path)
 
     def test_members_disagreeing_on_class_table_is_format_error(self, tmp_path):
         path = tmp_path / "ens.glyph"

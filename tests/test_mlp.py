@@ -516,6 +516,16 @@ class TestSerialization:
         cfg = mlp.load_model(path).config
         assert (cfg.seed, cfg.target_mse) == (-21, 2.5e-05)
 
+    def test_one_class_empty_label_round_trips(self, tmp_path):
+        """A feature CSV with empty labels trains a one-class [""] model: its "labels " line reads back as [""]."""
+        model = mlp.init_model(mlp.MlpConfig(63, 4, 1, seed=3), [""], "moment63")
+        path = tmp_path / "m.mlp"
+        mlp.save_model(model, path)
+        assert "labels \n" in path.read_text()
+        loaded = mlp.load_model(path)
+        assert loaded.labels == [""]
+        assert np.array_equal(loaded.b2, model.b2)
+
     @pytest.mark.parametrize("corrupt", [
         lambda lines: lines[:-1],  # last b2 row missing: truncated block
         lambda lines: lines[:-1] + ["0.5 nan? 0.1"],  # non-numeric weight
@@ -543,6 +553,7 @@ class TestSerialization:
         lambda lines: [ln for ln in lines if not ln.startswith("feature_min ")],
         lambda lines: [ln for ln in lines if not ln.startswith("feature_max ")],
         lambda lines: [ln.replace("labels 0,1,2", "labels 0,0,2") for ln in lines],
+        lambda lines: [ln for ln in lines if not ln.startswith("labels ")],
     ])
     def test_malformed_body_is_format_error(self, tmp_path, corrupt):
         model = small_model(63, 4, 3, seed=21)  # its identity scaling writes feature_min 0.0 ... and feature_max 1.0 ...
