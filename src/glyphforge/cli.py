@@ -14,8 +14,15 @@ from .errors import ConfigError, CorpusError, FormatError, GlyphforgeError, IoEr
 from .extractors import EXTRACTORS
 
 
+def _seed(text) -> int:
+    """--seed's value: ASCII digits, a non-negative integer as numpy's generators take; other text is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"want a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed, a non-negative integer (default: 0)")
 
 
 # training option -> (the pipeline.train_models keyword it sets, type, help): an MlpConfig
@@ -174,11 +181,9 @@ def cmd_eval(args) -> int:
     text = evaluation.format_report(report)
     print(text)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+        dataset_io.write_lines(args.report, [text])
     if args.confusion_csv:
-        with open(args.confusion_csv, "w") as fh:
-            fh.write(evaluation.confusion_csv(report))
+        dataset_io.write_lines(args.confusion_csv, [evaluation.confusion_csv(report)])
     return 0
 
 
@@ -211,8 +216,7 @@ def cmd_crossval(args) -> int:
     ])
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        dataset_io.write_lines(args.out, [text])
     return 0
 
 

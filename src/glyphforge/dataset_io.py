@@ -18,12 +18,12 @@ from .extractors import EXTRACTORS, read_option
 
 
 def read_lines(path, magic=None) -> list:
-    """The lines of a text file; with magic, its first line must be magic.
+    """The lines of a UTF-8 text file, as write_lines writes it; with magic, its first line must be magic.
 
-    An OS error is an IoError; undecodable bytes, or another first line, a FormatError.
+    An OS error is an IoError; bytes that are not UTF-8, or another first line, a FormatError.
     """
     try:
-        with open(path, newline="\n") as fh:  # a line ends at a newline only, as the writers end it: a CR stays in it
+        with open(path, encoding="utf-8", newline="\n") as fh:  # a line ends at a newline only: a CR stays in it
             lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
@@ -32,6 +32,12 @@ def read_lines(path, magic=None) -> list:
     if magic is not None and lines[:1] != [magic]:
         raise FormatError(f"{path}: not a {magic} file")
     return lines
+
+
+def write_lines(path, lines) -> None:
+    """Write each of lines and a newline to path, one line at a time: UTF-8 with LF line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def header_dict(items, sep, where) -> dict:
@@ -64,6 +70,11 @@ def floats(text, where, sep=None) -> np.ndarray:
     if not np.isfinite(values).all():
         raise FormatError(f"{where}: non-finite value")
     return values
+
+
+def float_text(values, sep=" ") -> str:
+    """The values as float64, each as its repr, joined by sep: the text floats reads back exactly."""
+    return sep.join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def number(kind, text):
@@ -197,12 +208,26 @@ class SampleFiles:
             yield LabeledSample(id=sample_id, label=label, image=image)
 
 
+# what a field of a feature CSV line, UTF-8 text split at commas and newlines, cannot hold: a comma, a newline or a
+# surrogate, the code points that do not encode as UTF-8 (os.listdir makes one of each byte of a name not in UTF-8)
+_NOT_A_FIELD = re.compile("[,\n\ud800-\udfff]")
+
+
+def _check_name(kind, directory, name) -> str:
+    """The path of name in directory; a CorpusError naming it unless name can be a field of a feature CSV line."""
+    path = os.path.join(directory, name)
+    if _NOT_A_FIELD.search(name):
+        raise CorpusError(f"{kind} {path!r} has a comma, a newline or a byte that is not UTF-8 in its name")
+    return path
+
+
 def load_corpus(root, strict: bool = False) -> SampleFiles:
     """The SampleFiles of all <root>/<class>/*.pgm files in lexicographic order.
 
     The listing is checked before any image is read: a root that is not a
-    directory, a comma or a newline in a class or image name, or no .pgm file
-    is a CorpusError.
+    directory, a class or image name that cannot be a field of a feature CSV
+    line (a comma, a newline or a byte that is not UTF-8), or no .pgm file is
+    a CorpusError.
     """
     if not os.path.isdir(root):
         raise CorpusError(f"corpus root {root} is not a directory")
@@ -210,17 +235,11 @@ def load_corpus(root, strict: bool = False) -> SampleFiles:
     classes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
-    # the label and the sample id are fields of a feature CSV line, which cannot hold a comma or a newline
     for cls in classes:
-        if "," in cls or "\n" in cls:
-            raise CorpusError(f"class directory {os.path.join(root, cls)!r} has a comma or a newline in its name")
+        _check_name("class directory", root, cls)
         for name in sorted(os.listdir(os.path.join(root, cls))):
-            if not name.endswith(".pgm"):
-                continue
-            path = os.path.join(root, cls, name)
-            if "," in name or "\n" in name:
-                raise CorpusError(f"image {path!r} has a comma or a newline in its name")
-            files.append((f"{cls}/{name}", cls, path))
+            if name.endswith(".pgm"):
+                files.append((f"{cls}/{name}", cls, _check_name("image", os.path.join(root, cls), name)))
     if not files:
         raise CorpusError(f"no samples found under {root}")
     return SampleFiles(files, strict)
@@ -340,11 +359,8 @@ def check_same_samples(tables) -> None:
 def save_features(table: FeatureTable, path) -> None:
     """Write the CSV; the header names the extractor's option when it is on."""
     option = f" {EXTRACTORS[table.extractor_id].flag}=1" if table.option else ""
-    with open(path, "w") as fh:
-        fh.write(f"# extractor={table.extractor_id} dim={table.dim}{option}\n")
-        for sample_id, label, vec in table.rows:
-            values = ",".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
-            fh.write(f"{sample_id},{label},{values}\n")
+    rows = (f"{sample_id},{label},{float_text(vec, ',')}" for sample_id, label, vec in table.rows)
+    write_lines(path, itertools.chain([f"# extractor={table.extractor_id} dim={table.dim}{option}"], rows))
 
 
 def load_features(path) -> FeatureTable:

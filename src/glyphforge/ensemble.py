@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation, mlp
-from .dataset_io import field_lines, from_fields, header_dict, read_lines
+from .dataset_io import field_lines, from_fields, header_dict, read_lines, write_lines
 from .errors import ConfigError, DegenerateWeights, FormatError, ShapeError
 from .extractors import EXTRACTORS
 
@@ -118,8 +118,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
     for model, member_path in zip(members, member_paths):
         mlp.save_model(model, os.path.join(directory, member_path))
     lines = [ENSEMBLE_MAGIC, f"model1 {member_paths[0]}", f"model2 {member_paths[1]}", *field_lines(ens.weights)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_ensemble(path) -> EnsembleModel:

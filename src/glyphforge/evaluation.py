@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataset_io, mlp
-from .errors import ConfigError, FormatError, LabelError, SplitError
+from .errors import ConfigError, FormatError, SplitError
 from .extractors import EXTRACTORS
 
 TOP_KS = (1, 3, 5)
@@ -95,11 +95,7 @@ def evaluate_rankings(rankings, true_labels, labels) -> EvalReport:
     rankings = np.asarray(rankings)
     if len(rankings) == 0:
         raise ValueError("empty test set")
-    label_pos = {lab: i for i, lab in enumerate(labels)}
-    for lab in true_labels:
-        if lab not in label_pos:
-            raise LabelError(f"label {lab!r} not in the model's class table")
-    truth = np.array([label_pos[lab] for lab in true_labels])
+    truth = np.array(mlp.class_indices(true_labels, labels))
     hits = {k: int(np.count_nonzero(rankings[:, :k] == truth[:, None])) for k in TOP_KS}
     m = len(labels)
     confusion = np.zeros((m, m), dtype=np.int64)
@@ -183,4 +179,4 @@ def confusion_csv(report: EvalReport) -> str:
     lines = ["true\\pred," + ",".join(report.labels)]
     for lab, row in zip(report.labels, report.confusion):
         lines.append(lab + "," + ",".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)

@@ -10,8 +10,8 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .dataset_io import field_lines, floats, from_fields, header_dict, read_lines
-from .errors import ConfigError, FormatError, ShapeError, TrainError
+from .dataset_io import field_lines, float_text, floats, from_fields, header_dict, read_lines, write_lines
+from .errors import ConfigError, FormatError, LabelError, ShapeError, TrainError
 from .extractors import EXTRACTORS, read_option
 
 
@@ -372,19 +372,23 @@ def ranked(labels, scores):
     return [(labels[i], float(scores[i])) for i in ranking(scores).tolist()]
 
 
+def class_indices(true_labels, labels) -> list:
+    """Each of true_labels' index in the class table labels; a label not in it is a LabelError naming it."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    if missing := [lab for lab in true_labels if lab not in index]:
+        raise LabelError(f"label {missing[0]!r} not in the model's class table")
+    return [index[lab] for lab in true_labels]
+
+
 # --- model file format -------------------------------------------------------
 #
 # Line-oriented text: "glyphforge-mlp v1" magic, "key value" header lines
 # (one per MlpConfig field, in field order, among them; no key save_model does
 # not write), then the blocks w1, b1, w2, b2 in that order and nothing after
 # them, each an "@name rows cols" line and its rows of whitespace-separated
-# floats. Values are written with repr() so the round trip is exact.
+# floats, as float_text writes them, so the round trip is exact.
 
 MAGIC = "glyphforge-mlp v1"
-
-
-def _fmt_vec(v: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in v)
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -396,14 +400,12 @@ def save_model(model: MlpModel, path) -> None:
     lines = [MAGIC, f"extractor {model.extractor_id}", *field_lines(model.config)]
     lines.append("labels " + ",".join(model.labels))
     lines.append(f"flags {EXTRACTORS[model.extractor_id].flag}=1" if model.option else "flags ")
-    lines += [f"{k} {_fmt_vec(getattr(model, k))}" for k in ("feature_min", "feature_max")]
+    lines += [f"{k} {float_text(getattr(model, k))}" for k in ("feature_min", "feature_max")]
     for name in ("w1", "b1", "w2", "b2"):
         arr = np.atleast_2d(getattr(model, name))
         lines.append(f"@{name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(_fmt_vec(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += map(float_text, arr)
+    write_lines(path, lines)
 
 
 def load_model(path) -> MlpModel:

@@ -253,13 +253,13 @@ def train_models(
     if not 0 < calibration_fraction < 1:
         raise ConfigError("calibration_fraction must be in (0, 1)")
     labels = list(labels)
-    label_pos = {lab: i for i, lab in enumerate(labels)}
     members, datasets, holdouts = [], [], []
     for tables in table_sets:
         if len({t.extractor_id for t in tables}) < len(tables):  # its members would train alike on the same rows
             raise ConfigError(f"two feature tables of {tables[-1].extractor_id}: an ensemble needs two extractors")
         dataset_io.check_same_samples(tables)
         rows = tables[0].rows
+        targets = mlp.class_indices([lab for _, lab, _ in rows], labels)
         fit_idx, cal_idx = range(len(rows)), []
         if len(tables) > 1:
             order = np.random.default_rng(seed).permutation(len(rows))
@@ -274,7 +274,7 @@ def train_models(
             model = mlp.init_model(cfg, labels, extractor_id=table.extractor_id)
             model.option = table.option
             members.append(model)
-            datasets.append([(table.rows[i][2], label_pos[table.rows[i][1]]) for i in fit_idx])
+            datasets.append([(table.rows[i][2], targets[i]) for i in fit_idx])
     spans = _spans(len(members))
     names = [f"part {k} of {len(spans)} of the members ({i + 1} to {j})" for k, (i, j) in enumerate(spans[1:], start=2)]
     with _split(_train_part, [(members[i:j], datasets[i:j]) for i, j in spans], names, TrainError) as trained:

@@ -1,3 +1,4 @@
+import builtins
 import os
 import re
 import shutil
@@ -832,12 +833,18 @@ def test_train_prints_each_member_stop_reason(feature_files, tmp_path, capsys, t
 
 @pytest.mark.parametrize("original, renamed", [
     ("c01", "c,01"), ("c01/s003.pgm", "c01/s,003.pgm"), ("c01", "c\n01"), ("c01/s003.pgm", "c01/s\n003.pgm"),
+    pytest.param("c01", "c\udcff1", id="c01-not-utf8"),
+    pytest.param("c01/s003.pgm", "c01/s\udcff03.pgm", id="c01/s003.pgm-not-utf8"),
 ])
 def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys, original, renamed):
-    """The error names the path as its repr, so a newline in it still makes one error: line."""
+    """The error names the path as its repr, so a newline in it still makes one error: line. A name holding the
+    byte 0xff, which os.listdir reads as the surrogate U+DCFF, is not UTF-8, the text of a feature CSV, either."""
     root = tmp_path / "corpus"
     shutil.copytree(corpus, root)
-    (root / original).rename(root / renamed)
+    try:
+        (root / original).rename(root / renamed)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("this filesystem refuses a name that is not UTF-8")
     with pytest.raises(CorpusError, match=re.escape(repr(str(root / renamed)))):
         dio.load_corpus(root)
     capsys.readouterr()
@@ -846,6 +853,68 @@ def test_comma_in_class_directory_or_image_name_exit_2(corpus, tmp_path, capsys,
     err = capsys.readouterr().err
     assert repr(str(root / renamed)) in err and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "OUT"],
+    ["train", "--features", "CHAIN", "--out", "OUT"],
+    ["crossval", "--corpus", "CORPUS", "--out", "OUT"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(feature_files, corpus, tmp_path, capsys, argv):
+    """--seed takes a non-negative integer, the seeds numpy's generators take, in each command that has it."""
+    paths = {"OUT": tmp_path / "out", "CHAIN": feature_files[0], "CORPUS": corpus}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([str(paths.get(a, a)) for a in argv] + ["--seed", "-1"])
+    assert exit_.value.code == 2
+    assert "argument --seed: want a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_open = builtins.open
+
+
+def _windows_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, closefd=True, opener=None):
+    """open() with the defaults it has on Windows without UTF-8 mode: cp1252 text, written with \\r\\n line ends."""
+    if "b" not in mode:
+        encoding = encoding or "cp1252"
+        if newline is None and "r" not in mode:
+            newline = "\r\n"
+    return _open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+
+def test_every_text_file_is_utf8_with_lf_line_ends_whatever_open_defaults_to(feature_files, tmp_path, monkeypatch):
+    """Under open()'s Windows defaults, a feature CSV, a .mlp, a .glyph with its members, eval's report and its
+    confusion CSV, among them the label क, are written as the same bytes as under this platform's defaults, and
+    each file read back writes the same bytes again."""
+    tables = [dio.load_features(path) for path in feature_files]
+    for table in tables:
+        table.rows = [(sample_id, "क" if label == "c00" else label, vec) for sample_id, label, vec in table.rows]
+    labels = sorted({label for _, label, _ in tables[0].rows})
+    ens, _, _ = pipeline.train_ensemble_on_tables(*tables, labels, seed=2, max_epochs=5)
+
+    def write(directory, tables, member, ens):
+        directory.mkdir()
+        for name, table in zip(("chain.csv", "moment.csv"), tables):
+            dio.save_features(table, directory / name)
+        mlp.save_model(member, directory / "chain.mlp")
+        ens.save(directory / "ens.glyph")
+        assert cli.main([
+            "eval", "--model", str(directory / "ens.glyph"), "--features", str(directory / "chain.csv"),
+            "--features2", str(directory / "moment.csv"), "--report", str(directory / "report.txt"),
+            "--confusion-csv", str(directory / "confusion.csv"),
+        ]) == 0
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    want = write(tmp_path / "native", tables, ens.model1, ens)
+    assert all("क".encode() in want[name] for name in ("chain.csv", "moment.csv", "chain.mlp", "confusion.csv"))
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", _windows_open)
+        assert write(tmp_path / "windows", tables, ens.model1, ens) == want
+        written = tmp_path / "windows"
+        loaded = [dio.load_features(written / name) for name in ("chain.csv", "moment.csv")]
+        member, loaded_ens = mlp.load_model(written / "chain.mlp"), ensemble.load_ensemble(written / "ens.glyph")
+    assert write(tmp_path / "again", loaded, member, loaded_ens) == want
 
 
 def test_predict_refuses_an_image_path_with_a_newline_before_reading_any_image(

@@ -9,7 +9,7 @@ import pytest
 
 from glyphforge import cli, evaluation, image_prep, mlp, pipeline
 from glyphforge import dataset_io as dio
-from glyphforge.errors import CorpusError, ExtractionError, IoError, TrainError
+from glyphforge.errors import CorpusError, ExtractionError, IoError, LabelError, TrainError
 from glyphforge.extractors import EXTRACTORS, Extractor
 
 
@@ -414,6 +414,14 @@ def trained_bytes(results):
         if not isinstance(model, mlp.MlpModel):
             fusions.append([x.hex() for x in (model.weights.d1, model.weights.d2, model.weights.w1, model.weights.w2)])
     return members, fusions
+
+
+def test_a_label_outside_the_class_table_is_a_label_error_before_any_member_trains(train_sets, monkeypatch):
+    """train_models maps labels to class indices as evaluation does: a row's label outside labels is a LabelError."""
+    (tables,), classes = train_sets["one table"]
+    monkeypatch.setattr(mlp, "train_lanes", lambda *args: pytest.fail("a member trained"))
+    with pytest.raises(LabelError, match="label 'c02' not in the model's class table"):
+        pipeline.train_models([tables], classes[:2], **TRAIN_KWARGS)
 
 
 @pytest.mark.parametrize("name", ["folds and one table", "one table"])
