@@ -1,7 +1,8 @@
 """Command-line entry point: extract / train / eval / crossval / predict / synth.
 
 Exit codes: 0 success, 1 domain error (training/evaluation), 2 usage,
-out-of-range setting, malformed file or IO error.
+out-of-range setting, malformed file, IO error or a character that
+stdout's encoding cannot hold.
 """
 
 import argparse
@@ -276,6 +277,11 @@ def main(argv=None) -> int:
     except GlyphforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeEncodeError as exc:  # files are written as UTF-8: only a print to stdout can fail to encode
+        char = ascii(exc.object[exc.start : exc.end])
+        print(f"error: stdout's encoding {sys.stdout.encoding} cannot write {char}; set PYTHONUTF8=1 or "
+              "PYTHONIOENCODING=utf-8", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

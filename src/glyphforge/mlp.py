@@ -160,24 +160,29 @@ def _flat(layers) -> np.ndarray:
 
 
 def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
-    """step(x_col, x_row, target, err): one online backprop pass of every lane of negated weights.
+    """step(x_col, x_rows, target, err): one online backprop pass of every lane of negated weights.
 
     weights is a flat buffer (see _layers) of each lane's w1, b1, w2 and b2,
     all negated, so that each layer's matmul plus bias comes out negated and
-    its sigmoid needs no negation. x_col (S, n, 1) and x_row (S, 1, n) view
-    each lane's scaled input and target (S, o, 1) its target. step writes
-    output - target into err (S, o, 1) and each lane's gradients of loss =
-    0.5 * sum((target - output)^2) with respect to the true weights into
-    grad, laid out as weights. Backprop through the negated w2 negates the
-    hidden layer's gradient, and the factor hidden - 1 in place of
-    1 - hidden negates it back. Rounding to nearest is sign-symmetric, so
-    every value equals that of the true weights' pass, negated or not, bit
-    for bit; only the sign of an exact zero may differ. The layers are
-    stacked matmuls and the outer products broadcast multiplies, so each
-    lane runs the BLAS calls and float operations of one model alone,
-    whatever S is. All intermediate arrays, and the ones blocks that stand
-    for the constant 1.0, are allocated once here, so that each call passes
-    arrays only, its output positionally, and converts no Python float.
+    its sigmoid needs no negation. x_col (S, n, 1) views each lane's scaled
+    input, x_rows holds it as one (1, n) row per lane, and target (S, o, 1)
+    is each lane's target. step writes output - target into err (S, o, 1)
+    and each lane's gradients of loss = 0.5 * sum((target - output)^2) with
+    respect to the true weights into grad, laid out as weights. Backprop
+    through the negated w2 negates the hidden layer's gradient, and the
+    factor hidden - 1 in place of 1 - hidden negates it back. Rounding to
+    nearest is sign-symmetric, so every value equals that of the true
+    weights' pass, negated or not, bit for bit; only the sign of an exact
+    zero may differ. The three matrix-vector products are stacked matmuls,
+    so each lane runs the BLAS calls of one model alone, whatever S is. Each
+    outer product is one np.dot of a lane's (rows, 1) column by its (1, cols)
+    row into that lane's 2-D view of grad, a BLAS gemm with k = 1: it gives
+    every nonzero product bit for bit, but may give +0.0 where the product
+    of signed operands is -0.0. Such a zero reaches the velocity only as an
+    addend, so the trained weights keep their bits (see _train_group). All
+    intermediate arrays, the ones blocks that stand for the constant 1.0 and
+    the per-lane views are made once here, so that each call passes arrays
+    only, its output positionally, and converts no Python float.
     """
     h, o = cfg.hidden_size, cfg.output_size
     w1, b1, w2, b2 = _layers(weights, cfg)
@@ -186,11 +191,14 @@ def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
     b1, b2, gb1, gb2 = b1[..., None], b2[..., None], gb1[..., None], gb2[..., None]
     w2t = w2.mT
     hidden, h_minus_1, ones_h = np.empty((s, h, 1)), np.empty((s, h, 1)), np.ones((s, h, 1))
-    hidden_row = hidden.reshape(s, 1, h)
+    outer2 = list(zip(gb2, hidden.reshape(s, 1, h), gw2))  # each lane's column, row and product
+    outer1 = list(zip(gb1, gw1))
     out, one_minus_o, ones_o = np.empty((s, o, 1)), np.empty((s, o, 1)), np.ones((s, o, 1))
-    add, subtract, multiply, matmul, exp, reciprocal = np.add, np.subtract, np.multiply, np.matmul, np.exp, np.reciprocal
+    add, subtract, multiply, matmul, exp, reciprocal, dot = (
+        np.add, np.subtract, np.multiply, np.matmul, np.exp, np.reciprocal, np.dot
+    )
 
-    def step(x_col, x_row, target, err):
+    def step(x_col, x_rows, target, err):
         matmul(w1, x_col, hidden)
         add(hidden, b1, hidden)
         # sigmoid of the negated sum: exp, + 1, then 1 / by reciprocal, the same IEEE division
@@ -206,12 +214,14 @@ def _backprop_step(weights: np.ndarray, grad: np.ndarray, cfg: MlpConfig):
         multiply(err, out, gb2)
         subtract(ones_o, out, one_minus_o)
         multiply(gb2, one_minus_o, gb2)
-        multiply(gb2, hidden_row, gw2)
+        for column, row, product in outer2:
+            dot(column, row, product)
         matmul(w2t, gb2, gb1)
         multiply(gb1, hidden, gb1)
         subtract(hidden, ones_h, h_minus_1)
         multiply(gb1, h_minus_1, gb1)
-        multiply(gb1, x_row, gw1)
+        for (column, product), row in zip(outer1, x_rows):
+            dot(column, row, product)
 
     return step
 
@@ -227,7 +237,7 @@ def gradients(model: MlpModel, x: np.ndarray, target: np.ndarray):
     target = np.asarray(target, dtype=np.float64)
     weights = np.negative(_flat([[model.w1], [model.b1], [model.w2], [model.b2]]))
     grad, err = np.empty_like(weights), np.empty((1, model.config.output_size, 1))
-    _backprop_step(weights, grad, model.config)(x[None, :, None], x[None, None, :], target[None, :, None], err)
+    _backprop_step(weights, grad, model.config)(x[None, :, None], [x[None, :]], target[None, :, None], err)
     return (*(g[0] for g in _layers(grad, model.config)), 0.5 * float(np.matmul(err.mT, err)[0, 0, 0]))
 
 
@@ -280,7 +290,15 @@ def _train_group(models, datasets) -> list:
 
     Weights and velocities are held negated (see _backprop_step), so each
     step adds lr * grad + momentum * vel, with lr and momentum as float64
-    0-d arrays: the same values, without a conversion on every call.
+    0-d arrays: the same values, without a conversion on every call. Where
+    the step's BLAS outer product gives +0.0 for a -0.0 product, the new
+    velocity vel * momentum + grad * lr differs from that of -0.0, by
+    induction over steps, at most in the sign of a zero. w + vel then has
+    the same bits either way, since w + 0.0 and w + -0.0 both give w when w
+    is not -0.0, and no weight is: its init is nonzero, and a sum is -0.0
+    only when both addends are. Should an init draw be exactly 0.0, only the
+    sign of that zero moves, and the 0.0 - w below and every forward sum
+    wash it out.
     """
     cfg = models[0].config
     n_rows, n_lanes = len(datasets[0]), len(models)
@@ -309,8 +327,9 @@ def _train_group(models, datasets) -> list:
         x_buf = np.empty((GATHER_ROWS, len(active), cfg.input_size))
         t_buf = np.empty((GATHER_ROWS, len(active), cfg.output_size))
         errs = np.empty((GATHER_ROWS, len(active), cfg.output_size, 1))
-        # each step's views of its gathered rows and its error slot, made once so that a step indexes nothing
-        slots = list(zip(x_buf[..., None], x_buf[:, :, None, :], t_buf[..., None], errs))
+        # each step's views of its gathered rows (a column per lane group and a row per lane) and its error slot,
+        # made once so that a step indexes nothing
+        slots = list(zip(x_buf[..., None], map(list, x_buf[:, :, None, :]), t_buf[..., None], errs))
         sq = np.empty((n_rows, len(active)))
         sq_cells = sq[..., None, None]
         first_row = np.array(active) * n_rows
@@ -325,8 +344,8 @@ def _train_group(models, datasets) -> list:
                     # every index is in range; under the default mode="raise", take buffers its out
                     np.take(xs, chunk, axis=0, out=x_buf[: len(chunk)], mode="clip")
                     np.take(targets, chunk, axis=0, out=t_buf[: len(chunk)], mode="clip")
-                    for x_col, x_row, t_col, err in slots[: len(chunk)]:
-                        step(x_col, x_row, t_col, err)
+                    for x_col, x_rows, t_col, err in slots[: len(chunk)]:
+                        step(x_col, x_rows, t_col, err)
                         # per element the float operations of -lr * grad + mom * vel on the true
                         # weights, negated, so the weights match the per-array update bit for bit
                         multiply(grad, lr, grad)

@@ -2,6 +2,8 @@ import builtins
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -915,6 +917,29 @@ def test_every_text_file_is_utf8_with_lf_line_ends_whatever_open_defaults_to(fea
         loaded = [dio.load_features(written / name) for name in ("chain.csv", "moment.csv")]
         member, loaded_ens = mlp.load_model(written / "chain.mlp"), ensemble.load_ensemble(written / "ens.glyph")
     assert write(tmp_path / "again", loaded, member, loaded_ens) == want
+
+
+def test_a_label_stdout_cannot_encode_exit_2_without_traceback(feature_files, corpus, tmp_path):
+    """Under a cp1252 stdout, as a Windows console without UTF-8 mode gives, predict's ranked line and eval's
+    confused pairs, each naming a Devanagari label, end in one error: line naming the character and exit 2."""
+    table = dio.load_features(feature_files[0])
+    for name, labels in (("deva.csv", {"c00": "क", "c01": "ख"}), ("swapped.csv", {"c00": "ख", "c01": "क"})):
+        # swapped.csv gives c00's rows c01's label and back: every row the model ranks as trained is a confused pair
+        rows = [(sample_id, labels.get(label, label), vec) for sample_id, label, vec in table.rows]
+        dio.save_features(dio.FeatureTable(table.extractor_id, table.dim, rows, table.option), tmp_path / name)
+    model = str(tmp_path / "deva.mlp")
+    assert cli.main(["train", "--features", str(tmp_path / "deva.csv"), "--out", model, "--epochs", "10"]) == 0
+    env = dict(os.environ, PYTHONIOENCODING="cp1252")
+    for argv in (
+        ["predict", "--model", model, "--image", str(corpus / "c01" / "s000.pgm")],
+        ["eval", "--model", model, "--features", str(tmp_path / "swapped.csv")],
+    ):
+        run = subprocess.run([sys.executable, "-m", "glyphforge.cli", *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 2, (argv[0], run.stderr)
+        assert re.fullmatch(
+            r"error: stdout's encoding cp1252 cannot write '\\u091[56]'; set PYTHONUTF8=1 or PYTHONIOENCODING=utf-8\n",
+            run.stderr,
+        ), (argv[0], run.stderr)
 
 
 def test_predict_refuses_an_image_path_with_a_newline_before_reading_any_image(

@@ -198,12 +198,19 @@ def seed_gradients(model, x, target):
     return np.outer(delta_h, x), delta_h, np.outer(delta_o, hidden), delta_o, err
 
 
+def negative_zeros(*arrays) -> int:
+    """The number of -0.0 entries in arrays."""
+    return sum(int(np.count_nonzero((a == 0.0) & np.signbit(a))) for a in arrays)
+
+
 def seed_train(model, dataset):
-    """Reference: the original per-sample, per-array online backprop loop.
+    """Reference: the original per-sample, per-array online backprop loop; (MSE trace, -0.0 outer-product entries).
 
     Scales each sample on every step, by the dataset's min-max statistics,
     and takes seed_gradients, then updates each of w1, b1, w2, b2 by
-    delta = -lr * g + momentum * v.
+    delta = -lr * g + momentum * v. It also counts the -0.0 entries of every
+    step's np.outer gradients gw1 and gw2, where the trainer's BLAS outer
+    products may give +0.0.
     """
     cfg = model.config
     xs = np.array([x for x, _ in dataset], dtype=np.float64)
@@ -215,12 +222,13 @@ def seed_train(model, dataset):
     params = [model.w1, model.b1, model.w2, model.b2]
     vel = [np.zeros_like(m) for m in params]
     rng = np.random.default_rng(cfg.seed + 1)
-    trace = []
+    trace, zeros = [], 0
     for _ in range(cfg.max_epochs):
         sq_err = 0.0
         for i in rng.permutation(len(dataset)):
             x = np.where(span > 0, (xs[i] - model.feature_min) / safe, 0.0)
             *grads, err = seed_gradients(model, x, targets[i])
+            zeros += negative_zeros(grads[0], grads[2])
             sq_err += 2.0 * (0.5 * float(np.dot(err, err)))
             for mat, g, v in zip(params, grads, vel):
                 delta = -cfg.learning_rate * g + cfg.momentum * v
@@ -230,7 +238,7 @@ def seed_train(model, dataset):
         trace.append(mse)
         if mse <= cfg.target_mse:
             break
-    return trace
+    return trace, zeros
 
 
 def wide_range_dataset(n=30, seed=3):
@@ -287,7 +295,10 @@ class TestTrainBitIdentity:
         """One model alone and three lanes of other seeds in lockstep each equal the reference loop, for several rates.
 
         The default rates, two others, and a learning rate of 1 given as a
-        Python int with the least legal momentum, 0.0.
+        Python int with the least legal momentum, 0.0. The span-0 column
+        scales to 0.0, so the reference's np.outer gw1 holds -0.0 wherever
+        the hidden delta is negative, where the trainer's BLAS outer product
+        may give +0.0: the weights must match all the same.
         """
         data = wide_range_dataset()
         defaults = mlp.MlpConfig(1, 1, 1)
@@ -299,7 +310,9 @@ class TestTrainBitIdentity:
             refs = []
             for seed in (17, 18, 19):
                 ref = small_model(seed=seed, **kw)
-                refs.append((ref, seed_train(ref, data)))
+                ref_trace, zeros = seed_train(ref, data)
+                assert zeros, (case, seed)
+                refs.append((ref, ref_trace))
             alone, lanes = small_model(seed=17, **kw), [small_model(seed=seed, **kw) for seed in (17, 18, 19)]
             reports = [train_one(alone, data), *mlp.train_lanes(lanes, [data] * 3)]
             for model, report, (ref, ref_trace) in zip([alone, *lanes], reports, [refs[0], *refs]):
@@ -309,18 +322,36 @@ class TestTrainBitIdentity:
                     assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), (case, name)
 
     def test_gradients_match_seed_loop_step(self):
+        """mlp.gradients equals the reference step bit for bit, but for the sign of a zero in gw1 and gw2.
+
+        Its outer products are BLAS calls, which give +0.0 where np.outer's
+        multiply gives -0.0, so gw1 and gw2 are compared after adding +0.0,
+        which turns -0.0 into +0.0 and leaves every other value as it is;
+        gb1, gb2 and the loss are compared as they are. The span-0 column
+        scales to 0.0, so the reference's gw1 does hold -0.0 entries.
+        """
         data = wide_range_dataset()
         model = small_model(6, 5, 3, seed=17)
         xs = np.array([x for x, _ in data])
         model.feature_min, model.feature_max = xs.min(axis=0), xs.max(axis=0)
+        zeros = 0
         for x, c in data:
             target = np.eye(3)[c]
             *want, err = seed_gradients(model, mlp.scale_input(model, x), target)
             got = mlp.gradients(model, x, target)
-            assert [g.tobytes() for g in got[:4]] == [g.tobytes() for g in want]
+            zeros += negative_zeros(want[0], want[2])
+            assert [(g + 0.0).tobytes() for g in got[:4:2]] == [(g + 0.0).tobytes() for g in want[::2]]
+            assert [g.tobytes() for g in got[1:4:2]] == [g.tobytes() for g in want[1::2]]
             assert got[4] == 0.5 * float(np.dot(err, err))
+        assert zeros
 
     def test_saturated_units_train_without_overflow_warning(self, monkeypatch):
+        """Saturated units train without a warning and equal the reference loop bit for bit.
+
+        A hidden unit saturated at exactly 0.0 or 1.0 has a zero delta, so the
+        reference's np.outer gw1 and gw2 hold -0.0 entries, where the
+        trainer's BLAS outer products may give +0.0.
+        """
         data = hu_like_dataset(np.random.default_rng(21))
 
         def trained():
@@ -337,7 +368,8 @@ class TestTrainBitIdentity:
             silenced, silenced_out = trained()
         ref = saturating_model(6, data)
         with np.errstate(over="ignore"):
-            seed_train(ref, data)
+            _, zeros = seed_train(ref, data)
+        assert zeros
         # hidden units saturated at exactly 0.0 or 1.0 on every row get zero gradients: their biases stay 0.0
         assert not ref.b1.all()
         for name in ("w1", "b1", "w2", "b2"):
