@@ -122,7 +122,17 @@ def _train_kwargs(args):
     return dict({dest: getattr(args, dest) for dest in dests}, seed=args.seed)
 
 
+def _printable(*texts) -> None:
+    """Encode texts as printing them would, so that a character stdout's encoding cannot hold is its
+    UnicodeEncodeError before the command writes a file or reads an image; a stdout without an encoding, such as
+    an io.StringIO, takes any text."""
+    if getattr(sys.stdout, "encoding", None):
+        for text in texts:
+            text.encode(sys.stdout.encoding, sys.stdout.errors or "strict")
+
+
 def cmd_synth(args) -> int:
+    _printable(args.out)
     # a second corpus written into a used directory would mix with what is there, and extract would read both
     if os.path.exists(args.out) and not (os.path.isdir(args.out) and not os.listdir(args.out)):
         raise CorpusError(f"--out {args.out} exists and is not an empty directory")
@@ -140,6 +150,7 @@ def _dump_stages(directory, sample, stages) -> None:
 
 
 def cmd_extract(args) -> int:
+    _printable(args.out)
     ((extractor_id, option),) = _extractors([args.extractor], args)
     samples = dataset_io.load_corpus(args.corpus, strict=args.strict)
     on_stages = None
@@ -159,6 +170,7 @@ def cmd_train(args) -> int:
     when this process may use two CPUs; the files written and stdout are the
     same bytes for any CPU count.
     """
+    _printable(args.out)
     if args.ensemble and not args.features2:
         raise CorpusError("--ensemble needs --features2")
     tables = _load_tables(args)
@@ -203,7 +215,7 @@ def cmd_crossval(args) -> int:
     extractors = _extractors(tuple(EXTRACTORS) if args.extractor == "ensemble" else (args.extractor,), args)
     tables = pipeline.extract_tables(dataset_io.load_corpus(args.corpus), extractors)
     labels = [lab for _, lab, _ in tables[0].rows]
-    splits = evaluation.kfold_splits(labels, evaluation.SplitPlan(mode="kfold", folds=args.folds, seed=args.seed))
+    splits = evaluation.kfold_splits(labels, args.folds, args.seed)
     table_sets = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
     trained = pipeline.train_models(table_sets, sorted(set(labels)), **_train_kwargs(args))
     report = evaluation.CrossValReport([
@@ -231,7 +243,8 @@ def cmd_predict(args) -> int:
     naming it under --dir, and is an error naming it (exit 2) under --image.
     A --dir that leaves no image to rank is iter_features' CorpusError. A
     path with a newline, whose ranked line would span two lines, is a
-    CorpusError before any image is read.
+    CorpusError before any image is read; a label or path that stdout's
+    encoding cannot hold is a UnicodeEncodeError before any image is read.
     """
     if args.k < 1:
         raise ConfigError("-k must be >= 1")
@@ -249,6 +262,7 @@ def cmd_predict(args) -> int:
     )
     if newline := [path for path in paths if "\n" in path]:
         raise CorpusError(f"image {newline[0]!r} has a newline in its path")
+    _printable(*model.labels, *paths)
     samples = dataset_io.SampleFiles([(path, "", path) for path in paths], strict=bool(args.image))
     for ids, _, matrices in pipeline.iter_features(samples, model.extractors):
         for sample_id, scores in zip(ids, model.scores(matrices)):
@@ -277,7 +291,7 @@ def main(argv=None) -> int:
     except GlyphforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UnicodeEncodeError as exc:  # files are written as UTF-8: only a print to stdout can fail to encode
+    except UnicodeEncodeError as exc:  # files are written as UTF-8: only stdout's encoding (a print, _printable) fails
         char = ascii(exc.object[exc.start : exc.end])
         print(f"error: stdout's encoding {sys.stdout.encoding} cannot write {char}; set PYTHONUTF8=1 or "
               "PYTHONIOENCODING=utf-8", file=sys.stderr)

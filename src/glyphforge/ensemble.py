@@ -123,7 +123,7 @@ def save_ensemble(ens: EnsembleModel, path) -> None:
 
 def load_ensemble(path) -> EnsembleModel:
     """The ensemble and its members of two extractors: d1, d2 in [0, 1] not both 0, w1, w2 as compute_weights gives."""
-    header = header_dict([ln for ln in read_lines(path, ENSEMBLE_MAGIC)[1:] if ln], " ", path)
+    header = header_dict(read_lines(path, ENSEMBLE_MAGIC)[1:], " ", path)
     written = from_fields(FusionWeights, header, path, ("model1", "model2"))
     d1, d2 = written.d1, written.d2
     if not (0 <= d1 <= 1 and 0 <= d2 <= 1 and d1 + d2 > 0):  # also false for nan

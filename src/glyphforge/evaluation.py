@@ -9,6 +9,7 @@ from .errors import ConfigError, FormatError, SplitError
 from .extractors import EXTRACTORS
 
 TOP_KS = (1, 3, 5)
+MAX_PAIRS = 10  # confused pairs format_report lists
 
 
 @dataclass
@@ -22,52 +23,35 @@ class EvalReport:
 
 @dataclass
 class SplitPlan:
-    mode: str = "fraction"  # "fraction" | "kfold"
+    mode: str = "fraction"  # only "fraction", kept as callers write SplitPlan(mode="fraction", ...)
     train_fraction: float = 0.65
-    folds: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must be in (0, 1)")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.mode not in ("fraction", "kfold"):
+        if self.mode != "fraction":
             raise ConfigError(f"unknown split mode {self.mode!r}")
 
 
 def _by_class(labels):
+    """(label, its sample indices) of each class, in label order."""
     groups = {}
     for i, lab in enumerate(labels):
         groups.setdefault(lab, []).append(i)
-    return groups
+    return sorted(groups.items())
 
 
 def split(labels, plan: SplitPlan):
-    """Partition sample indices deterministically under plan.seed.
+    """(train_idx, test_idx) of a stratified split drawn deterministically under plan.seed.
 
-    fraction mode returns (train_idx, test_idx); kfold mode returns a list
-    of disjoint folds covering all indices. Both are stratified: each
-    class's train share stays within one sample of the global fraction,
-    with the overall train size fixed at round(fraction * n).
+    Each class's train share stays within one sample of the global
+    fraction, with the overall train size fixed at round(fraction * n).
     """
     labels = list(labels)
     n = len(labels)
     rng = np.random.default_rng(plan.seed)
-    groups = sorted(_by_class(labels).items())
-    if plan.mode == "kfold":
-        folds = [[] for _ in range(plan.folds)]
-        for lab, idxs in groups:
-            if len(idxs) < plan.folds:
-                raise SplitError(
-                    f"class {lab!r} has {len(idxs)} samples, fewer than "
-                    f"{plan.folds} folds"
-                )
-            order = rng.permutation(len(idxs))
-            for j, k in enumerate(order):
-                folds[j % plan.folds].append(idxs[k])
-        return [sorted(f) for f in folds]
-
+    groups = _by_class(labels)
     n_train = int(np.floor(plan.train_fraction * n + 0.5))  # round half up
     # largest-remainder allocation keeps per-class counts within +-1
     # of proportional while hitting n_train exactly
@@ -148,28 +132,37 @@ class CrossValReport:
         self.std_top_k = {k: float(np.std(v)) for k, v in accs.items()}
 
 
-def kfold_splits(true_labels, plan: SplitPlan):
-    """Each fold's (train_idx, test_idx) under a kfold plan: the fold tests, the other folds train.
+def kfold_splits(true_labels, folds: int, seed: int):
+    """Each stratified fold's (train_idx, test_idx): the fold tests, the other folds train.
 
-    A model trained on a fold's train_idx never scores a sample it saw.
+    Each class's seeded permutation, classes in label order from one
+    generator, is dealt round-robin to the folds; a class with fewer samples
+    than folds is a SplitError. A model trained on a fold's train_idx never
+    scores a sample it saw.
     """
-    if plan.mode != "kfold":
-        raise ValueError("kfold_splits needs a kfold SplitPlan")
-    folds = split(true_labels, plan)
+    if folds < 2:
+        raise ConfigError("folds must be >= 2")
+    rng = np.random.default_rng(seed)
+    tests = [[] for _ in range(folds)]
+    for lab, idxs in _by_class(true_labels):
+        if len(idxs) < folds:
+            raise SplitError(f"class {lab!r} has {len(idxs)} samples, fewer than {folds} folds")
+        for j, k in enumerate(rng.permutation(len(idxs))):
+            tests[j % folds].append(idxs[k])
     return [
-        (sorted(i for g, fold in enumerate(folds) if g != f for i in fold), test_idx)
-        for f, test_idx in enumerate(folds)
+        (sorted(i for g, fold in enumerate(tests) if g != f for i in fold), sorted(test_idx))
+        for f, test_idx in enumerate(tests)
     ]
 
 
-def format_report(report: EvalReport, max_pairs: int = 10) -> str:
+def format_report(report: EvalReport) -> str:
     """Human-readable report text."""
     lines = [f"samples: {report.n_samples}"]
     for k in TOP_KS:
         lines.append(f"top-{k} accuracy: {report.top_k_accuracy[k]:.4f}")
     if report.confused_pairs:
         lines.append("most confused pairs (true -> predicted : count):")
-        for true_lab, pred_lab, count in report.confused_pairs[:max_pairs]:
+        for true_lab, pred_lab, count in report.confused_pairs[:MAX_PAIRS]:
             lines.append(f"  {true_lab} -> {pred_lab} : {count}")
     return "\n".join(lines)
 

@@ -227,9 +227,10 @@ def train_models(
 ):
     """Train one model per set of feature tables, their member MLPs split across the CPUs this process may use.
 
-    A set trains one MLP per table, fused by calibrated weights when there
-    are two. One table trains on all its rows. Two tables must be of two
-    extractors (a ConfigError before any member trains) and list the same
+    A set of one table trains one MLP on all its rows; a set of two trains
+    one MLP per table, fused by calibrated weights; a set of another size is
+    a ConfigError before any member trains. Two tables must be of two
+    extractors (a ConfigError before any member trains too) and list the same
     samples in the same order: a seeded calibration_fraction of the rows is
     held out (never the test set), each member trains on the rest, and the
     members' top-1 accuracies on the holdout give the fusion weights. The
@@ -255,6 +256,8 @@ def train_models(
     labels = list(labels)
     members, datasets, holdouts = [], [], []
     for tables in table_sets:
+        if len(tables) not in (1, 2):  # EnsembleModel fuses two members
+            raise ConfigError(f"a set of {len(tables)} feature tables: a model reads one, or two fused")
         if len({t.extractor_id for t in tables}) < len(tables):  # its members would train alike on the same rows
             raise ConfigError(f"two feature tables of {tables[-1].extractor_id}: an ensemble needs two extractors")
         dataset_io.check_same_samples(tables)

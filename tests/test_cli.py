@@ -942,6 +942,35 @@ def test_a_label_stdout_cannot_encode_exit_2_without_traceback(feature_files, co
         ), (argv[0], run.stderr)
 
 
+def test_what_stdout_cannot_encode_is_refused_before_any_file_is_written_or_image_read(
+    feature_files, corpus, tmp_path,
+):
+    """Under a cp1252 stdout, an --out that train or extract would print, or a label that predict --dir could
+    print, ends in the one error: line and exit 2 before the command writes a file or prints a ranked line."""
+    chain, moment = feature_files
+    table = dio.load_features(chain)
+    rows = [(sample_id, "\u0915" if label == "c00" else label, vec) for sample_id, label, vec in table.rows]
+    dio.save_features(dio.FeatureTable(table.extractor_id, table.dim, rows, table.option), tmp_path / "deva.csv")
+    model = str(tmp_path / "deva.mlp")
+    assert cli.main(["train", "--features", str(tmp_path / "deva.csv"), "--out", model, "--epochs", "10"]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    deva = "\u0926\u0947\u0935"
+    env = dict(os.environ, PYTHONIOENCODING="cp1252")
+    for argv, chars in (
+        (["train", "--features", str(chain), "--features2", str(moment), "--out", str(work / f"{deva}.glyph")], deva),
+        (["extract", "--corpus", str(corpus), "--extractor", "chain200", "--out", str(work / f"{deva}.csv")], deva),
+        # the c01 images rank c01 first, which cp1252 holds: only the label table names the character
+        (["predict", "--model", model, "--dir", str(corpus / "c01"), "-k", "1"], "\u0915"),
+    ):
+        run = subprocess.run([sys.executable, "-m", "glyphforge.cli", *argv], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, ""), (argv[0], run.stdout, run.stderr)
+        assert run.stderr == (
+            f"error: stdout's encoding cp1252 cannot write {ascii(chars)}; set PYTHONUTF8=1 or PYTHONIOENCODING=utf-8\n"
+        ), argv[0]
+    assert list(work.iterdir()) == []
+
+
 def test_predict_refuses_an_image_path_with_a_newline_before_reading_any_image(
     ensemble_file, corpus, tmp_path, monkeypatch, capsys,
 ):

@@ -333,6 +333,13 @@ class TestFeatureTable:
             with pytest.raises(FormatError, match=re.escape(str(path))):
                 dio.load_features(path)
 
+    @pytest.mark.parametrize("text", ["", "c/s0.pgm,c," + "0.5," * 62 + "0.5\n", "#extractor=moment63 dim=63\n"])
+    def test_missing_header_is_format_error(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: missing feature header$"):
+            dio.load_features(path)
+
     def test_flags_in_header(self, tmp_path):
         """The option reaches the CSV header, the table read back, a subset, the .mlp flags line and the model."""
         for extractor_id, dim, option, header, flags_line in [

@@ -271,12 +271,20 @@ class TestEnsembleModel:
         with pytest.raises(FormatError, match=f"repeated key '{key}'"):
             ensemble.load_ensemble(path)
 
-    @pytest.mark.parametrize("line, key", [("model3 nothing.mlp", "model3"), ("bogus 1", "bogus")])
+    @pytest.mark.parametrize("line, key", [("model3 nothing.mlp", "model3"), ("bogus 1", "bogus"), ("", "")])
     def test_header_key_no_writer_writes_is_format_error(self, tmp_path, line, key):
         path = tmp_path / "ens.glyph"
         ensemble.save_ensemble(self.build(), path)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unknown key '{key}'$"):
+            ensemble.load_ensemble(path)
+
+    @pytest.mark.parametrize("key", ["model1", "model2"])
+    def test_glyph_without_a_member_line_is_format_error(self, tmp_path, key):
+        path = tmp_path / "ens.glyph"
+        ensemble.save_ensemble(self.build(), path)
+        path.write_text("".join(ln for ln in path.read_text().splitlines(True) if not ln.startswith(key + " ")))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: missing field \\('{key}'\\)$"):
             ensemble.load_ensemble(path)
 
     @pytest.mark.parametrize("load", [ensemble.load_ensemble, ensemble.load_any_model])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glyphforge import evaluation as ev
-from glyphforge.errors import LabelError, SplitError
+from glyphforge.errors import ConfigError, LabelError, SplitError
 
 
 def labels_for(counts):
@@ -33,7 +33,7 @@ class TestSplit:
 
     def test_kfold_partition(self):
         labels = labels_for({"a": 33, "b": 33, "c": 33})
-        folds = ev.split(labels, ev.SplitPlan(mode="kfold", folds=3, seed=3))
+        folds = [test_idx for _, test_idx in ev.kfold_splits(labels, 3, 3)]
         assert [len(f) for f in folds] == [33, 33, 33]
         assert sorted(i for f in folds for i in f) == list(range(99))
         assert not (set(folds[0]) & set(folds[1]))
@@ -41,7 +41,7 @@ class TestSplit:
     def test_kfold_too_few_samples(self):
         labels = labels_for({"a": 10, "tiny": 2})
         with pytest.raises(SplitError, match="tiny"):
-            ev.split(labels, ev.SplitPlan(mode="kfold", folds=3, seed=4))
+            ev.kfold_splits(labels, 3, 4)
 
 
 class TestEvaluate:
@@ -94,14 +94,13 @@ class TestEvaluate:
 class TestCrossValidate:
     def test_fold_sizes_and_mean(self):
         labels = labels_for({"a": 33, "b": 33, "c": 33})
-        plan = ev.SplitPlan(mode="kfold", folds=3, seed=6)
         rep = ev.CrossValReport([
             ev.evaluate_rankings(
                 [(np.arange(3) + "abc".index(labels[i])) % 3 for i in test_idx],  # the true class first
                 [labels[i] for i in test_idx],
                 ["a", "b", "c"],
             )
-            for _, test_idx in ev.kfold_splits(labels, plan)
+            for _, test_idx in ev.kfold_splits(labels, 3, 6)
         ])
         assert [r.n_samples for r in rep.fold_reports] == [33, 33, 33]
         assert rep.mean_top_k[1] == 1.0
@@ -111,16 +110,15 @@ class TestCrossValidate:
 
     def test_never_tests_on_training_sample(self):
         labels = labels_for({"a": 9, "b": 9})
-        plan = ev.SplitPlan(mode="kfold", folds=3, seed=7)
         seen = []
-        for train_idx, test_idx in ev.kfold_splits(labels, plan):
+        for train_idx, test_idx in ev.kfold_splits(labels, 3, 7):
             assert not (set(train_idx) & set(test_idx))
             seen.extend(test_idx)
         assert sorted(seen) == list(range(18))
 
-    def test_requires_kfold_plan(self):
-        with pytest.raises(ValueError):
-            ev.kfold_splits(["a", "b"], ev.SplitPlan(mode="fraction"))
+    def test_kfold_is_no_split_mode(self):
+        with pytest.raises(ConfigError, match="unknown split mode 'kfold'"):
+            ev.SplitPlan(mode="kfold")
 
 
 class TestReportFormatting:

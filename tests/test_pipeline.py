@@ -9,7 +9,7 @@ import pytest
 
 from glyphforge import cli, evaluation, image_prep, mlp, pipeline
 from glyphforge import dataset_io as dio
-from glyphforge.errors import CorpusError, ExtractionError, IoError, LabelError, TrainError
+from glyphforge.errors import ConfigError, CorpusError, ExtractionError, IoError, LabelError, TrainError
 from glyphforge.extractors import EXTRACTORS, Extractor
 
 
@@ -45,9 +45,10 @@ def test_extract_tables_runs_only_needed_stages(samples, monkeypatch):
         assert made == stages  # the 12 samples are one chunk
 
 
-def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, capsys):
-    """A registry entry and its feature function are all a new extractor needs."""
-    toy = Extractor(
+@pytest.fixture
+def toy(monkeypatch):
+    """A third extractor, toy12, registered for the test."""
+    extractor = Extractor(
         id="toy12",
         dim=12,
         stage="inverted",
@@ -58,7 +59,12 @@ def test_registered_extractor_runs_end_to_end(samples, tmp_path, monkeypatch, ca
         hidden_size=7,
         member_part="toy",
     )
-    monkeypatch.setitem(EXTRACTORS, toy.id, toy)
+    monkeypatch.setitem(EXTRACTORS, extractor.id, extractor)
+    return extractor
+
+
+def test_registered_extractor_runs_end_to_end(samples, tmp_path, toy, capsys):
+    """A registry entry and its feature function are all a new extractor needs."""
     seen = []
     (table,) = pipeline.extract_tables(
         samples, [("toy12", True)], on_stages=lambda s, stages: seen.append(stages)
@@ -390,7 +396,7 @@ def train_sets():
     """{name: (table sets, labels)}: 3 folds x 2 extractors and a one-table set, and the one-table set alone."""
     tables = pipeline.extract_tables(dio.synth_corpus(3, 9, seed=8), [("chain200", False), ("moment63", False)])
     labels = [lab for _, lab, _ in tables[0].rows]
-    splits = evaluation.kfold_splits(labels, evaluation.SplitPlan(mode="kfold", folds=3, seed=2))
+    splits = evaluation.kfold_splits(labels, 3, 2)
     folds = [[t.subset(train_idx) for t in tables] for train_idx, _ in splits]
     classes = sorted(set(labels))
     return {"folds and one table": (folds + [tables[:1]], classes), "one table": ([tables[:1]], classes)}
@@ -414,6 +420,31 @@ def trained_bytes(results):
         if not isinstance(model, mlp.MlpModel):
             fusions.append([x.hex() for x in (model.weights.d1, model.weights.d2, model.weights.w1, model.weights.w2)])
     return members, fusions
+
+
+@pytest.mark.parametrize("tables, error, message", [
+    (lambda t: t, ConfigError, "^a set of 3 feature tables: a model reads one, or two fused$"),
+    (lambda t: [], ConfigError, "^a set of 0 feature tables: a model reads one, or two fused$"),
+    (lambda t: [x.subset([0]) for x in t[:2]], TrainError, "^calibration split leaves no training samples$"),
+], ids=["three tables", "no table", "two tables of one row"])
+def test_a_set_no_model_can_train_on_is_an_error_before_any_member_trains(
+    samples, toy, monkeypatch, tables, error, message,
+):
+    """EnsembleModel fuses two members: three tables or none are a ConfigError; two tables of one row leave no row
+    to train on beside the calibration holdout."""
+    extracted = pipeline.extract_tables(samples, [("chain200", False), ("moment63", False), ("toy12", False)])
+    labels = sorted({lab for _, lab, _ in extracted[0].rows})
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)  # a forked child's calls would not be seen here
+    monkeypatch.setattr(mlp, "train_lanes", lambda *args: pytest.fail("a member trained"))
+    with pytest.raises(error, match=message):
+        pipeline.train_models([tables(extracted)], labels, **TRAIN_KWARGS)
+
+
+def test_crossval_with_a_third_registered_extractor_exit_2(samples, toy, tmp_path, capsys):
+    """crossval's default --extractor ensemble extracts every registered extractor: three tables no model reads."""
+    dio.save_corpus(samples, tmp_path / "corpus")
+    code, out, err, _ = run(["crossval", "--corpus", tmp_path / "corpus", "--folds", "2", "--epochs", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: a set of 3 feature tables: a model reads one, or two fused\n")
 
 
 def test_a_label_outside_the_class_table_is_a_label_error_before_any_member_trains(train_sets, monkeypatch):
